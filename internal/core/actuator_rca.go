@@ -2,6 +2,7 @@ package soundboost
 
 import (
 	"fmt"
+	"math"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/sensors"
@@ -57,20 +58,18 @@ func NewActuatorDetector(model *AcousticModel, cfg ActuatorDetectorConfig) (*Act
 
 // Detect runs the actuator plausibility check over a flight.
 func (d *ActuatorDetector) Detect(f *dataset.Flight) (ActuatorVerdict, error) {
-	ex, err := NewExtractor(f.Audio, d.model.cfg.Signature)
+	obs, err := observeFlight(d.model, f)
 	if err != nil {
 		return ActuatorVerdict{}, err
 	}
+	if len(obs) == 0 {
+		return ActuatorVerdict{}, fmt.Errorf("soundboost: flight too short for actuator RCA")
+	}
 	win := d.model.cfg.Signature.WindowSeconds
-	verdict := ActuatorVerdict{MinPredictedG: 1e9}
+	verdict := ActuatorVerdict{MinPredictedG: math.Inf(1)}
 	consecutive := 0
-	for _, t0 := range ex.WindowStarts(win) {
-		feat := windowFeatures(ex, f, t0, win)
-		if feat == nil {
-			continue
-		}
-		pred := d.model.Predict(feat)
-		g := pred.Norm() / sensors.Gravity
+	for _, o := range obs {
+		g := o.pred.Norm() / sensors.Gravity
 		if g < verdict.MinPredictedG {
 			verdict.MinPredictedG = g
 		}
@@ -78,14 +77,11 @@ func (d *ActuatorDetector) Detect(f *dataset.Flight) (ActuatorVerdict, error) {
 			consecutive++
 			if consecutive >= d.cfg.DetectWindows && !verdict.Attacked {
 				verdict.Attacked = true
-				verdict.DetectionTime = t0 + win
+				verdict.DetectionTime = o.t0 + win
 			}
 		} else {
 			consecutive = 0
 		}
-	}
-	if verdict.MinPredictedG == 1e9 {
-		return verdict, fmt.Errorf("soundboost: flight too short for actuator RCA")
 	}
 	return verdict, nil
 }

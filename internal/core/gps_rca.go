@@ -2,11 +2,11 @@ package soundboost
 
 import (
 	"fmt"
+	"math"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/kalman"
 	"soundboost/internal/mathx"
-	"soundboost/internal/parallel"
 	"soundboost/internal/sensors"
 	"soundboost/internal/stats"
 )
@@ -96,142 +96,21 @@ type GPSDetector struct {
 	threshold float64
 }
 
-// runFlight produces the error trace of one flight under the detector's KF.
-func (d *GPSDetector) runFlight(f *dataset.Flight) (*GPSTrace, error) {
-	ex, err := NewExtractor(f.Audio, d.model.cfg.Signature)
-	if err != nil {
-		return nil, err
-	}
-	win := d.model.cfg.Signature.WindowSeconds
-	hop := d.model.cfg.Signature.HopSeconds
-	starts := ex.WindowStarts(win)
-	if len(starts) == 0 {
-		return nil, fmt.Errorf("soundboost: flight too short for GPS RCA")
-	}
-
-	// Initial velocity from the first GPS fix (pre-attack per threat model).
-	v0 := mathx.Vec3{}
-	if len(f.Telemetry) > 0 {
-		v0 = f.Telemetry[0].GPSVel
-	}
-	est, err := kalman.NewVelocityEstimator(d.cfg.Velocity, v0)
-	if err != nil {
-		return nil, err
-	}
-	monitor := stats.RunningMean{Alpha: d.cfg.ErrorAlpha}
-	trace := &GPSTrace{}
-	pos := mathx.Vec3{}
-	if len(f.Telemetry) > 0 {
-		pos = f.Telemetry[0].GPSPos
-	}
-	gravity := mathx.Vec3{Z: sensors.Gravity}
-
-	// Per-window NED acceleration streams and aligned GPS velocities.
-	type windowObs struct {
-		t        float64
-		audioNED mathx.Vec3
-		imuNED   mathx.Vec3
-		gpsVel   mathx.Vec3
-	}
-	// Observation building (feature extraction + prediction per window) is
-	// embarrassingly parallel; only the KF recursion below is sequential.
-	// Results keep window order, so the trace matches the serial loop.
-	perWindow := parallel.Map(0, len(starts), func(i int) *windowObs {
-		t0 := starts[i]
-		feat := windowFeatures(ex, f, t0, win)
-		if feat == nil {
-			return nil
-		}
-		tel := f.TelemetryBetween(t0, t0+win)
-		if len(tel) == 0 {
-			return nil
-		}
-		// Mean attitude/IMU/GPS over the window.
-		att := tel[len(tel)/2].EstAtt
-		var imuSum mathx.Vec3
-		for _, s := range tel {
-			imuSum = imuSum.Add(s.IMUAccel)
-		}
-		imuBody := imuSum.Scale(1 / float64(len(tel)))
-		predBody := d.model.Predict(feat)
-		// Window-mean GPS velocity: the fused estimate integrates
-		// window-mean accelerations, so the reference must share its
-		// timebase or turns read as spurious error.
-		var gpsSum mathx.Vec3
-		for _, s := range tel {
-			gpsSum = gpsSum.Add(s.GPSVel)
-		}
-		return &windowObs{
-			t:        t0 + win,
-			audioNED: att.Rotate(predBody).Add(gravity),
-			imuNED:   att.Rotate(imuBody).Add(gravity),
-			gpsVel:   gpsSum.Scale(1 / float64(len(tel))),
-		}
-	})
-	var obs []windowObs
-	for _, o := range perWindow {
-		if o != nil {
-			obs = append(obs, *o)
-		}
-	}
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("soundboost: no usable windows for GPS RCA")
-	}
-
-	// Alignment phase (attacks begin after take-off): estimate the
-	// constant acceleration bias of each stream against GPS velocity
-	// deltas over the opening seconds, then remove it.
-	var audioBias, imuBias mathx.Vec3
-	alignN := 0
-	if d.cfg.AlignSeconds > 0 {
-		t0 := obs[0].t
-		var audioInt, imuInt mathx.Vec3
-		for i, o := range obs {
-			if o.t-t0 > d.cfg.AlignSeconds {
-				break
-			}
-			audioInt = audioInt.Add(o.audioNED.Scale(hop))
-			imuInt = imuInt.Add(o.imuNED.Scale(hop))
-			alignN = i + 1
-		}
-		if alignN > 1 {
-			alignT := float64(alignN) * hop
-			dv := obs[alignN-1].gpsVel.Sub(obs[0].gpsVel)
-			audioBias = audioInt.Sub(dv).Scale(1 / alignT)
-			imuBias = imuInt.Sub(dv).Scale(1 / alignT)
-		}
-	}
-
-	for i, o := range obs {
-		if d.cfg.BiasTauSeconds > 0 && i >= 1 && i >= alignN {
-			// Slow bias tracking against the GPS velocity derivative.
-			gpsAccel := o.gpsVel.Sub(obs[i-1].gpsVel).Scale(1 / hop)
-			alpha := hop / d.cfg.BiasTauSeconds
-			audioBias = audioBias.Add(o.audioNED.Sub(gpsAccel).Sub(audioBias).Scale(alpha))
-			imuBias = imuBias.Add(o.imuNED.Sub(gpsAccel).Sub(imuBias).Scale(alpha))
-		}
-		if err := est.Step(o.audioNED.Sub(audioBias), o.imuNED.Sub(imuBias), hop); err != nil {
-			return nil, err
-		}
-		fused := est.Velocity()
-		pos = pos.Add(fused.Scale(hop))
-		var running float64
-		if i >= alignN {
-			running = monitor.Add(fused.Sub(o.gpsVel).Norm())
-		}
-		trace.Time = append(trace.Time, o.t)
-		trace.FusedVel = append(trace.FusedVel, fused)
-		trace.GPSVel = append(trace.GPSVel, o.gpsVel)
-		trace.FusedPos = append(trace.FusedPos, pos)
-		trace.RunningError = append(trace.RunningError, running)
-	}
-	return trace, nil
-}
-
 // NewGPSDetector calibrates the detection threshold on benign flights:
 // the maximum benign running-mean error after outlier removal, scaled by
 // the margin.
 func NewGPSDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg GPSDetectorConfig) (*GPSDetector, error) {
+	obs, err := observeFlights(0, model, benignFlights)
+	if err != nil {
+		return nil, err
+	}
+	return calibrateGPS(model, benignFlights, obs, cfg)
+}
+
+// calibrateGPS fits the threshold from benign flights' window
+// observations: each flight's peak error is the detection recursion's
+// own, run with its alarm disabled.
+func calibrateGPS(model *AcousticModel, benignFlights []*dataset.Flight, benignObs [][]windowObs, cfg GPSDetectorConfig) (*GPSDetector, error) {
 	if cfg.ThresholdMargin < 1 {
 		cfg.ThresholdMargin = 1
 	}
@@ -241,18 +120,16 @@ func NewGPSDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg G
 	if cfg.PeakQuantile <= 0 || cfg.PeakQuantile > 1 {
 		cfg.PeakQuantile = 0.75
 	}
-	d := &GPSDetector{cfg: cfg, model: model}
+	d := &GPSDetector{cfg: cfg, model: model, threshold: math.Inf(1)}
 	span := gpsCalibTimer.Start()
 	defer span.Stop()
-	peaks, err := parallel.MapErr(0, len(benignFlights), func(i int) (float64, error) {
-		trace, err := d.runFlight(benignFlights[i])
+	peaks := make([]float64, len(benignFlights))
+	for i, f := range benignFlights {
+		v, err := d.verdict(f, benignObs[i], nil)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return stats.Max(trace.RunningError), nil
-	})
-	if err != nil {
-		return nil, err
+		peaks[i] = v.PeakError
 	}
 	d.threshold = stats.Quantile(peaks, cfg.PeakQuantile) * cfg.ThresholdMargin
 	if d.threshold <= 0 {
@@ -284,7 +161,7 @@ func (d *GPSDetector) WithMargin(margin float64) (*GPSDetector, error) {
 }
 
 // Config returns the detector's configuration (after calibration-time
-// normalisation). The streaming engine mirrors the batch detector from it.
+// normalisation).
 func (d *GPSDetector) Config() GPSDetectorConfig { return d.cfg }
 
 // Mode returns the detector's KF mode.
@@ -294,24 +171,280 @@ func (d *GPSDetector) Mode() kalman.Mode { return d.cfg.Mode }
 func (d *GPSDetector) Detect(f *dataset.Flight) (GPSVerdict, error) {
 	span := gpsDetectTimer.Start()
 	defer span.Stop()
-	trace, err := d.runFlight(f)
+	obs, err := observeFlight(d.model, f)
 	if err != nil {
 		return GPSVerdict{}, err
 	}
-	v := GPSVerdict{Threshold: d.threshold}
-	for i, e := range trace.RunningError {
-		if e > v.PeakError {
-			v.PeakError = e
-		}
-		if e > d.threshold && !v.Attacked {
-			v.Attacked = true
-			v.DetectionTime = trace.Time[i]
-		}
-	}
-	return v, nil
+	return d.verdict(f, obs, nil)
 }
 
 // Trace exposes the full diagnostic series (Fig. 7).
 func (d *GPSDetector) Trace(f *dataset.Flight) (*GPSTrace, error) {
-	return d.runFlight(f)
+	obs, err := observeFlight(d.model, f)
+	if err != nil {
+		return nil, err
+	}
+	trace := &GPSTrace{}
+	if _, err := d.verdict(f, obs, trace); err != nil {
+		return nil, err
+	}
+	return trace, nil
+}
+
+// verdict drives one GPS monitor over a flight's window observations,
+// seeded from the flight's first GPS fix (pre-attack per the threat
+// model). A non-nil trace records every KF step.
+func (d *GPSDetector) verdict(f *dataset.Flight, obs []windowObs, trace *GPSTrace) (GPSVerdict, error) {
+	m := d.NewMonitor()
+	m.trace = trace
+	if len(f.Telemetry) > 0 {
+		if err := m.Seed(f.Telemetry[0].GPSVel); err != nil {
+			return GPSVerdict{}, err
+		}
+		m.pos = f.Telemetry[0].GPSPos
+	}
+	win := d.model.cfg.Signature.WindowSeconds
+	for _, o := range obs {
+		if len(o.tel) == 0 {
+			continue
+		}
+		var imuSum, gpsSum mathx.Vec3
+		for _, s := range o.tel {
+			imuSum = imuSum.Add(s.IMUAccel)
+			gpsSum = gpsSum.Add(s.GPSVel)
+		}
+		n := 1 / float64(len(o.tel))
+		m.Add(NewGPSObs(o.idx, o.t0+win, o.tel[len(o.tel)/2].EstAtt, o.pred, imuSum.Scale(n), gpsSum.Scale(n)))
+	}
+	if !m.seen {
+		return GPSVerdict{}, fmt.Errorf("soundboost: no usable windows for GPS RCA")
+	}
+	return m.Verdict()
+}
+
+// GPSObs is one window's input to the GPS stage: the window index (which
+// exposes holes left by skipped windows), the window end time, the audio
+// and IMU acceleration in NED with gravity restored, and the window-mean
+// GPS velocity.
+type GPSObs struct {
+	winIdx   int
+	t        float64
+	audioNED mathx.Vec3
+	imuNED   mathx.Vec3
+	gpsVel   mathx.Vec3
+}
+
+// NewGPSObs builds a window's observation from its body-frame audio
+// prediction, window-mean IMU specific force and GPS velocity, and the
+// mid-window attitude. The GPS mean, not a point fix, is the reference:
+// the fused estimate integrates window-mean accelerations, so the
+// reference must share its timebase or turns read as spurious error.
+func NewGPSObs(winIdx int, tEnd float64, att mathx.Quat, predBody, imuBody, gpsVel mathx.Vec3) GPSObs {
+	gravity := mathx.Vec3{Z: sensors.Gravity}
+	return GPSObs{
+		winIdx:   winIdx,
+		t:        tEnd,
+		audioNED: att.Rotate(predBody).Add(gravity),
+		imuNED:   att.Rotate(imuBody).Add(gravity),
+		gpsVel:   gpsVel,
+	}
+}
+
+// GPSMonitor is the GPS RCA stage as a window-by-window recursion, and
+// its only implementation: Detect, Trace, calibration and the streaming
+// engine all drive it. It buffers observations through the alignment
+// phase, estimates the constant acceleration biases against GPS velocity
+// deltas, replays the buffer through the KF, then keeps stepping the KF,
+// the bias EWMA and the running-mean error monitor live.
+type GPSMonitor struct {
+	cfg       GPSDetectorConfig
+	threshold float64
+	hop       float64
+
+	est     *kalman.VelocityEstimator
+	monitor stats.RunningMean
+	aligned bool
+	buf     []GPSObs
+	alignN  int
+
+	audioBias  mathx.Vec3
+	imuBias    mathx.Vec3
+	idx        int
+	prevGPSVel mathx.Vec3
+
+	// seen/lastWinIdx detect holes in the observation sequence (skipped
+	// windows). The error monitor is calibrated on contiguous benign
+	// windows, so a hole ends the current analysis segment rather than
+	// stepping the KF across it with a distorted timebase.
+	seen       bool
+	lastWinIdx int
+
+	// trace, when set, records every KF step; pos integrates the fused
+	// velocity for it.
+	trace *GPSTrace
+	pos   mathx.Vec3
+
+	verdict GPSVerdict
+	err     error
+}
+
+// NewMonitor returns a fresh, unseeded monitor at the detector's
+// calibrated threshold.
+func (d *GPSDetector) NewMonitor() *GPSMonitor {
+	return &GPSMonitor{
+		cfg:       d.cfg,
+		threshold: d.threshold,
+		hop:       d.model.cfg.Signature.HopSeconds,
+		monitor:   stats.RunningMean{Alpha: d.cfg.ErrorAlpha},
+		verdict:   GPSVerdict{Threshold: d.threshold},
+	}
+}
+
+// Seed starts the KF from the first GPS velocity fix; later calls are
+// no-ops. Observations added before the monitor is seeded are dropped:
+// there is nothing to fuse against.
+func (g *GPSMonitor) Seed(v0 mathx.Vec3) error {
+	if g.est != nil {
+		return nil
+	}
+	est, err := kalman.NewVelocityEstimator(g.cfg.Velocity, v0)
+	if err != nil {
+		return err
+	}
+	g.est = est
+	return nil
+}
+
+// Add feeds one window observation in window order. A hole in the
+// window sequence pauses the monitor: the current segment is closed (a
+// partial alignment phase finishes with monitoring off) and a fresh
+// alignment phase begins on the next contiguous run, re-anchored at its
+// first GPS reading. The verdict accumulates across segments.
+func (g *GPSMonitor) Add(o GPSObs) {
+	if g.err != nil {
+		return
+	}
+	if g.seen && o.winIdx > g.lastWinIdx+1 {
+		g.restartSegment(o)
+		if g.err != nil {
+			return
+		}
+	}
+	g.seen = true
+	g.lastWinIdx = o.winIdx
+	if !g.aligned {
+		if g.cfg.AlignSeconds > 0 {
+			if len(g.buf) == 0 || o.t-g.buf[0].t <= g.cfg.AlignSeconds {
+				g.buf = append(g.buf, o)
+				return
+			}
+			// o is the first observation past the alignment horizon:
+			// finalize the bias estimate and catch up.
+			g.finishAlign()
+		} else {
+			g.aligned = true
+		}
+	}
+	g.step(o)
+}
+
+// finishAlign estimates the constant acceleration bias of each stream
+// against the GPS velocity delta over the buffered alignment phase, then
+// replays the buffer through the KF with the error monitor off.
+func (g *GPSMonitor) finishAlign() {
+	g.aligned = true
+	g.alignN = len(g.buf)
+	if g.cfg.AlignSeconds > 0 && g.alignN > 1 {
+		var audioInt, imuInt mathx.Vec3
+		for _, o := range g.buf {
+			audioInt = audioInt.Add(o.audioNED.Scale(g.hop))
+			imuInt = imuInt.Add(o.imuNED.Scale(g.hop))
+		}
+		alignT := float64(g.alignN) * g.hop
+		dv := g.buf[g.alignN-1].gpsVel.Sub(g.buf[0].gpsVel)
+		g.audioBias = audioInt.Sub(dv).Scale(1 / alignT)
+		g.imuBias = imuInt.Sub(dv).Scale(1 / alignT)
+	}
+	for _, o := range g.buf {
+		g.step(o)
+	}
+	g.buf = nil
+}
+
+func (g *GPSMonitor) step(o GPSObs) {
+	if g.est == nil || g.err != nil {
+		return
+	}
+	i := g.idx
+	if g.cfg.BiasTauSeconds > 0 && i >= 1 && i >= g.alignN {
+		// Slow bias tracking against the GPS velocity derivative.
+		gpsAccel := o.gpsVel.Sub(g.prevGPSVel).Scale(1 / g.hop)
+		alpha := g.hop / g.cfg.BiasTauSeconds
+		g.audioBias = g.audioBias.Add(o.audioNED.Sub(gpsAccel).Sub(g.audioBias).Scale(alpha))
+		g.imuBias = g.imuBias.Add(o.imuNED.Sub(gpsAccel).Sub(g.imuBias).Scale(alpha))
+	}
+	if err := g.est.Step(o.audioNED.Sub(g.audioBias), o.imuNED.Sub(g.imuBias), g.hop); err != nil {
+		g.err = err
+		return
+	}
+	fused := g.est.Velocity()
+	var running float64
+	if i >= g.alignN {
+		running = g.monitor.Add(fused.Sub(o.gpsVel).Norm())
+		if running > g.verdict.PeakError {
+			g.verdict.PeakError = running
+		}
+		if running > g.threshold && !g.verdict.Attacked {
+			g.verdict.Attacked = true
+			g.verdict.DetectionTime = o.t
+		}
+	}
+	if g.trace != nil {
+		g.pos = g.pos.Add(fused.Scale(g.hop))
+		g.trace.Time = append(g.trace.Time, o.t)
+		g.trace.FusedVel = append(g.trace.FusedVel, fused)
+		g.trace.GPSVel = append(g.trace.GPSVel, o.gpsVel)
+		g.trace.FusedPos = append(g.trace.FusedPos, g.pos)
+		g.trace.RunningError = append(g.trace.RunningError, running)
+	}
+	g.prevGPSVel = o.gpsVel
+	g.idx++
+}
+
+// restartSegment closes the segment interrupted by a window hole and
+// re-enters alignment for the next contiguous run, re-anchoring the KF
+// at the new segment's first GPS reading. The running-mean monitor
+// restarts because its calibration only covers contiguous windows.
+func (g *GPSMonitor) restartSegment(o GPSObs) {
+	if !g.aligned {
+		g.finishAlign()
+	}
+	if g.err != nil {
+		return
+	}
+	gpsSegments.Inc()
+	g.aligned = false
+	g.alignN = 0
+	g.idx = 0
+	g.audioBias = mathx.Vec3{}
+	g.imuBias = mathx.Vec3{}
+	g.prevGPSVel = mathx.Vec3{}
+	g.monitor.Reset()
+	if g.est != nil {
+		g.est, g.err = kalman.NewVelocityEstimator(g.cfg.Velocity, o.gpsVel)
+	}
+}
+
+// Current returns the verdict so far, without closing a pending
+// alignment phase, and the current running-mean velocity error.
+func (g *GPSMonitor) Current() (GPSVerdict, float64) { return g.verdict, g.monitor.Mean() }
+
+// Verdict closes a sequence that ended inside its alignment phase (the
+// KF still steps, with monitoring off) and returns the accumulated
+// verdict and any KF error.
+func (g *GPSMonitor) Verdict() (GPSVerdict, error) {
+	if !g.aligned {
+		g.finishAlign()
+	}
+	return g.verdict, g.err
 }

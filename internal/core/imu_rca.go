@@ -2,9 +2,9 @@ package soundboost
 
 import (
 	"fmt"
+	"math"
 
 	"soundboost/internal/dataset"
-	"soundboost/internal/parallel"
 	"soundboost/internal/stats"
 )
 
@@ -59,104 +59,21 @@ type IMUDetector struct {
 	stdThreshold float64
 }
 
-// windowResiduals computes per-IMU-sample prediction residuals for every
-// signature window of a flight; the per-window outputs preserve timing.
-type windowResiduals struct {
-	Start float64
-	Vals  []float64
-}
-
-func flightResiduals(model *AcousticModel, f *dataset.Flight) ([]windowResiduals, error) {
-	return flightResidualsStream(model, f, 0)
-}
-
-// flightResidualsStream computes residuals against the selected IMU
-// stream (0 = primary, k > 0 = redundant unit k-1).
-func flightResidualsStream(model *AcousticModel, f *dataset.Flight, stream int) ([]windowResiduals, error) {
-	ex, err := NewExtractor(f.Audio, model.cfg.Signature)
-	if err != nil {
-		return nil, err
-	}
-	accelZ := func(s dataset.TelemetrySample) (float64, bool) {
-		if stream == 0 {
-			return s.IMUAccel.Z, true
-		}
-		if stream-1 < len(s.AuxIMUAccel) {
-			return s.AuxIMUAccel[stream-1].Z, true
-		}
-		return 0, false
-	}
-	win := model.cfg.Signature.WindowSeconds
-	// Per-window extraction and prediction fan out across the worker pool;
-	// results stay in window order, so the output matches the serial loop.
-	starts := ex.WindowStarts(win)
-	perWindow := parallel.Map(0, len(starts), func(i int) *windowResiduals {
-		t0 := starts[i]
-		feat := windowFeatures(ex, f, t0, win)
-		if feat == nil {
-			return nil
-		}
-		pred := model.Predict(feat)
-		tel := f.TelemetryBetween(t0, t0+win)
-		if len(tel) == 0 {
-			return nil
-		}
-		// z-axis (downward) residuals only: the thrust axis is the one the
-		// acoustic channel predicts in every flight regime, and it is the
-		// axis the paper's IMU attacks tamper with (Fig. 6). Horizontal
-		// residuals shift with airspeed-dependent drag and would alias
-		// aggressive-but-benign maneuvers into attacks.
-		wr := &windowResiduals{Start: t0, Vals: make([]float64, 0, len(tel))}
-		for _, s := range tel {
-			if z, ok := accelZ(s); ok {
-				wr.Vals = append(wr.Vals, pred.Z-z)
-			}
-		}
-		if len(wr.Vals) == 0 {
-			return nil
-		}
-		return wr
-	})
-	var out []windowResiduals
-	for _, wr := range perWindow {
-		if wr != nil {
-			out = append(out, *wr)
-		}
-	}
-	return out, nil
-}
-
-// periodStats slides the pooling period over a flight's window residuals
-// and returns the KS statistic, residual standard deviation, and end time
-// of each period.
-func (d *IMUDetector) periodStats(rs []windowResiduals) (stat, std, endTime []float64) {
-	k := d.cfg.PeriodWindows
-	if k < 1 {
-		k = 1
-	}
-	for i := 0; i+k <= len(rs); i++ {
-		var pool []float64
-		for j := i; j < i+k; j++ {
-			pool = append(pool, rs[j].Vals...)
-		}
-		if len(pool) < d.cfg.MinResiduals {
-			continue
-		}
-		res, err := stats.KSTestNormal(pool, d.benign)
-		if err != nil {
-			continue
-		}
-		stat = append(stat, res.Statistic)
-		std = append(std, stats.StdDev(pool))
-		endTime = append(endTime, rs[i+k-1].Start+d.model.cfg.Signature.WindowSeconds)
-	}
-	return stat, std, endTime
-}
-
 // NewIMUDetector calibrates the benign residual distribution and the
 // benign per-period KS-statistic ceiling from benign flights. The benign
 // set should span the mission diversity expected at analysis time.
 func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg IMUDetectorConfig) (*IMUDetector, error) {
+	obs, err := observeFlights(0, model, benignFlights)
+	if err != nil {
+		return nil, err
+	}
+	return calibrateIMU(model, obs, cfg)
+}
+
+// calibrateIMU fits the detector from benign flights' window
+// observations. The per-period statistics come from the detection
+// recursion itself, run with its alarms disabled.
+func calibrateIMU(model *AcousticModel, benignObs [][]windowObs, cfg IMUDetectorConfig) (*IMUDetector, error) {
 	if cfg.StatMargin < 1 {
 		return nil, fmt.Errorf("soundboost: KS stat margin %g must be >= 1", cfg.StatMargin)
 	}
@@ -165,29 +82,28 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 	}
 	span := imuCalibTimer.Start()
 	defer span.Stop()
-	perFlight, err := parallel.MapErr(0, len(benignFlights), func(i int) ([]windowResiduals, error) {
-		return flightResidualsStream(model, benignFlights[i], cfg.Stream)
-	})
-	if err != nil {
-		return nil, err
-	}
+	perFlight := make([][]imuWindow, len(benignObs))
 	var pool []float64
-	for _, rs := range perFlight {
-		for _, wr := range rs {
-			pool = append(pool, wr.Vals...)
+	for i, obs := range benignObs {
+		perFlight[i] = imuWindows(obs, cfg.Stream)
+		for _, w := range perFlight[i] {
+			pool = append(pool, w.vals...)
 		}
 	}
 	benign, err := stats.FitNormal(pool)
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: fit benign residuals: %w", err)
 	}
-	d := &IMUDetector{cfg: cfg, model: model, benign: benign}
+	d := &IMUDetector{cfg: cfg, model: model, benign: benign, statThreshold: math.Inf(1), stdThreshold: math.Inf(1)}
 
 	var ksStats, stds []float64
-	for _, rs := range perFlight {
-		s, sd, _ := d.periodStats(rs)
-		ksStats = append(ksStats, s...)
-		stds = append(stds, sd...)
+	for _, ws := range perFlight {
+		m := d.NewMonitor()
+		m.onPeriod = func(stat, std float64) {
+			ksStats = append(ksStats, stat)
+			stds = append(stds, std)
+		}
+		m.addAll(ws)
 	}
 	if len(ksStats) == 0 {
 		return nil, fmt.Errorf("soundboost: no benign periods for KS calibration")
@@ -201,7 +117,7 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 func (d *IMUDetector) BenignDistribution() stats.Normal { return d.benign }
 
 // Config returns the detector's configuration (after calibration-time
-// normalisation). The streaming engine mirrors the batch detector from it.
+// normalisation).
 func (d *IMUDetector) Config() IMUDetectorConfig { return d.cfg }
 
 // StatThreshold returns the calibrated per-period KS-statistic ceiling.
@@ -227,60 +143,178 @@ type IMUVerdict struct {
 
 // Detect runs the IMU RCA stage over a flight.
 func (d *IMUDetector) Detect(f *dataset.Flight) (IMUVerdict, error) {
+	v, _, err := d.detectFlight(f)
+	return v, err
+}
+
+// detectFlight runs the flight's window pass and stage 1 over it, both
+// inside the IMU detect span, and returns the observations too so that
+// Analyze can hand them on to stage 2.
+func (d *IMUDetector) detectFlight(f *dataset.Flight) (IMUVerdict, []windowObs, error) {
 	span := imuDetectTimer.Start()
 	defer span.Stop()
-	rs, err := flightResidualsStream(d.model, f, d.cfg.Stream)
+	obs, err := observeFlight(d.model, f)
 	if err != nil {
-		return IMUVerdict{}, err
+		return IMUVerdict{}, nil, err
 	}
-	statSeries, stdSeries, endTimes := d.periodStats(rs)
-	var verdict IMUVerdict
-	consecutive := 0
-	verdict.WindowsTested = len(statSeries)
-	rejected := make([]bool, len(statSeries))
-	for i := range statSeries {
-		if statSeries[i] > d.statThreshold || stdSeries[i] > d.stdThreshold {
-			rejected[i] = true
-			verdict.WindowsRejected++
-			consecutive++
-			if consecutive >= d.cfg.DetectPeriods && !verdict.Attacked {
-				verdict.Attacked = true
-				verdict.DetectionTime = endTimes[i]
-			}
-		} else {
-			consecutive = 0
-		}
-	}
-	if verdict.Attacked {
-		// Residual spread over the rejected span (Fig. 6's widened sigma).
-		var rejectedVals []float64
-		k := d.cfg.PeriodWindows
-		for i, r := range rejected {
-			if r && i+k <= len(rs) {
-				for j := i; j < i+k; j++ {
-					rejectedVals = append(rejectedVals, rs[j].Vals...)
-				}
-			}
-		}
-		if len(rejectedVals) > 1 {
-			verdict.AttackStd = stats.StdDev(rejectedVals)
-		}
-	}
-	return verdict, nil
+	m := d.NewMonitor()
+	m.addAll(imuWindows(obs, d.cfg.Stream))
+	return m.Verdict(), obs, nil
 }
 
 // ResidualHistogram builds the Fig. 6 residual histogram (z-axis residuals
-// pooled over the whole flight).
+// of the primary IMU pooled over the whole flight).
 func (d *IMUDetector) ResidualHistogram(f *dataset.Flight, lo, hi float64, bins int) (*stats.Histogram, error) {
-	rs, err := flightResiduals(d.model, f)
+	obs, err := observeFlight(d.model, f)
 	if err != nil {
 		return nil, err
 	}
 	h := stats.NewHistogram(lo, hi, bins)
-	for _, wr := range rs {
-		for _, v := range wr.Vals {
+	for _, w := range imuWindows(obs, 0) {
+		for _, v := range w.vals {
 			h.Add(v)
 		}
 	}
 	return h, nil
+}
+
+// imuWindow is the IMU stage's input for one window: its start time and
+// per-IMU-sample prediction residuals.
+type imuWindow struct {
+	start float64
+	vals  []float64
+}
+
+// imuWindows reduces a flight's observations to z-axis residuals against
+// the selected IMU stream (0 = primary, k > 0 = redundant unit k-1),
+// dropping windows left without any.
+func imuWindows(obs []windowObs, stream int) []imuWindow {
+	out := make([]imuWindow, 0, len(obs))
+	for _, o := range obs {
+		// z-axis (downward) residuals only: the thrust axis is the one the
+		// acoustic channel predicts in every flight regime, and it is the
+		// axis the paper's IMU attacks tamper with (Fig. 6). Horizontal
+		// residuals shift with airspeed-dependent drag and would alias
+		// aggressive-but-benign maneuvers into attacks.
+		vals := make([]float64, 0, len(o.tel))
+		for _, s := range o.tel {
+			z := s.IMUAccel.Z
+			if stream > 0 {
+				if stream-1 >= len(s.AuxIMUAccel) {
+					continue
+				}
+				z = s.AuxIMUAccel[stream-1].Z
+			}
+			vals = append(vals, o.pred.Z-z)
+		}
+		if len(vals) > 0 {
+			out = append(out, imuWindow{start: o.t0, vals: vals})
+		}
+	}
+	return out
+}
+
+// maxRejectedVals bounds the residual pool retained for the AttackStd
+// estimate on an endless attacked stream; past it the spread estimate
+// freezes on the first samples rather than growing without bound.
+const maxRejectedVals = 1 << 20
+
+// IMUMonitor is the IMU RCA stage as a window-by-window recursion, and
+// its only implementation: Detect, calibration and the streaming engine
+// all drive it. It holds a ring of the last PeriodWindows residual sets
+// and tests one pooled KS period per added window.
+type IMUMonitor struct {
+	cfg     IMUDetectorConfig
+	benign  stats.Normal
+	statThr float64
+	stdThr  float64
+	winSec  float64
+	// onPeriod, when set, receives every tested period's KS statistic
+	// and residual sigma.
+	onPeriod func(stat, std float64)
+
+	ring        []imuWindow
+	consecutive int
+	verdict     IMUVerdict
+	// rejectedVals pools the residuals of rejected periods (overlapping
+	// periods contribute their shared windows again) for AttackStd.
+	rejectedVals []float64
+}
+
+// NewMonitor returns a fresh monitor at the detector's calibrated
+// thresholds.
+func (d *IMUDetector) NewMonitor() *IMUMonitor {
+	cfg := d.cfg
+	if cfg.PeriodWindows < 1 {
+		cfg.PeriodWindows = 1
+	}
+	return &IMUMonitor{
+		cfg:     cfg,
+		benign:  d.benign,
+		statThr: d.statThreshold,
+		stdThr:  d.stdThreshold,
+		winSec:  d.model.cfg.Signature.WindowSeconds,
+	}
+}
+
+// AddWindow feeds the residuals of one analysed window, in window order.
+// A window without residuals is not fed at all: period pooling has no
+// timebase, so the IMU stage needs no hole handling.
+func (m *IMUMonitor) AddWindow(start float64, vals []float64) {
+	m.ring = append(m.ring, imuWindow{start: start, vals: vals})
+	if len(m.ring) > m.cfg.PeriodWindows {
+		m.ring = m.ring[1:]
+	}
+	if len(m.ring) < m.cfg.PeriodWindows {
+		return
+	}
+	var pool []float64
+	for _, w := range m.ring {
+		pool = append(pool, w.vals...)
+	}
+	// A too-small or untestable pool emits no period and does not reset
+	// the consecutive-rejection counter.
+	if len(pool) < m.cfg.MinResiduals {
+		return
+	}
+	res, err := stats.KSTestNormal(pool, m.benign)
+	if err != nil {
+		return
+	}
+	std := stats.StdDev(pool)
+	if m.onPeriod != nil {
+		m.onPeriod(res.Statistic, std)
+	}
+	m.verdict.WindowsTested++
+	if res.Statistic > m.statThr || std > m.stdThr {
+		m.verdict.WindowsRejected++
+		m.consecutive++
+		if len(m.rejectedVals) < maxRejectedVals {
+			m.rejectedVals = append(m.rejectedVals, pool...)
+		}
+		if m.consecutive >= m.cfg.DetectPeriods && !m.verdict.Attacked {
+			m.verdict.Attacked = true
+			m.verdict.DetectionTime = start + m.winSec
+		}
+	} else {
+		m.consecutive = 0
+	}
+}
+
+func (m *IMUMonitor) addAll(ws []imuWindow) {
+	for _, w := range ws {
+		m.AddWindow(w.start, w.vals)
+	}
+}
+
+// Attacked reports whether the alarm has fired so far.
+func (m *IMUMonitor) Attacked() bool { return m.verdict.Attacked }
+
+// Verdict returns the verdict over the windows fed so far.
+func (m *IMUMonitor) Verdict() IMUVerdict {
+	v := m.verdict
+	if v.Attacked && len(m.rejectedVals) > 1 {
+		v.AttackStd = stats.StdDev(m.rejectedVals)
+	}
+	return v
 }

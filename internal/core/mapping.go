@@ -187,18 +187,14 @@ type WindowSample struct {
 }
 
 // windowFeatures builds the full feature vector for a window: the acoustic
-// signature plus, when configured, the window-mean attitude (roll, pitch)
-// from the telemetry. Returns nil when the window is unusable.
-func windowFeatures(ex *Extractor, f *dataset.Flight, t0, windowSeconds float64) []float64 {
+// signature plus, when configured, the mean attitude (roll, pitch) of tel,
+// the telemetry rows of the base window at t0. Returns nil when the
+// window is unusable.
+func windowFeatures(ex *Extractor, tel []dataset.TelemetrySample, t0, windowSeconds float64) []float64 {
 	feat := ex.Features(t0, windowSeconds)
-	if feat == nil {
-		return nil
-	}
-	cfg := ex.Config()
-	if !cfg.AttitudeFeatures {
+	if feat == nil || !ex.Config().AttitudeFeatures {
 		return feat
 	}
-	tel := f.TelemetryBetween(t0, t0+cfg.WindowSeconds)
 	if len(tel) == 0 {
 		return nil
 	}
@@ -226,20 +222,18 @@ func BuildWindows(f *dataset.Flight, cfg SignatureConfig, flightIndex int, augme
 	}
 	baseWin := cfg.WindowSeconds
 	exWin := baseWin * augment
+	rows := telemetryRows(f)
 	// Windows are independent reads of the shared extractor and telemetry;
 	// fan them out and keep results in start-time order so the parallel
 	// path is byte-identical to the serial one.
 	starts := ex.WindowStarts(exWin)
 	samples := parallel.Map(0, len(starts), func(i int) *WindowSample {
 		t0 := starts[i]
-		feat := windowFeatures(ex, f, t0, exWin)
-		if feat == nil {
-			return nil
-		}
 		// Label: mean IMU accel over the *base* window at the start of the
 		// stretched window (the actuation outcome the sound leads to).
-		tel := f.TelemetryBetween(t0, t0+baseWin)
-		if len(tel) == 0 {
+		tel := rows(t0, t0+baseWin)
+		feat := windowFeatures(ex, tel, t0, exWin)
+		if feat == nil || len(tel) == 0 {
 			return nil
 		}
 		var sum mathx.Vec3

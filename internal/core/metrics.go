@@ -13,6 +13,12 @@ import "soundboost/internal/obs"
 //   - core.predict fires once per AcousticModel prediction.
 //   - core.rca.imu.detect / core.rca.gps.detect fire once per flight
 //     per stage; core.rca.analyze wraps the full two-stage RCA.
+//     The one window pass a flight gets (filtering, signatures,
+//     predictions) runs inside core.rca.imu.detect, since stage 1
+//     consumes it first; within Analyze, core.rca.gps.detect covers only
+//     the stage-2 recursion.
+//   - core.rca.gps.segments counts GPS analysis segments restarted at a
+//     hole in the window sequence, on the batch and streaming paths.
 //   - core.calibrate.* time the one-off detector calibrations.
 var (
 	extractFilterTimer = obs.Default.Timer("core.extract.filter")
@@ -22,6 +28,7 @@ var (
 	imuDetectTimer     = obs.Default.Timer("core.rca.imu.detect")
 	gpsDetectTimer     = obs.Default.Timer("core.rca.gps.detect")
 	analyzeTimer       = obs.Default.Timer("core.rca.analyze")
+	gpsSegments        = obs.Default.Counter("core.rca.gps.segments")
 	imuCalibTimer      = obs.Default.Timer("core.calibrate.imu")
 	gpsCalibTimer      = obs.Default.Timer("core.calibrate.gps")
 	analyzerCalibTimer = obs.Default.Timer("core.calibrate.analyzer")

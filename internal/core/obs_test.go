@@ -96,12 +96,46 @@ func TestDetectorStageTimers(t *testing.T) {
 	usable := 0
 	win := fx.model.Config().Signature.WindowSeconds
 	for _, t0 := range ex.WindowStarts(win) {
-		if windowFeatures(ex, f, t0, win) != nil && len(f.TelemetryBetween(t0, t0+win)) > 0 {
+		tel := f.TelemetryBetween(t0, t0+win)
+		if windowFeatures(ex, tel, t0, win) != nil && len(tel) > 0 {
 			usable++
 		}
 	}
 	if got := predictTimer.Count() - predBefore; got != int64(usable) {
 		t.Errorf("predict timer fired %d times for %d usable windows", got, usable)
+	}
+}
+
+// TestAnalyzeOnePassPerFlight pins the one window pass Analyze makes
+// over a flight that takes the full pipeline: the channels are filtered
+// once and every window on the grid is extracted once, shared by both
+// RCA stages.
+func TestAnalyzeOnePassPerFlight(t *testing.T) {
+	fx := getFixture(t)
+	an, err := NewAnalyzer(fx.model, fx.calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an = an.WithoutTriage()
+	f := gpsAttackFlight(t, 2200)
+	withObs(t)
+
+	winTimer := obs.Default.Timer("core.signature.window")
+	filterTimer := obs.Default.Timer("core.extract.filter")
+	winBefore, filterBefore := winTimer.Count(), filterTimer.Count()
+	if _, err := an.Analyze(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := filterTimer.Count() - filterBefore; got != 1 {
+		t.Errorf("Analyze filtered the recording %d times, want 1", got)
+	}
+	ex, err := NewExtractor(f.Audio, fx.model.Config().Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := ex.WindowStarts(fx.model.Config().Signature.WindowSeconds)
+	if got := winTimer.Count() - winBefore; got != int64(len(starts)) {
+		t.Errorf("Analyze extracted %d windows over a %d-window grid, want one pass", got, len(starts))
 	}
 }
 

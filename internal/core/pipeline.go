@@ -7,7 +7,6 @@ import (
 	"soundboost/internal/dataset"
 	"soundboost/internal/faults"
 	"soundboost/internal/kalman"
-	"soundboost/internal/parallel"
 	"soundboost/internal/triage"
 )
 
@@ -75,7 +74,9 @@ func (r Report) String() string {
 
 // Analyzer bundles the trained model with calibrated detectors and runs
 // the full RCA pipeline: first decide whether the IMU can be trusted, then
-// run GPS detection with the strongest admissible KF variant.
+// run GPS detection with the strongest admissible KF variant. The
+// detectors must be built on Model: Analyze predicts each window once and
+// both stages read those predictions.
 type Analyzer struct {
 	// Model is the trained acoustic model.
 	Model *AcousticModel
@@ -92,8 +93,9 @@ type Analyzer struct {
 	Triage *triage.Model
 }
 
-// NewAnalyzer calibrates all detectors from benign flights. The three
-// calibrations are independent and run concurrently on the worker pool.
+// NewAnalyzer calibrates all detectors from benign flights. Each flight
+// gets one window pass on the worker pool, shared by the three
+// calibrations.
 // Functional options (WithWorkers, WithIMUConfig, WithKFVariant)
 // customize the calibration; with none the defaults reproduce the
 // historical two-argument behaviour, so existing call sites compile and
@@ -118,38 +120,22 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 	}
 	span := analyzerCalibTimer.Start()
 	defer span.Stop()
-	var (
-		imu                 *IMUDetector
-		audioOnly, audioIMU *GPSDetector
-	)
-	err := parallel.Run(o.workers,
-		func() error {
-			var err error
-			imu, err = NewIMUDetector(model, benignFlights, o.imuCfg)
-			if err != nil {
-				return fmt.Errorf("soundboost: IMU detector: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			var err error
-			audioOnly, err = NewGPSDetector(model, benignFlights, o.gpsCfgs[kalman.ModeAudioOnly])
-			if err != nil {
-				return fmt.Errorf("soundboost: audio-only GPS detector: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			var err error
-			audioIMU, err = NewGPSDetector(model, benignFlights, o.gpsCfgs[kalman.ModeAudioIMU])
-			if err != nil {
-				return fmt.Errorf("soundboost: audio+IMU GPS detector: %w", err)
-			}
-			return nil
-		},
-	)
+	// One window pass per benign flight feeds all three calibrations.
+	benignObs, err := observeFlights(o.workers, model, benignFlights)
 	if err != nil {
 		return nil, err
+	}
+	imu, err := calibrateIMU(model, benignObs, o.imuCfg)
+	if err != nil {
+		return nil, fmt.Errorf("soundboost: IMU detector: %w", err)
+	}
+	audioOnly, err := calibrateGPS(model, benignFlights, benignObs, o.gpsCfgs[kalman.ModeAudioOnly])
+	if err != nil {
+		return nil, fmt.Errorf("soundboost: audio-only GPS detector: %w", err)
+	}
+	audioIMU, err := calibrateGPS(model, benignFlights, benignObs, o.gpsCfgs[kalman.ModeAudioIMU])
+	if err != nil {
+		return nil, fmt.Errorf("soundboost: audio+IMU GPS detector: %w", err)
 	}
 	return &Analyzer{Model: model, IMU: imu, GPSAudioOnly: audioOnly, GPSAudioIMU: audioIMU, Triage: o.triage}, nil
 }
@@ -253,7 +239,8 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	}
 	report := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}
 
-	imuVerdict, err := a.IMU.Detect(f)
+	// One window pass serves both stages; it runs inside stage 1's span.
+	imuVerdict, obs, err := a.IMU.detectFlight(f)
 	if err != nil {
 		return report, fmt.Errorf("soundboost: IMU stage: %w", err)
 	}
@@ -265,7 +252,9 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 		gps = a.GPSAudioOnly
 	}
 	report.GPSMode = gps.Mode()
-	gpsVerdict, err := gps.Detect(f)
+	gpsSpan := gpsDetectTimer.Start()
+	gpsVerdict, err := gps.verdict(f, obs, nil)
+	gpsSpan.Stop()
 	if err != nil {
 		return report, fmt.Errorf("soundboost: GPS stage: %w", err)
 	}

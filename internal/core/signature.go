@@ -361,8 +361,8 @@ func (c SignatureConfig) subFrame32(ch []float64, nfft int, rate float64, plan *
 // extractor's sub-frame memo: every (mic, start sample, sub length)
 // grid cell is transformed at most once per recording. Because hop <
 // window, consecutive windows share sub-frames at identical sample
-// offsets, and each RCA detector walks the same grid — both dedupes
-// return bit-identical values, so cached and recomputed signatures are
+// offsets (at the default 0.25 s hop, 2 of each window's 4); the dedupe
+// returns bit-identical values, so cached and recomputed signatures are
 // indistinguishable. Two goroutines racing on the same missing key both
 // compute the same values; the second store is a harmless overwrite.
 func (e *Extractor) acousticWindow32Cached(start, total int) []float64 {

@@ -3,8 +3,8 @@
 // windows, short-time Fourier transforms, frequency-band energy extraction
 // (the paper's blade-passing / mechanical / aerodynamic groups), biquad
 // filters, and the Goertzel single-bin DFT. Transforms run over cached
-// per-size plans (see Plan); the free functions below are thin wrappers
-// that allocate an output slice and delegate.
+// per-size plans (PlanFFT, PlanFFT32) on pooled scratch; the helpers
+// below work on their spectra.
 package dsp
 
 import (
@@ -13,54 +13,6 @@ import (
 	"math/bits"
 	"math/cmplx"
 )
-
-// FFT computes the discrete Fourier transform of x and returns a new slice.
-// Power-of-two lengths use an in-place iterative radix-2 Cooley-Tukey;
-// other lengths fall back to Bluestein's chirp-z algorithm. Length 0 returns
-// an empty slice.
-//
-// Deprecated: the transform surface is consolidated on the Plan API —
-// hold a Plan and use Forward/Inverse/ForwardReal/InverseReal on
-// pooled scratch. This shim allocates a fresh output slice per call.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	PlanFFT(len(x)).Transform(out, false)
-	return out
-}
-
-// IFFT computes the inverse DFT of x (including the 1/N normalization).
-//
-// Deprecated: use Plan.Inverse (or Plan.InverseReal for conjugate-
-// symmetric spectra of real signals) on pooled scratch.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	PlanFFT(len(x)).Transform(out, true)
-	return out
-}
-
-// FFTReal computes the full n-bin DFT of a real-valued signal.
-//
-// Deprecated: use Plan.ForwardReal, which computes only the n/2+1
-// non-redundant bins of the conjugate-symmetric spectrum at half the
-// butterfly work. This shim reconstructs the redundant upper half for
-// compatibility.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return []complex128{}
-	}
-	c := make([]complex128, n)
-	spec := AcquireComplex(n/2 + 1)
-	defer ReleaseComplex(spec)
-	spec = PlanFFT(n).ForwardReal(x, spec)
-	copy(c, spec)
-	for k := n/2 + 1; k < n; k++ {
-		c[k] = cmplx.Conj(spec[n-k])
-	}
-	return c
-}
 
 // Magnitudes returns |X[k]| for each bin.
 func Magnitudes(x []complex128) []float64 {

@@ -62,7 +62,7 @@ func TestPlanConcurrentUseMatchesSerial(t *testing.T) {
 	want := make([][]complex128, len(inputs))
 	for i := range inputs {
 		inputs[i] = randComplex(rng, n)
-		want[i] = FFT(inputs[i])
+		want[i] = transform(inputs[i], false)
 	}
 	p := PlanFFT(n)
 	var wg sync.WaitGroup
@@ -171,16 +171,6 @@ func BenchmarkPlanForward1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
 		p.Forward(buf)
-	}
-}
-
-func BenchmarkFFTWrapper1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FFT(x)
 	}
 }
 

@@ -19,7 +19,11 @@ func randSignal(n int, seed int64) []float64 {
 func TestForwardRealMatchesComplexFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 64, 256, 2048, 12, 100} {
 		x := randSignal(n, int64(n))
-		want := FFTReal(x) // full spectrum via the deprecated shim
+		c := make([]complex128, n)
+		for i, v := range x {
+			c[i] = complex(v, 0)
+		}
+		want := transform(c, false) // full spectrum via the complex transform
 		plan := PlanFFT(n)
 		got := plan.ForwardReal(x, nil)
 		if len(got) != n/2+1 {
@@ -37,7 +41,7 @@ func TestForwardRealMatchesComplexFFT(t *testing.T) {
 				t.Fatalf("n=%d bin %d: ForwardReal %v, direct DFT (%g,%g)", n, k, got[k], re, im)
 			}
 			if math.Abs(real(got[k])-real(want[k])) > 1e-9*float64(n) || math.Abs(imag(got[k])-imag(want[k])) > 1e-9*float64(n) {
-				t.Fatalf("n=%d bin %d: ForwardReal %v, FFTReal %v", n, k, got[k], want[k])
+				t.Fatalf("n=%d bin %d: ForwardReal %v, complex transform %v", n, k, got[k], want[k])
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -191,10 +193,16 @@ func copyDir(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue // the followers/ subdir is not part of a session's own journal
+		// The followers/ subdir is not part of a session's own journal,
+		// and a *.tmp file is a meta write the journal has not renamed
+		// into place yet.
+		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+			continue
 		}
 		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // renamed or removed since ReadDir: not in the snapshot
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

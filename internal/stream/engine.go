@@ -14,7 +14,6 @@ import (
 	"soundboost/internal/kalman"
 	"soundboost/internal/mathx"
 	"soundboost/internal/mavbus"
-	"soundboost/internal/sensors"
 	"soundboost/internal/triage"
 )
 
@@ -122,10 +121,9 @@ type Engine struct {
 	triFullWin   int
 	triEscalated bool
 
-	imuMon  *imuMonitor
-	gpsAO   *gpsMonitor // audio-only KF, trusted when the IMU is flagged
-	gpsAI   *gpsMonitor // audio+IMU KF, trusted otherwise
-	gravity mathx.Vec3
+	imuMon *soundboost.IMUMonitor
+	gpsAO  *soundboost.GPSMonitor // audio-only KF, trusted when the IMU is flagged
+	gpsAI  *soundboost.GPSMonitor // audio+IMU KF, trusted otherwise
 
 	err error
 
@@ -172,13 +170,12 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		return nil, err
 	}
 	e := &Engine{
-		an:      an,
-		cfg:     cfg.withDefaults(),
-		sig:     sig,
-		rate:    sampleRate,
-		imuWM:   math.Inf(-1),
-		gpsWM:   math.Inf(-1),
-		gravity: mathx.Vec3{Z: sensors.Gravity},
+		an:    an,
+		cfg:   cfg.withDefaults(),
+		sig:   sig,
+		rate:  sampleRate,
+		imuWM: math.Inf(-1),
+		gpsWM: math.Inf(-1),
 	}
 	// Mirror NewExtractor's per-channel low-pass: a causal biquad fed
 	// sample by sample is bit-identical to the batch ProcessAll.
@@ -194,9 +191,9 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 	if !e.cfg.DisableTriage {
 		e.tri = an.Triage
 	}
-	e.imuMon = newIMUMonitor(an.IMU, sig.WindowSeconds)
-	e.gpsAO = newGPSMonitor(an.GPSAudioOnly, sig.HopSeconds)
-	e.gpsAI = newGPSMonitor(an.GPSAudioIMU, sig.HopSeconds)
+	e.imuMon = an.IMU.NewMonitor()
+	e.gpsAO = an.GPSAudioOnly.NewMonitor()
+	e.gpsAI = an.GPSAudioIMU.NewMonitor()
 	e.status.ActiveMode = an.GPSAudioIMU.Mode()
 	e.status.Threshold = an.GPSAudioIMU.Threshold()
 	return e, nil
@@ -492,11 +489,8 @@ func (e *Engine) onGPS(s GPSSample) {
 		telemetryNaN.Inc()
 		return
 	}
-	if e.gpsAO.est == nil {
-		if err := e.gpsAO.init(s.Vel); err != nil && e.err == nil {
-			e.err = err
-		}
-		if err := e.gpsAI.init(s.Vel); err != nil && e.err == nil {
+	for _, g := range []*soundboost.GPSMonitor{e.gpsAO, e.gpsAI} {
+		if err := g.Seed(s.Vel); err != nil && e.err == nil {
 			e.err = err
 		}
 	}
@@ -689,7 +683,9 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	for i, s := range imuWin {
 		vals[i] = pred.Z - s.Accel.Z
 	}
-	e.imuMon.addWindow(t0, vals)
+	span = imuPeriodTimer.Start()
+	e.imuMon.AddWindow(t0, vals)
+	span.Stop()
 
 	// Stage 2: window-mean observation into both KF variants. Both run
 	// from the start so the verdict can switch variants retroactively
@@ -705,32 +701,29 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 		for _, s := range gpsWin {
 			gpsSum = gpsSum.Add(s.Vel)
 		}
-		o := gpsObs{
-			winIdx:   winIdx,
-			t:        endT,
-			audioNED: att.Rotate(pred).Add(e.gravity),
-			imuNED:   att.Rotate(imuBody).Add(e.gravity),
-			gpsVel:   gpsSum.Scale(1 / float64(len(gpsWin))),
-		}
-		e.gpsAO.add(o)
-		e.gpsAI.add(o)
+		o := soundboost.NewGPSObs(winIdx, endT, att, pred, imuBody, gpsSum.Scale(1/float64(len(gpsWin))))
+		span = gpsStepTimer.Start()
+		e.gpsAO.Add(o)
+		e.gpsAI.Add(o)
+		span.Stop()
 	}
 	windowsEmitted.Inc()
 
 	e.mu.Lock()
 	e.status.Windows++
 	e.status.LastWindowEnd = endT
-	e.status.IMUAttacked = e.imuMon.verdict.Attacked
+	e.status.IMUAttacked = e.imuMon.Attacked()
 	active := e.gpsAI
 	e.status.ActiveMode = e.an.GPSAudioIMU.Mode()
-	if e.imuMon.verdict.Attacked {
+	if e.imuMon.Attacked() {
 		active = e.gpsAO
 		e.status.ActiveMode = e.an.GPSAudioOnly.Mode()
 	}
-	e.status.GPSAttacked = active.verdict.Attacked
-	e.status.RunningError = active.monitor.Mean()
-	e.status.PeakError = active.verdict.PeakError
-	e.status.Threshold = active.threshold
+	gpsV, running := active.Current()
+	e.status.GPSAttacked = gpsV.Attacked
+	e.status.RunningError = running
+	e.status.PeakError = gpsV.PeakError
+	e.status.Threshold = gpsV.Threshold
 	e.mu.Unlock()
 }
 
@@ -840,14 +833,14 @@ func (e *Engine) finalize() (soundboost.Report, error) {
 		}
 		e.escalate()
 	}
-	imuV := e.imuMon.finalize()
+	imuV := e.imuMon.Verdict()
 	gps := e.gpsAI
 	mode := e.an.GPSAudioIMU.Mode()
 	if imuV.Attacked {
 		gps = e.gpsAO
 		mode = e.an.GPSAudioOnly.Mode()
 	}
-	gpsV, gpsErr := gps.finalize()
+	gpsV, gpsErr := gps.Verdict()
 	if gpsErr != nil && e.err == nil {
 		e.err = gpsErr
 	}

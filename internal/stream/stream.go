@@ -2,22 +2,22 @@
 // mavbus telemetry topics a companion computer sees in flight
 // ("audio-frame", "imu", "gps") and runs the calibrated two-stage
 // analysis incrementally — a ring-buffered windower emits acoustic
-// signatures as each hop of audio completes, an incremental monitor
-// re-runs the IMU Kolmogorov-Smirnov verdict per pooled period, and two
-// stepwise Kalman error monitors mirror the batch GPS detector sample by
-// sample, with the active KF variant switching live when the IMU verdict
-// flips.
+// signatures as each hop of audio completes and feeds them, window by
+// window, to the core's IMU KS monitor and two GPS Kalman error
+// monitors, with the active KF variant switching live when the IMU
+// verdict flips.
 //
-// The engine's contract with the batch pipeline is equivalence: on a
-// clean, in-order, lossless stream, the final verdict (root cause, IMU
-// and GPS verdicts) is identical to Analyzer.Analyze over the same
-// recorded flight, because both paths share the same feature kernel
-// (SignatureConfig.AcousticWindow), the same model inference, and the
-// same detector recursions in the same order. Under degraded input —
-// out-of-order, dropped, or NaN telemetry, audio dropouts — the engine
-// degrades gracefully: corrupt samples are shed and counted, audio gaps
-// are zero-filled to preserve timing with the affected windows skipped,
-// and memory stays bounded by the lag horizon.
+// The engine's contract with the batch pipeline is equivalence: on an
+// in-order, lossless replay of a recorded flight the final verdict (root
+// cause, IMU and GPS verdicts) is identical to Analyzer.Analyze over
+// that flight, even when its telemetry has holes, because both paths
+// share the feature kernel (SignatureConfig.AcousticWindow), the model
+// inference, and the monitors themselves — batch Analyze is the same
+// monitors driven over a finished flight's windows. Under degraded
+// input — out-of-order, dropped, or NaN telemetry, audio dropouts — the
+// engine degrades gracefully: corrupt samples are shed and counted,
+// audio gaps are zero-filled to preserve timing with the affected
+// windows skipped, and memory stays bounded by the lag horizon.
 package stream
 
 import (
@@ -146,7 +146,6 @@ var (
 	windowsScreened    = obs.Default.Counter("stream.windows.screened")
 	triageEscalations  = obs.Default.Counter("stream.triage.escalations")
 	triageFastReports  = obs.Default.Counter("stream.triage.fast_reports")
-	gpsSegments        = obs.Default.Counter("stream.gps.segments")
 	featureTimer       = obs.Default.Timer("stream.window.features")
 	imuPeriodTimer     = obs.Default.Timer("stream.imu.period")
 	gpsStepTimer       = obs.Default.Timer("stream.gps.step")

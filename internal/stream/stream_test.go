@@ -343,3 +343,71 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Error("Run without Attach accepted")
 	}
 }
+
+// withTelemetry returns a copy of f whose telemetry log keeps only the
+// rows keep accepts (audio untouched).
+func withTelemetry(f *dataset.Flight, name string, keep func(s dataset.TelemetrySample) bool) *dataset.Flight {
+	g := *f
+	g.Name = name
+	g.Telemetry = nil
+	for _, s := range f.Telemetry {
+		if keep(s) {
+			g.Telemetry = append(g.Telemetry, s)
+		}
+	}
+	return &g
+}
+
+// TestBatchStreamEquivalenceDegraded extends the equivalence contract to
+// flights whose telemetry is degraded in the two ways the batch and
+// streaming paths historically disagreed on: a telemetry hole long
+// enough to leave whole windows without rows (the GPS stage restarts
+// its segment there), and sparse early telemetry that leaves the first
+// KS periods under MinResiduals (the attack spread must pool the right
+// windows). The batch report must equal the clean-replay stream report.
+func TestBatchStreamEquivalenceDegraded(t *testing.T) {
+	fx := getFixture(t)
+	hole := withTelemetry(gpsAttackFlight(t, 4200), "gps-drift-hole", func(s dataset.TelemetrySample) bool {
+		return s.Time < 9 || s.Time >= 10.5
+	})
+	slot := -1
+	sparse := withTelemetry(imuAttackFlight(t, 4100), "imu-dos-sparse", func(s dataset.TelemetrySample) bool {
+		// One row per half second through the first 3 s: every window
+		// there holds a single row, so the first periods pool < 20.
+		if s.Time >= 3 {
+			return true
+		}
+		if k := int(s.Time / 0.5); k != slot {
+			slot = k
+			return true
+		}
+		return false
+	})
+	for _, tc := range []struct {
+		f     *dataset.Flight
+		check func(t *testing.T, r soundboost.Report)
+	}{
+		{hole, func(t *testing.T, r soundboost.Report) {
+			if !r.GPS.Attacked {
+				t.Errorf("GPS drift across a telemetry hole not detected: %+v", r.GPS)
+			}
+		}},
+		{sparse, func(t *testing.T, r soundboost.Report) {
+			if !r.IMU.Attacked || r.IMU.AttackStd == 0 {
+				t.Errorf("IMU DoS on sparse telemetry not detected with a spread: %+v", r.IMU)
+			}
+		}},
+	} {
+		t.Run(tc.f.Name, func(t *testing.T) {
+			batch, err := fx.analyzer.Analyze(tc.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := runStream(t, fx.analyzer, tc.f, ReplayConfig{Speed: 0})
+			if got != batch {
+				t.Errorf("stream report\n  %+v\nbatch report\n  %+v", got, batch)
+			}
+			tc.check(t, batch)
+		})
+	}
+}

@@ -2,7 +2,8 @@
 # verify.sh — the repository's full verification gate:
 #   gofmt (fail on any unformatted file), go vet, staticcheck, build,
 #   race-enabled tests (uncached: -count=1 avoids cached-test false greens),
-#   and the seeded chaos soak (scripts/chaos_smoke.sh).
+#   vet and short tests of the bench/ module, and the seeded chaos soak
+#   (scripts/chaos_smoke.sh).
 # Run from the repo root, or via `make verify`.
 #
 # `verify.sh -short` skips the chaos soak — it trains a model and soaks
@@ -57,6 +58,12 @@ go build ./...
 
 echo "== go test -race -count=1 =="
 go test -race -count=1 ./...
+
+echo "== bench module: go vet + go test -short =="
+# bench/ is its own module (it replaces soundboost with this checkout),
+# so the root ./... never compiles it, yet it links against the code
+# above. GOPROXY=off keeps the check offline.
+(cd bench && GOPROXY=off go vet ./... && GOPROXY=off go test -short -count=1 ./...)
 
 if [ "$short" -eq 1 ]; then
     echo "== chaos smoke (skipped: -short) =="
