@@ -20,7 +20,7 @@ bench:
 bench-json:
 	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
 	echo "writing BENCH_$$n.json"; \
-	$(GO) run ./cmd/benchtab -scale bench -run timing,rca -bench-json BENCH_$$n.json && \
+	$(GO) run ./cmd/benchtab -scale bench -run timing,rca,throughput -bench-json BENCH_$$n.json && \
 	$(GO) run ./cmd/benchtab -validate-bench BENCH_$$n.json
 
 # bench-gate is the perf-regression gate: a fresh throughput bench

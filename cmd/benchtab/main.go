@@ -457,13 +457,11 @@ func run() error {
 }
 
 // runCompare gates a new bench report against an old one:
-// `benchtab -compare OLD.json NEW.json -max-regress 15% -min-f32-speedup 1.3`.
-// The new report and any trailing flags land in rest because flag
-// parsing stops at the first positional argument. -min-f32-speedup
-// additionally requires the NEW report's float32 rows to show at least
-// that speedup over its own float64 baseline (0 disables the check).
+// `benchtab -compare OLD.json NEW.json -max-regress 15%`. The new report
+// and any trailing flags land in rest because flag parsing stops at the
+// first positional argument.
 func runCompare(oldPath string, rest []string, tolSpec string) error {
-	var newPath, f32Spec string
+	var newPath string
 	for i := 0; i < len(rest); i++ {
 		switch {
 		case rest[i] == "-max-regress" || rest[i] == "--max-regress":
@@ -474,33 +472,18 @@ func runCompare(oldPath string, rest []string, tolSpec string) error {
 			tolSpec = rest[i]
 		case strings.HasPrefix(rest[i], "-max-regress="):
 			tolSpec = strings.TrimPrefix(strings.TrimPrefix(rest[i], "-"), "max-regress=")
-		case rest[i] == "-min-f32-speedup" || rest[i] == "--min-f32-speedup":
-			if i+1 >= len(rest) {
-				return fmt.Errorf("-min-f32-speedup needs a value")
-			}
-			i++
-			f32Spec = rest[i]
-		case strings.HasPrefix(rest[i], "-min-f32-speedup="):
-			f32Spec = strings.TrimPrefix(strings.TrimPrefix(rest[i], "-"), "min-f32-speedup=")
 		case newPath == "":
 			newPath = rest[i]
 		default:
-			return fmt.Errorf("unexpected argument %q (usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%] [-min-f32-speedup 1.3])", rest[i])
+			return fmt.Errorf("unexpected argument %q (usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%])", rest[i])
 		}
 	}
 	if newPath == "" {
-		return fmt.Errorf("usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%] [-min-f32-speedup 1.3]")
+		return fmt.Errorf("usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%]")
 	}
 	tol, err := parseRegress(tolSpec)
 	if err != nil {
 		return err
-	}
-	var minF32 float64
-	if f32Spec != "" {
-		minF32, err = strconv.ParseFloat(strings.TrimSpace(f32Spec), 64)
-		if err != nil || minF32 < 0 {
-			return fmt.Errorf("-min-f32-speedup %q: want a non-negative multiplier like 1.3", f32Spec)
-		}
 	}
 	oldR, err := obs.ReadBenchFile(oldPath)
 	if err != nil {
@@ -513,16 +496,10 @@ func runCompare(oldPath string, rest []string, tolSpec string) error {
 	if err := obs.CompareBenchReports(oldR, newR, tol); err != nil {
 		return fmt.Errorf("%s vs baseline %s: %w", newPath, oldPath, err)
 	}
-	if err := obs.CheckFloat32Speedup(newR, minF32); err != nil {
-		return fmt.Errorf("%s: %w", newPath, err)
-	}
 	fmt.Printf("%s vs baseline %s: OK (%.2f -> %.2f flights/sec, p99 %.3fs -> %.3fs, tolerance %.0f%%)\n",
 		newPath, oldPath,
 		oldR.Throughput.FPS(), newR.Throughput.FPS(),
 		oldR.Throughput.P99(), newR.Throughput.P99(), 100*tol)
-	if minF32 > 0 {
-		fmt.Printf("%s: float32 speedup %.2fx >= floor %.2fx\n", newPath, newR.Throughput.Float32Speedup, minF32)
-	}
 	return nil
 }
 

@@ -98,13 +98,31 @@ type GPSDetector struct {
 
 // NewGPSDetector calibrates the detection threshold on benign flights:
 // the maximum benign running-mean error after outlier removal, scaled by
-// the margin.
+// the margin. It is the one-config case of NewGPSDetectors.
 func NewGPSDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg GPSDetectorConfig) (*GPSDetector, error) {
+	dets, err := NewGPSDetectors(model, benignFlights, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return dets[0], nil
+}
+
+// NewGPSDetectors calibrates one detector per config from a single
+// window pass over the benign flights, so N variants (KF modes,
+// ablations) cost one observation pass instead of N. Detector i is
+// identical to NewGPSDetector(model, benignFlights, cfgs[i]).
+func NewGPSDetectors(model *AcousticModel, benignFlights []*dataset.Flight, cfgs ...GPSDetectorConfig) ([]*GPSDetector, error) {
 	obs, err := observeFlights(0, model, benignFlights)
 	if err != nil {
 		return nil, err
 	}
-	return calibrateGPS(model, benignFlights, obs, cfg)
+	dets := make([]*GPSDetector, len(cfgs))
+	for i, cfg := range cfgs {
+		if dets[i], err = calibrateGPS(model, benignFlights, obs, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return dets, nil
 }
 
 // calibrateGPS fits the threshold from benign flights' window

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
 
 	"soundboost/internal/acoustics"
 	"soundboost/internal/dataset"
@@ -90,14 +89,6 @@ func (n normalizer) apply(x []float64) []float64 {
 	return out
 }
 
-func (n normalizer) invert(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v*n.Std[i] + n.Mean[i]
-	}
-	return out
-}
-
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -112,39 +103,64 @@ type AcousticModel struct {
 	net      *nn.Sequential
 	featNorm normalizer
 	labNorm  normalizer
-	f32      *model32
+	p64      *program[float64]
+	p32      *program[float32]
 }
 
-// model32 holds the lazily compiled float32 inference state. One
-// holder is shared by every precision clone of a model (WithPrecision
-// copies the pointer), so the network is lowered at most once per
-// trained model regardless of how many sessions or replicas opt in.
-type model32 struct {
-	once       sync.Once
-	net        *nn.Net32
-	featMean   []float32
-	featInvStd []float32
+// program is the model's network and feature normaliser lowered to
+// element type F. Both instantiations are compiled once per trained
+// model and shared by every precision clone (WithPrecision copies the
+// pointers); the precision only picks which one Predict runs.
+type program[F mathx.Float] struct {
+	net               *nn.Net[F]
+	featMean, featStd []F
 }
 
-// compile lowers the float64 network and normalizer once. net stays
-// nil when the network has a layer the float32 path cannot lower;
-// Predict then falls back to float64 arithmetic.
-func (h *model32) compile(m *AcousticModel) {
-	h.once.Do(func() {
-		n32, err := nn.Compile32(m.net)
-		if err != nil {
-			return
+func compileProgram[F mathx.Float](net *nn.Sequential, featNorm normalizer) (*program[F], error) {
+	n, err := nn.Compile[F](net)
+	if err != nil {
+		return nil, err
+	}
+	p := &program[F]{net: n, featMean: make([]F, len(featNorm.Mean)), featStd: make([]F, len(featNorm.Std))}
+	for i := range featNorm.Mean {
+		p.featMean[i], p.featStd[i] = F(featNorm.Mean[i]), F(featNorm.Std[i])
+	}
+	return p, nil
+}
+
+// predict normalises features as (x-mean)/std in F — at float64 exactly
+// the training-time normalizer — zeroes the masked indices, runs the
+// network and de-normalises the output in float64.
+func (p *program[F]) predict(features []float64, masked []int, labNorm normalizer) mathx.Vec3 {
+	x := make([]F, len(features))
+	for i, v := range features {
+		x[i] = (F(v) - p.featMean[i]) / p.featStd[i]
+	}
+	for _, i := range masked {
+		if i >= 0 && i < len(x) {
+			x[i] = 0
 		}
-		h.featMean = make([]float32, len(m.featNorm.Mean))
-		h.featInvStd = make([]float32, len(m.featNorm.Std))
-		for i, v := range m.featNorm.Mean {
-			h.featMean[i] = float32(v)
-		}
-		for i, v := range m.featNorm.Std {
-			h.featInvStd[i] = float32(1 / v)
-		}
-		h.net = n32
-	})
+	}
+	out := p.net.Infer(x)
+	return mathx.Vec3{
+		X: float64(out[0])*labNorm.Std[0] + labNorm.Mean[0],
+		Y: float64(out[1])*labNorm.Std[1] + labNorm.Mean[1],
+		Z: float64(out[2])*labNorm.Std[2] + labNorm.Mean[2],
+	}
+}
+
+// newAcousticModel assembles a model and compiles its inference
+// programs at both precisions.
+func newAcousticModel(cfg MappingConfig, net *nn.Sequential, featNorm, labNorm normalizer) (*AcousticModel, error) {
+	p64, err := compileProgram[float64](net, featNorm)
+	if err != nil {
+		return nil, fmt.Errorf("soundboost: compile model: %w", err)
+	}
+	p32, err := compileProgram[float32](net, featNorm)
+	if err != nil {
+		return nil, fmt.Errorf("soundboost: compile model: %w", err)
+	}
+	return &AcousticModel{cfg: cfg, net: net, featNorm: featNorm, labNorm: labNorm, p64: p64, p32: p32}, nil
 }
 
 // Config returns the model's mapping configuration.
@@ -156,8 +172,8 @@ func (m *AcousticModel) Precision() Precision { return m.cfg.Signature.Precision
 
 // WithPrecision returns a model sharing this model's weights and
 // normalisation but computing signatures and predictions under the
-// given precision. The receiver is unchanged; clones share one lazily
-// compiled float32 lowering.
+// given precision. The receiver is unchanged; clones share the compiled
+// programs.
 func (m *AcousticModel) WithPrecision(p Precision) (*AcousticModel, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -325,7 +341,8 @@ func TrainModelFromSamples(xs, ys, valX, valY [][]float64, cfg MappingConfig) (*
 	if err != nil {
 		return nil, nn.TrainHistory{}, err
 	}
-	return &AcousticModel{cfg: cfg, net: net, featNorm: featNorm, labNorm: labNorm, f32: &model32{}}, hist, nil
+	m, err := newAcousticModel(cfg, net, featNorm, labNorm)
+	return m, hist, err
 }
 
 // TrainModel fits the acoustic model on benign training flights, applying
@@ -356,43 +373,26 @@ func TrainModel(trainFlights, valFlights []*dataset.Flight, cfg MappingConfig) (
 }
 
 // Predict maps a raw signature to the predicted body-frame specific force.
-// It goes through the network's cache-free inference path and is safe for
-// concurrent use. Under the float32 precision mode it runs the fused
-// normalize+infer float32 program when the network lowers; otherwise
-// (and by default) it uses exact float64 arithmetic.
+// It runs the compiled network program of the model's precision — at
+// float64 bitwise equal to the training network's cache-free inference
+// path — and is safe for concurrent use.
 func (m *AcousticModel) Predict(features []float64) mathx.Vec3 {
 	span := predictTimer.Start()
 	defer span.Stop()
-	if m.cfg.Signature.Precision == Float32 && m.f32 != nil {
-		m.f32.compile(m)
-		if h := m.f32; h.net != nil {
-			x := make([]float32, len(features))
-			for i, v := range features {
-				x[i] = (float32(v) - h.featMean[i]) * h.featInvStd[i]
-			}
-			out := h.net.Infer(x)
-			return mathx.Vec3{
-				X: float64(out[0])*m.labNorm.Std[0] + m.labNorm.Mean[0],
-				Y: float64(out[1])*m.labNorm.Std[1] + m.labNorm.Mean[1],
-				Z: float64(out[2])*m.labNorm.Std[2] + m.labNorm.Mean[2],
-			}
-		}
-	}
-	out := m.labNorm.invert(m.net.Infer(m.featNorm.apply(features)))
-	return mathx.Vec3{X: out[0], Y: out[1], Z: out[2]}
+	return m.predict(features, nil)
 }
 
 // PredictMasked predicts with the given feature indices zeroed (in
 // normalised space) — the counterfactual band-removal analysis of §IV-A.
 func (m *AcousticModel) PredictMasked(features []float64, masked []int) mathx.Vec3 {
-	x := m.featNorm.apply(features)
-	for _, i := range masked {
-		if i >= 0 && i < len(x) {
-			x[i] = 0
-		}
+	return m.predict(features, masked)
+}
+
+func (m *AcousticModel) predict(features []float64, masked []int) mathx.Vec3 {
+	if m.cfg.Signature.Precision == Float32 {
+		return m.p32.predict(features, masked, m.labNorm)
 	}
-	out := m.labNorm.invert(m.net.Infer(x))
-	return mathx.Vec3{X: out[0], Y: out[1], Z: out[2]}
+	return m.p64.predict(features, masked, m.labNorm)
 }
 
 // EvaluateMSEBandRemoved computes the model's MSE over a flight set after
@@ -492,5 +492,5 @@ func LoadModel(r io.Reader) (*AcousticModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AcousticModel{cfg: mf.Cfg, net: net, featNorm: mf.FeatNorm, labNorm: mf.LabNorm, f32: &model32{}}, nil
+	return newAcousticModel(mf.Cfg, net, mf.FeatNorm, mf.LabNorm)
 }

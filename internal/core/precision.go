@@ -1,15 +1,21 @@
 package soundboost
 
-import "fmt"
+import (
+	"fmt"
+
+	"soundboost/internal/triage"
+)
 
 // Precision selects the arithmetic of the signature/inference hot path.
 // The zero value means Float64, the bitwise-pinned default: batch,
 // stream and fleet paths all produce bit-identical features and
 // verdicts under it, and every equivalence test in the repo pins that.
-// Float32 is the opt-in fast path — real-input FFTs over float32
-// buffers and float32 network inference — verified corpus-wide to
-// produce identical verdicts within the documented per-feature
-// tolerance (see DESIGN.md, "Precision & tolerance contract").
+// Float32 is the opt-in fast path. Both run one implementation, generic
+// over the element type (FFT, signature kernel, network program,
+// triage kernel); the precision only picks its instantiation. Float32
+// is verified corpus-wide to produce identical verdicts within the
+// documented per-feature tolerance (see DESIGN.md, "Precision &
+// tolerance contract").
 type Precision string
 
 const (
@@ -63,4 +69,14 @@ func (p Precision) String() string {
 		return string(Float64)
 	}
 	return string(p)
+}
+
+// TriageFeatures returns the triage feature kernel of fc instantiated at
+// the precision — the one place the batch screen and the stream engine
+// pick it.
+func (p Precision) TriageFeatures(fc triage.FeatureConfig) func(audio []float64, rate float64, imu []triage.IMUPoint, gps []triage.GPSPoint) []float64 {
+	if p == Float32 {
+		return fc.Features32
+	}
+	return fc.Features
 }

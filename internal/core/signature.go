@@ -14,6 +14,7 @@ import (
 
 	"soundboost/internal/acoustics"
 	"soundboost/internal/dsp"
+	"soundboost/internal/mathx"
 	"soundboost/internal/parallel"
 )
 
@@ -158,14 +159,21 @@ type Extractor struct {
 	rate     float64
 	filtered [acoustics.NumMics][]float64
 
-	// f32sub memoizes per-sub-frame float32 features (log band energies
-	// plus log RMS) keyed by exact integer sample offsets. Consecutive
-	// signature windows overlap (hop < window), so their sub-frame grids
-	// land on identical sample ranges; recomputing those FFTs yields
-	// bit-identical values, making the cache a pure dedupe. Float32-mode
-	// only — the float64 path stays byte-for-byte untouched.
-	f32mu  sync.Mutex
-	f32sub map[subFrameKey][]float64
+	// memo holds per-sub-frame features (log band energies plus log RMS)
+	// keyed by exact integer sample offsets. Consecutive signature
+	// windows overlap (hop < window), so their sub-frame grids land on
+	// identical sample ranges; recomputing those FFTs yields
+	// bit-identical values, making the memo a pure dedupe at either
+	// precision.
+	memo subFrameMemo
+}
+
+// subFrameMemo is an Extractor's sub-frame cache. Two goroutines racing
+// on the same missing key both compute the same values; the second
+// store is a harmless overwrite.
+type subFrameMemo struct {
+	mu sync.Mutex
+	m  map[subFrameKey][]float64
 }
 
 // subFrameKey identifies one cached sub-frame: mic index, absolute
@@ -229,18 +237,7 @@ func (e *Extractor) Features(t0, windowSeconds float64) []float64 {
 		windowsRejected.Inc()
 		return nil
 	}
-	var out []float64
-	if e.cfg.Precision == Float32 {
-		// The extractor-backed fast path memoizes sub-frames across
-		// overlapping windows; the stateless kernel below recomputes them.
-		out = e.acousticWindow32Cached(start, total)
-	} else {
-		var chans [acoustics.NumMics][]float64
-		for m := range chans {
-			chans[m] = e.filtered[m][start : start+total]
-		}
-		out = e.cfg.AcousticWindow(chans, e.rate)
-	}
+	out := e.cfg.acousticWindow(e.filtered, start, total, e.rate, &e.memo)
 	if out == nil {
 		windowsRejected.Inc()
 	}
@@ -254,7 +251,28 @@ func (e *Extractor) Features(t0, windowSeconds float64) []float64 {
 // streaming verdicts are equivalent to post hoc Analyze. Returns nil when
 // the window is too short for the configured sub-frame count.
 func (c SignatureConfig) AcousticWindow(chans [acoustics.NumMics][]float64, rate float64) []float64 {
-	total := len(chans[0])
+	return c.acousticWindow(chans, 0, len(chans[0]), rate, nil)
+}
+
+// acousticWindow runs the signature kernel at the configured precision
+// over samples [start, start+total) of chans, through memo when
+// non-nil.
+func (c SignatureConfig) acousticWindow(chans [acoustics.NumMics][]float64, start, total int, rate float64, memo *subFrameMemo) []float64 {
+	if c.Precision == Float32 {
+		return acousticWindow[float32](c, chans, start, total, rate, memo)
+	}
+	return acousticWindow[float64](c, chans, start, total, rate, memo)
+}
+
+// acousticWindow is the signature kernel in element type F. Per
+// sub-frame, one fused pass converts, Hann-windows and accumulates the
+// RMS of the samples into a pooled buffer, a packed real-input FFT
+// produces the half spectrum, and band powers sum squared bins directly
+// off it — no magnitude slice, one square root per band. Band energies
+// are normalised by sqrt(nfft) so augmented (longer) windows remain
+// comparable to the base window. Sub-frames already in memo (keyed by
+// absolute sample offset) are copied instead of recomputed.
+func acousticWindow[F mathx.Float](c SignatureConfig, chans [acoustics.NumMics][]float64, start, total int, rate float64, memo *subFrameMemo) []float64 {
 	if total <= 0 {
 		return nil
 	}
@@ -262,148 +280,70 @@ func (c SignatureConfig) AcousticWindow(chans [acoustics.NumMics][]float64, rate
 	if sub < 8 {
 		return nil
 	}
-	if c.Precision == Float32 {
-		return c.acousticWindow32(chans, rate, sub)
-	}
 	nfft := dsp.NextPow2(sub)
 	perFrame := len(c.Bands) + 1
 	// Acoustic part only; attitude features (when configured) are appended
 	// by the window builders, which have telemetry access.
 	out := make([]float64, c.AcousticDim())
-	plan := dsp.PlanFFT(nfft)
-	buf := dsp.AcquireComplex(nfft)
-	defer dsp.ReleaseComplex(buf)
-	win := dsp.CachedHann(sub)
-	for m := 0; m < acoustics.NumMics; m++ {
-		ch := chans[m]
-		for s := 0; s < c.SubFrames; s++ {
-			off := s * sub
-			for i := range buf {
-				buf[i] = 0
-			}
-			for i := 0; i < sub; i++ {
-				buf[i] = complex(ch[off+i]*win[i], 0)
-			}
-			plan.Forward(buf)
-			mags := dsp.Magnitudes(buf[:nfft/2+1])
-			base := (m*c.SubFrames + s) * perFrame
-			var rms float64
-			for i := 0; i < sub; i++ {
-				v := ch[off+i]
-				rms += v * v
-			}
-			rms = math.Sqrt(rms / float64(sub))
-			for b, band := range c.Bands {
-				// Normalise band energy by sqrt(nfft) so augmented
-				// (longer) windows remain comparable to the base window.
-				energy := dsp.BandEnergy(mags, nfft, rate, band) / math.Sqrt(float64(nfft))
-				out[base+b] = math.Log1p(energy)
-			}
-			out[base+len(c.Bands)] = math.Log1p(rms)
-		}
-	}
-	return out
-}
-
-// acousticWindow32 is the float32 fast path of AcousticWindow: one
-// fused pass per sub-frame converts, Hann-windows and accumulates the
-// RMS of the samples into a pooled float32 buffer, a packed real-input
-// FFT produces the half spectrum at half the butterfly work, and band
-// powers sum squared bins directly off the complex64 spectrum — no
-// magnitude slice, one square root per band instead of one per bin.
-// Feature layout and normalisation match the float64 kernel exactly;
-// values differ only within the documented Float32Tolerance.
-func (c SignatureConfig) acousticWindow32(chans [acoustics.NumMics][]float64, rate float64, sub int) []float64 {
-	nfft := dsp.NextPow2(sub)
-	perFrame := len(c.Bands) + 1
-	out := make([]float64, c.AcousticDim())
-	plan := dsp.PlanFFT32(nfft)
-	re := dsp.AcquireFloats32(nfft)
-	defer dsp.ReleaseFloats32(re)
-	spec := dsp.AcquireComplex64(plan.SpectrumLen())
-	defer dsp.ReleaseComplex64(spec)
-	win := dsp.CachedHann32(sub)
+	plan := dsp.PlanFFT[F](nfft)
+	// re[sub:] stays zero: the arena hands buffers out zeroed and
+	// ForwardReal leaves its input untouched.
+	re := dsp.Acquire[F](nfft)
+	defer dsp.Release(re)
+	spec := dsp.AcquireSpectrum[F](plan.SpectrumLen())
+	defer dsp.ReleaseSpectrum(spec)
+	win := dsp.CachedHann[F](sub)
 	invSqrtN := 1 / math.Sqrt(float64(nfft))
 	for m := 0; m < acoustics.NumMics; m++ {
-		ch := chans[m]
-		for s := 0; s < c.SubFrames; s++ {
-			off := s * sub
-			base := (m*c.SubFrames + s) * perFrame
-			spec = c.subFrame32(ch[off:off+sub], nfft, rate, plan, re, spec, win, invSqrtN, out[base:base+perFrame])
-		}
-	}
-	return out
-}
-
-// subFrame32 computes one sub-frame's features — log band energies
-// followed by log RMS — into dst, using the caller's pooled transform
-// buffers. re[len(ch):] must already be zero (the arena hands buffers
-// out zeroed and ForwardReal leaves its input untouched). Returns the
-// (possibly regrown) spectrum slice.
-func (c SignatureConfig) subFrame32(ch []float64, nfft int, rate float64, plan *dsp.Plan32, re []float32, spec []complex64, win []float32, invSqrtN float64, dst []float64) []complex64 {
-	sub := len(ch)
-	var sumSq float32
-	for i, v32 := range ch {
-		v := float32(v32)
-		sumSq += v * v
-		re[i] = v * win[i]
-	}
-	spec = plan.ForwardReal(re, spec)
-	for b, band := range c.Bands {
-		energy := dsp.BandPower32(spec, nfft, rate, band) * invSqrtN
-		dst[b] = math.Log1p(energy)
-	}
-	dst[len(c.Bands)] = math.Log1p(math.Sqrt(float64(sumSq) / float64(sub)))
-	return spec
-}
-
-// acousticWindow32Cached is the float32 kernel fed through the
-// extractor's sub-frame memo: every (mic, start sample, sub length)
-// grid cell is transformed at most once per recording. Because hop <
-// window, consecutive windows share sub-frames at identical sample
-// offsets (at the default 0.25 s hop, 2 of each window's 4); the dedupe
-// returns bit-identical values, so cached and recomputed signatures are
-// indistinguishable. Two goroutines racing on the same missing key both
-// compute the same values; the second store is a harmless overwrite.
-func (e *Extractor) acousticWindow32Cached(start, total int) []float64 {
-	c := e.cfg
-	sub := total / c.SubFrames
-	if sub < 8 {
-		return nil
-	}
-	nfft := dsp.NextPow2(sub)
-	perFrame := len(c.Bands) + 1
-	out := make([]float64, c.AcousticDim())
-	plan := dsp.PlanFFT32(nfft)
-	re := dsp.AcquireFloats32(nfft)
-	defer dsp.ReleaseFloats32(re)
-	spec := dsp.AcquireComplex64(plan.SpectrumLen())
-	defer dsp.ReleaseComplex64(spec)
-	win := dsp.CachedHann32(sub)
-	invSqrtN := 1 / math.Sqrt(float64(nfft))
-	for m := 0; m < acoustics.NumMics; m++ {
-		ch := e.filtered[m]
 		for s := 0; s < c.SubFrames; s++ {
 			off := start + s*sub
 			base := (m*c.SubFrames + s) * perFrame
+			dst := out[base : base+perFrame]
 			key := subFrameKey{mic: m, start: off, sub: sub}
-			e.f32mu.Lock()
-			cached, ok := e.f32sub[key]
-			e.f32mu.Unlock()
-			if !ok {
-				cached = make([]float64, perFrame)
-				spec = c.subFrame32(ch[off:off+sub], nfft, e.rate, plan, re, spec, win, invSqrtN, cached)
-				e.f32mu.Lock()
-				if e.f32sub == nil {
-					e.f32sub = make(map[subFrameKey][]float64)
-				}
-				e.f32sub[key] = cached
-				e.f32mu.Unlock()
+			if memo.load(key, dst) {
+				continue
 			}
-			copy(out[base:base+perFrame], cached)
+			var sumSq F
+			for i, x := range chans[m][off : off+sub] {
+				v := F(x)
+				sumSq += v * v
+				re[i] = v * win[i]
+			}
+			spec = plan.ForwardReal(re, spec)
+			for b, band := range c.Bands {
+				dst[b] = math.Log1p(dsp.BandPower(spec, nfft, rate, band) * invSqrtN)
+			}
+			dst[len(c.Bands)] = math.Log1p(math.Sqrt(float64(sumSq) / float64(sub)))
+			memo.store(key, dst)
 		}
 	}
 	return out
+}
+
+// load copies the cached features of key into dst and reports whether
+// they were present. A nil memo never hits.
+func (mm *subFrameMemo) load(key subFrameKey, dst []float64) bool {
+	if mm == nil {
+		return false
+	}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	cached, ok := mm.m[key]
+	copy(dst, cached)
+	return ok
+}
+
+// store caches a copy of the features of key. A nil memo drops them.
+func (mm *subFrameMemo) store(key subFrameKey, feats []float64) {
+	if mm == nil {
+		return
+	}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if mm.m == nil {
+		mm.m = make(map[subFrameKey][]float64)
+	}
+	mm.m[key] = append([]float64(nil), feats...)
 }
 
 // WindowStarts enumerates the start times of all complete signature

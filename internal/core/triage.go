@@ -72,13 +72,10 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 		}
 	}
 
-	// The screen runs under the signature precision: Float32 swaps in the
-	// real-input float32 spectral kernel, everything else (window grid,
-	// telemetry shedding, escalation predicates) is shared code.
-	features := fc.Features
-	if sig.Precision == Float32 {
-		features = fc.Features32
-	}
+	// The screen runs under the signature precision; everything else
+	// (window grid, telemetry shedding, escalation predicates) is shared
+	// code.
+	features := sig.Precision.TriageFeatures(fc)
 
 	win := sig.WindowSeconds
 	hop := sig.HopSeconds

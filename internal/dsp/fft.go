@@ -1,34 +1,35 @@
 // Package dsp implements the signal-processing substrate SoundBoost needs:
-// a radix-2 FFT with Bluestein fallback for arbitrary lengths, analysis
+// a power-of-two real-input FFT generic over float32/float64, analysis
 // windows, short-time Fourier transforms, frequency-band energy extraction
 // (the paper's blade-passing / mechanical / aerodynamic groups), biquad
 // filters, and the Goertzel single-bin DFT. Transforms run over cached
-// per-size plans (PlanFFT, PlanFFT32) on pooled scratch; the helpers
-// below work on their spectra.
+// per-size plans (PlanFFT) on pooled scratch; the helpers below work on
+// their spectra.
 package dsp
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
+
+	"soundboost/internal/mathx"
 )
 
 // Magnitudes returns |X[k]| for each bin.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, c := range x {
-		out[i] = cmplx.Abs(c)
+func Magnitudes[F mathx.Float](x Spectrum[F]) []float64 {
+	out := make([]float64, len(x.Re))
+	for i, re := range x.Re {
+		out[i] = math.Hypot(float64(re), float64(x.Im[i]))
 	}
 	return out
 }
 
 // PowerSpectrum returns |X[k]|^2 for each bin.
-func PowerSpectrum(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, c := range x {
-		re, im := real(c), imag(c)
-		out[i] = re*re + im*im
+func PowerSpectrum[F mathx.Float](x Spectrum[F]) []float64 {
+	out := make([]float64, len(x.Re))
+	for i, re := range x.Re {
+		im := x.Im[i]
+		out[i] = float64(re*re + im*im)
 	}
 	return out
 }

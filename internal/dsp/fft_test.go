@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"soundboost/internal/mathx"
 )
 
 // naiveDFT is the O(n^2) reference implementation for correctness checks.
@@ -23,18 +25,18 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
-// transform returns the DFT (or normalized inverse DFT) of x through its
-// cached plan, leaving x untouched.
-func transform(x []complex128, inverse bool) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	PlanFFT(len(x)).Transform(out, inverse)
-	return out
+// realSpectrum returns the n/2+1 non-redundant bins of a real signal.
+func realSpectrum(x []float64) Spectrum[float64] {
+	return PlanFFT[float64](len(x)).ForwardReal(x, Spectrum[float64]{})
 }
 
-// realSpectrum returns the n/2+1 non-redundant bins of a real signal.
-func realSpectrum(x []float64) []complex128 {
-	return PlanFFT(len(x)).ForwardReal(x, nil)
+// toComplex widens a split half spectrum to complex128 bins.
+func toComplex[F mathx.Float](s Spectrum[F]) []complex128 {
+	out := make([]complex128, len(s.Re))
+	for i := range out {
+		out[i] = complex(float64(s.Re[i]), float64(s.Im[i]))
+	}
+	return out
 }
 
 func complexSliceApproxEq(a, b []complex128, tol float64) bool {
@@ -49,20 +51,20 @@ func complexSliceApproxEq(a, b []complex128, tol float64) bool {
 	return true
 }
 
-func randComplex(rng *rand.Rand, n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+// asComplex lifts a real signal to complex128 for the naive reference.
+func asComplex(x []float64) []complex128 {
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = complex(v, 0)
 	}
-	return x
+	return out
 }
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 32, 100, 128, 257} {
-		x := randComplex(rng, n)
-		got := transform(x, false)
-		want := naiveDFT(x)
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 128, 256} {
+		x := randSignal(n, int64(n)+3)
+		got := toComplex(realSpectrum(x))
+		want := naiveDFT(asComplex(x))[:n/2+1]
 		if !complexSliceApproxEq(got, want, 1e-7*float64(n)) {
 			t.Errorf("n=%d: FFT disagrees with naive DFT", n)
 		}
@@ -70,33 +72,44 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestFFTEmpty(t *testing.T) {
-	if got := transform(nil, false); len(got) != 0 {
-		t.Errorf("transform(nil) = %v, want empty", got)
+	p := PlanFFT[float64](0)
+	if got := p.ForwardReal(nil, Spectrum[float64]{}); len(got.Re) != 0 || len(got.Im) != 0 {
+		t.Errorf("ForwardReal(nil) = %v, want empty", got)
+	}
+	if got := p.InverseReal(Spectrum[float64]{}, nil); len(got) != 0 {
+		t.Errorf("InverseReal(empty) = %v, want empty", got)
 	}
 }
 
 func TestIFFTInvertsFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{1, 2, 8, 15, 64, 100, 1024} {
-		x := randComplex(rng, n)
-		got := transform(transform(x, false), true)
-		if !complexSliceApproxEq(got, x, 1e-8*float64(n)) {
-			t.Errorf("n=%d: inverse(forward(x)) != x", n)
+	for _, n := range []int{1, 2, 8, 16, 64, 1024} {
+		x := randSignal(n, int64(n)+4)
+		got := PlanFFT[float64](n).InverseReal(realSpectrum(x), nil)
+		for i := range x {
+			if math.Abs(got[i]-x[i]) > 1e-8*float64(n) {
+				t.Fatalf("n=%d: inverse(forward(x))[%d] = %g, want %g", n, i, got[i], x[i])
+			}
 		}
 	}
 }
 
-// Property: Parseval's theorem — sum |x|^2 == (1/N) sum |X|^2.
+// Property: Parseval's theorem — sum x^2 == (1/N) sum |X|^2, where the
+// half spectrum counts every bin but DC and Nyquist twice.
 func TestFFTParseval(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 16 << (uint(rng.Intn(4)))
-		x := randComplex(rng, n)
-		spec := transform(x, false)
+		x := randSignal(n, seed)
+		pow := PowerSpectrum(realSpectrum(x))
 		var timeE, freqE float64
-		for i := range x {
-			timeE += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
-			freqE += real(spec[i])*real(spec[i]) + imag(spec[i])*imag(spec[i])
+		for _, v := range x {
+			timeE += v * v
+		}
+		for k, p := range pow {
+			if k != 0 && k != n/2 {
+				p *= 2
+			}
+			freqE += p
 		}
 		freqE /= float64(n)
 		return math.Abs(timeE-freqE) < 1e-6*(1+timeE)
@@ -108,16 +121,15 @@ func TestFFTParseval(t *testing.T) {
 
 // Property: FFT is linear.
 func TestFFTLinearity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
 		n := 64
-		a := randComplex(rng, n)
-		b := randComplex(rng, n)
-		sum := make([]complex128, n)
+		a := randSignal(n, int64(2*trial))
+		b := randSignal(n, int64(2*trial+1))
+		sum := make([]float64, n)
 		for i := range sum {
 			sum[i] = 2*a[i] + 3*b[i]
 		}
-		fa, fb, fsum := transform(a, false), transform(b, false), transform(sum, false)
+		fa, fb, fsum := toComplex(realSpectrum(a)), toComplex(realSpectrum(b)), toComplex(realSpectrum(sum))
 		for i := range fsum {
 			want := 2*fa[i] + 3*fb[i]
 			if cmplx.Abs(fsum[i]-want) > 1e-8 {
@@ -206,7 +218,7 @@ func TestGoertzelEmpty(t *testing.T) {
 }
 
 func TestPowerSpectrum(t *testing.T) {
-	x := []complex128{complex(3, 4), complex(0, 0), complex(1, 0)}
+	x := Spectrum[float64]{Re: []float64{3, 0, 1}, Im: []float64{4, 0, 0}}
 	got := PowerSpectrum(x)
 	want := []float64{25, 0, 1}
 	for i := range want {

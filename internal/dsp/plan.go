@@ -1,294 +1,369 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
+	"soundboost/internal/mathx"
 	"soundboost/internal/obs"
 )
 
 // Stage metrics, resolved once at init. Recording is gated by
 // obs.Enable, so the disabled path costs one atomic load per transform.
 var (
-	fftTimer      = obs.Default.Timer("dsp.fft.transform")
-	fftPlanCount  = obs.Default.Counter("dsp.fft.plans_built")
-	fftBluesteins = obs.Default.Counter("dsp.fft.bluestein_transforms")
+	fftTimer     = obs.Default.Timer("dsp.fft.transform")
+	fftPlanCount = obs.Default.Counter("dsp.fft.plans_built")
 )
 
-// Plan holds everything size-dependent an FFT of length n needs: the
-// bit-reversal permutation, forward and inverse twiddle-factor tables, and
-// (for non-power-of-two lengths) the precomputed Bluestein chirp and its
-// transformed convolution kernel. Plans are immutable after construction
-// and safe for concurrent use; PlanFFT caches one plan per size, so the
-// whole pipeline shares tables instead of recomputing cmplx.Exp chains on
-// every window.
-type Plan struct {
-	n int
-
-	// radix-2 path (power-of-two n).
-	bitrev  []int
-	twidFwd []complex128 // exp(-2*pi*i*k/n), k < n/2
-	twidInv []complex128 // exp(+2*pi*i*k/n), k < n/2
-	rsub    *Plan        // half-length plan driving ForwardReal/InverseReal
-
-	// Bluestein path (all other n).
-	bs *bluesteinPlan
+// Spectrum is the non-redundant half spectrum X[0..n/2] of a real
+// signal of length n, stored as split real and imaginary parts (Go's
+// real/imag/complex builtins do not accept type parameters).
+type Spectrum[F mathx.Float] struct {
+	Re, Im []F
 }
 
-// bluesteinPlan precomputes the chirp-z reduction of an n-point DFT to an
-// m-point power-of-two convolution.
-type bluesteinPlan struct {
-	m       int
-	sub     *Plan        // radix-2 plan of size m
-	wFwd    []complex128 // chirp exp(-i*pi*k^2/n)
-	wInv    []complex128 // chirp exp(+i*pi*k^2/n)
-	kernFwd []complex128 // FFT of the conjugate forward chirp, padded to m
-	kernInv []complex128 // FFT of the conjugate inverse chirp, padded to m
+// Plan holds everything size-dependent a real-input FFT of length n
+// needs, in element type F: the bit-reversal permutation of the
+// half-length complex transform and the twiddle table
+// exp(-2*pi*i*k/n), k < n/2, which serves both the half-length
+// butterflies (every (n/size)-th entry) and the packed-real untangle.
+// Sizes are powers of two. Plans are immutable after construction and
+// safe for concurrent use; PlanFFT caches one plan per (size, F), so
+// every session, stream engine and fleet replica in the process shares
+// one table set.
+type Plan[F mathx.Float] struct {
+	n          int
+	bitrev     []int // permutation of the n/2-point complex transform
+	twRe, twIm []F
 }
 
-// planCache maps transform size -> *Plan.
+// poolKey identifies a per-size cache entry of one element type;
+// elemBytes separates the float32 and float64 instantiations.
+type poolKey struct {
+	n, elemBytes int
+}
+
+func keyOf[F mathx.Float](n int) poolKey {
+	var zero F
+	return poolKey{n: n, elemBytes: int(unsafe.Sizeof(zero))}
+}
+
+// planCache maps poolKey -> *Plan[F].
 var planCache sync.Map
 
-// PlanFFT returns the cached transform plan for size n, building it on
-// first use. The returned plan is shared and read-only.
-func PlanFFT(n int) *Plan {
-	if p, ok := planCache.Load(n); ok {
-		return p.(*Plan)
+// PlanFFT returns the cached real-input transform plan for size n in
+// element type F, building it on first use. n must be zero or a power
+// of two (callers size transforms with NextPow2). The returned plan is
+// shared and read-only.
+func PlanFFT[F mathx.Float](n int) *Plan[F] {
+	key := keyOf[F](n)
+	if p, ok := planCache.Load(key); ok {
+		return p.(*Plan[F])
 	}
-	p := newPlan(n)
-	actual, _ := planCache.LoadOrStore(n, p)
-	fftPlanCount.Inc()
-	return actual.(*Plan)
-}
-
-func newPlan(n int) *Plan {
-	p := &Plan{n: n}
-	if n <= 1 {
-		return p
+	if n < 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
 	}
-	if n&(n-1) == 0 {
-		shift := 64 - uint(bits.TrailingZeros(uint(n)))
-		p.bitrev = make([]int, n)
-		for i := 0; i < n; i++ {
-			p.bitrev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-		}
-		half := n / 2
-		p.twidFwd = make([]complex128, half)
-		p.twidInv = make([]complex128, half)
-		for k := 0; k < half; k++ {
+	p := &Plan[F]{n: n}
+	if h := n / 2; h >= 1 {
+		shift := 64 - uint(bits.TrailingZeros(uint(h)))
+		p.bitrev = make([]int, h)
+		p.twRe = make([]F, h)
+		p.twIm = make([]F, h)
+		for k := 0; k < h; k++ {
+			p.bitrev[k] = int(bits.Reverse64(uint64(k)) >> shift)
 			angle := 2 * math.Pi * float64(k) / float64(n)
-			p.twidFwd[k] = cmplx.Exp(complex(0, -angle))
-			p.twidInv[k] = cmplx.Exp(complex(0, angle))
+			s, c := math.Sincos(-angle)
+			p.twRe[k], p.twIm[k] = F(c), F(s)
 		}
-		// Safe recursion: newPlan runs outside the cache LoadOrStore.
-		p.rsub = PlanFFT(half)
-		return p
 	}
-	p.bs = newBluesteinPlan(n)
-	return p
-}
-
-func newBluesteinPlan(n int) *bluesteinPlan {
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	bp := &bluesteinPlan{m: m, sub: PlanFFT(m)}
-	bp.wFwd = make([]complex128, n)
-	bp.wInv = make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k*k can overflow for huge n; mod 2n keeps the phase identical.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := math.Pi * float64(kk) / float64(n)
-		bp.wFwd[k] = cmplx.Exp(complex(0, -angle))
-		bp.wInv[k] = cmplx.Exp(complex(0, angle))
-	}
-	kernel := func(w []complex128) []complex128 {
-		b := make([]complex128, m)
-		for k := 0; k < n; k++ {
-			b[k] = cmplx.Conj(w[k])
-		}
-		for k := 1; k < n; k++ {
-			b[m-k] = cmplx.Conj(w[k])
-		}
-		bp.sub.radix2(b, false)
-		return b
-	}
-	bp.kernFwd = kernel(bp.wFwd)
-	bp.kernInv = kernel(bp.wInv)
-	return bp
+	actual, _ := planCache.LoadOrStore(key, p)
+	fftPlanCount.Inc()
+	return actual.(*Plan[F])
 }
 
 // Size returns the transform length the plan was built for.
-func (p *Plan) Size() int { return p.n }
+func (p *Plan[F]) Size() int { return p.n }
 
-// Forward computes the in-place DFT of x, which must have length Size().
-func (p *Plan) Forward(x []complex128) { p.Transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x (including the 1/N
-// normalization). x must have length Size().
-func (p *Plan) Inverse(x []complex128) { p.Transform(x, true) }
-
-// Transform runs the planned transform in place. Inverse transforms
-// include the 1/N normalization.
-func (p *Plan) Transform(x []complex128, inverse bool) {
-	if len(x) != p.n {
-		panic("dsp: plan/input size mismatch")
+// SpectrumLen returns the number of non-redundant spectrum bins:
+// Size()/2 + 1 (0 for the empty transform).
+func (p *Plan[F]) SpectrumLen() int {
+	if p.n == 0 {
+		return 0
 	}
-	if p.n <= 1 {
-		return
-	}
-	span := fftTimer.Start()
-	defer span.Stop()
-	if p.bs == nil {
-		p.radix2(x, inverse)
-	} else {
-		fftBluesteins.Inc()
-		p.bluestein(x, inverse)
-	}
-	if inverse {
-		inv := complex(1/float64(p.n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
+	return p.n/2 + 1
 }
 
-// radix2 is the iterative in-place Cooley-Tukey butterfly over the
-// precomputed tables. Normalization is the caller's responsibility.
-func (p *Plan) radix2(x []complex128, inverse bool) {
-	n := p.n
-	for i, j := range p.bitrev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	twid := p.twidFwd
-	if inverse {
-		twid = p.twidInv
-	}
-	for size := 2; size <= n; size <<= 1 {
+// butterfly is the iterative in-place forward Cooley-Tukey transform of
+// the bit-reversed half-length complex sequence (re, im). It is spelled
+// out in F component arithmetic: complex64 multiplication evaluates
+// through complex128, which would forfeit the single-precision speedup,
+// and at float64 the component form rounds exactly like complex128.
+func (p *Plan[F]) butterfly(re, im []F) {
+	h := len(re)
+	for size := 2; size <= h; size <<= 1 {
 		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * twid[k*stride]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+		stride := p.n / size
+		for start := 0; start < h; start += size {
+			// Equal-length views let the compiler drop bounds checks.
+			xr, xi := re[start:start+half], im[start:start+half]
+			yr, yi := re[start+half:start+size], im[start+half:start+size]
+			yr, yi, xi = yr[:len(xr)], yi[:len(xr)], xi[:len(xr)]
+			for k := range xr {
+				wr, wi := p.twRe[k*stride], p.twIm[k*stride]
+				br, bi := yr[k], yi[k]
+				tr := br*wr - bi*wi
+				ti := br*wi + bi*wr
+				ar, ai := xr[k], xi[k]
+				xr[k], xi[k] = ar+tr, ai+ti
+				yr[k], yi[k] = ar-tr, ai-ti
 			}
 		}
 	}
 }
 
-// bluestein runs the chirp-z reduction through the plan's power-of-two
-// sub-plan, using the scratch arena for the convolution buffer.
-func (p *Plan) bluestein(x []complex128, inverse bool) {
-	bp := p.bs
-	w, kern := bp.wFwd, bp.kernFwd
-	if inverse {
-		w, kern = bp.wInv, bp.kernInv
+// ForwardReal computes the DFT of the real signal x (length Size()) and
+// returns the half spectrum X[0..n/2]. The even/odd samples are packed
+// into one complex transform of half the length, which is then
+// untangled in place. The result is written into out when its slices
+// have capacity for SpectrumLen() bins, otherwise fresh slices are
+// allocated. x is left untouched.
+func (p *Plan[F]) ForwardReal(x []F, out Spectrum[F]) Spectrum[F] {
+	if len(x) != p.n {
+		panic("dsp: plan/input size mismatch")
 	}
-	a := AcquireComplex(bp.m)
-	defer ReleaseComplex(a)
-	for k := 0; k < p.n; k++ {
-		a[k] = x[k] * w[k]
+	m := p.SpectrumLen()
+	out.Re, out.Im = fit(out.Re, m), fit(out.Im, m)
+	switch p.n {
+	case 0:
+		return out
+	case 1:
+		out.Re[0], out.Im[0] = x[0], 0
+		return out
 	}
-	bp.sub.radix2(a, false)
-	for i := range a {
-		a[i] *= kern[i]
+	span := fftTimer.Start()
+	defer span.Stop()
+	h := p.n / 2
+	zr, zi := out.Re[:h], out.Im[:h]
+	for k, j := range p.bitrev {
+		zr[k], zi[k] = x[2*j], x[2*j+1]
 	}
-	bp.sub.radix2(a, true)
-	scale := complex(1/float64(bp.m), 0)
-	for k := 0; k < p.n; k++ {
-		x[k] = a[k] * scale * w[k]
+	p.butterfly(zr, zi)
+	// Untangle: with Z the half-length FFT of the packed signal,
+	// Fe[k] = (Z[k]+conj(Z[h-k]))/2 and Fo[k] = (Z[k]-conj(Z[h-k]))/2i
+	// are the spectra of the even and odd samples, and
+	// X[k] = Fe[k] + exp(-2*pi*i*k/n)*Fo[k]. Bins k and h-k read the
+	// same pair of Z values, so each pair is untangled together.
+	re0, im0 := zr[0], zi[0]
+	out.Re[0], out.Im[0] = re0+im0, 0
+	out.Re[h], out.Im[h] = re0-im0, 0
+	for k := 1; k <= h/2; k++ {
+		ar, ai := zr[k], zi[k]
+		br, bi := zr[h-k], zi[h-k]
+		out.Re[k], out.Im[k] = p.untangle(k, ar, ai, br, bi)
+		out.Re[h-k], out.Im[h-k] = p.untangle(h-k, br, bi, ar, ai)
 	}
+	return out
+}
+
+// untangle returns bin k of the real spectrum from Z[k] = (zr, zi) and
+// Z[h-k] = (cr, ci) of the packed half-length transform.
+func (p *Plan[F]) untangle(k int, zr, zi, cr, ci F) (F, F) {
+	ci = -ci
+	fer, fei := (zr+cr)*0.5, (zi+ci)*0.5
+	// Fo = (Z[k]-conj(Z[h-k]))/2i
+	for_, foi := (zi-ci)*0.5, (cr-zr)*0.5
+	wr, wi := p.twRe[k], p.twIm[k]
+	return fer + for_*wr - foi*wi, fei + for_*wi + foi*wr
+}
+
+// InverseReal reconstructs the real signal (length Size()) from a half
+// spectrum produced by ForwardReal, including the 1/N normalization.
+// The result is written into out when cap(out) >= Size(), otherwise a
+// fresh slice is allocated. spec is left untouched.
+func (p *Plan[F]) InverseReal(spec Spectrum[F], out []F) []F {
+	if len(spec.Re) != p.SpectrumLen() || len(spec.Im) != p.SpectrumLen() {
+		panic("dsp: plan/spectrum size mismatch")
+	}
+	out = fit(out, p.n)
+	switch p.n {
+	case 0:
+		return out
+	case 1:
+		out[0] = spec.Re[0]
+		return out
+	}
+	span := fftTimer.Start()
+	defer span.Stop()
+	h := p.n / 2
+	buf := Acquire[F](p.n)
+	defer Release(buf)
+	zr, zi := buf[:h], buf[h:]
+	// Re-tangle Z[k] = Fe[k] + i*Fo[k] with Fe = (X[k]+conj(X[h-k]))/2
+	// and Fo = (X[k]-conj(X[h-k]))/2 * exp(+2*pi*i*k/n), stored
+	// conjugated and bit-reversed so the forward butterfly computes the
+	// inverse transform: IDFT(Z) = conj(DFT(conj(Z))).
+	for k, j := range p.bitrev {
+		ar, ai := spec.Re[j], spec.Im[j]
+		br, bi := spec.Re[h-j], -spec.Im[h-j]
+		fer, fei := (ar+br)*0.5, (ai+bi)*0.5
+		dr, di := (ar-br)*0.5, (ai-bi)*0.5
+		wr, wi := p.twRe[j], -p.twIm[j]
+		for_, foi := dr*wr-di*wi, dr*wi+di*wr
+		zr[k], zi[k] = fer-foi, -(fei + for_)
+	}
+	p.butterfly(zr, zi)
+	// The 1/(n/2) normalization of the half-length inverse is exactly
+	// the 1/N the packed pair of real samples per bin needs.
+	scale := 1 / F(h)
+	for k := 0; k < h; k++ {
+		out[2*k] = zr[k] * scale
+		out[2*k+1] = -zi[k] * scale
+	}
+	return out
+}
+
+// fit returns s resliced to length n when its capacity allows,
+// otherwise a fresh slice.
+func fit[F mathx.Float](s []F, n int) []F {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]F, n)
+}
+
+// BandPower sums spectral power over a band of a half spectrum of an
+// nfft-point transform and returns the band magnitude
+// sqrt(sum |X[k]|^2) — per-bin magnitudes and BandEnergy fused into one
+// pass with no intermediate slice and one square root per band. The
+// sum accumulates in F.
+func BandPower[F mathx.Float](spec Spectrum[F], nfft int, sampleRate float64, b Band) float64 {
+	lo := FrequencyBin(b.Low, nfft, sampleRate)
+	hi := FrequencyBin(b.High, nfft, sampleRate)
+	if hi >= len(spec.Re) {
+		hi = len(spec.Re) - 1
+	}
+	var sum F
+	for k := lo; k <= hi; k++ {
+		re, im := spec.Re[k], spec.Im[k]
+		sum += re*re + im*im
+	}
+	return math.Sqrt(float64(sum))
 }
 
 // --- Scratch-buffer arena.
 
-// complexPools and floatPools hold per-size sync.Pools of scratch slices.
-// Transform sizes in a run form a tiny set (a few window/NFFT sizes), so a
-// map keyed by length stays small.
+// pools maps poolKey -> *sync.Pool of *[]F. Transform sizes in a run
+// form a tiny set (a few window/NFFT sizes per precision), so the map
+// stays small.
+var pools sync.Map
+
+// Acquire returns a zeroed scratch []F of length n from the arena.
+// Release it with Release when done.
+func Acquire[F mathx.Float](n int) []F {
+	key := keyOf[F](n)
+	arenaAcquire(key.elemBytes * n)
+	poolAny, ok := pools.Load(key)
+	if !ok {
+		poolAny, _ = pools.LoadOrStore(key, &sync.Pool{})
+	}
+	if v := poolAny.(*sync.Pool).Get(); v != nil {
+		buf := *(v.(*[]F))
+		clear(buf)
+		return buf
+	}
+	return make([]F, n)
+}
+
+// Release returns a buffer obtained from Acquire to the arena. The
+// caller must not use the slice afterwards.
+func Release[F mathx.Float](buf []F) {
+	if buf == nil {
+		return
+	}
+	key := keyOf[F](len(buf))
+	arenaRelease(key.elemBytes * len(buf))
+	if poolAny, ok := pools.Load(key); ok {
+		poolAny.(*sync.Pool).Put(&buf)
+	}
+}
+
+// AcquireSpectrum returns a zeroed scratch half spectrum of m bins from
+// the arena. Release it with ReleaseSpectrum when done.
+func AcquireSpectrum[F mathx.Float](m int) Spectrum[F] {
+	return Spectrum[F]{Re: Acquire[F](m), Im: Acquire[F](m)}
+}
+
+// ReleaseSpectrum returns a spectrum obtained from AcquireSpectrum to
+// the arena.
+func ReleaseSpectrum[F mathx.Float](s Spectrum[F]) {
+	Release(s.Re)
+	Release(s.Im)
+}
+
+// --- Arena byte accounting.
+//
+// Every Acquire/Release pair adjusts the in-use byte count, exposed as
+// obs gauges so a serving process (or a bench run) can watch its
+// scratch-allocation budget: dsp.arena.in_use_bytes is the live
+// balance, dsp.arena.peak_bytes the high-water mark since start. The
+// counts are process-wide — with per-size sync.Pools the peak bounds
+// what a session mix can pin.
+
 var (
-	complexPools sync.Map // int -> *sync.Pool of *[]complex128
-	floatPools   sync.Map // int -> *sync.Pool of *[]float64
+	arenaInUse      atomic.Int64
+	arenaPeak       atomic.Int64
+	arenaInUseGauge = obs.Default.Gauge("dsp.arena.in_use_bytes")
+	arenaPeakGauge  = obs.Default.Gauge("dsp.arena.peak_bytes")
 )
 
-// AcquireComplex returns a zeroed scratch []complex128 of length n from
-// the arena. Release it with ReleaseComplex when done.
-func AcquireComplex(n int) []complex128 {
-	arenaAcquire(16 * n)
-	poolAny, ok := complexPools.Load(n)
-	if !ok {
-		poolAny, _ = complexPools.LoadOrStore(n, &sync.Pool{})
-	}
-	pool := poolAny.(*sync.Pool)
-	if v := pool.Get(); v != nil {
-		buf := *(v.(*[]complex128))
-		for i := range buf {
-			buf[i] = 0
+func arenaAcquire(bytes int) {
+	v := arenaInUse.Add(int64(bytes))
+	arenaInUseGauge.Set(float64(v))
+	for {
+		peak := arenaPeak.Load()
+		if v <= peak {
+			return
 		}
-		return buf
-	}
-	return make([]complex128, n)
-}
-
-// ReleaseComplex returns a buffer obtained from AcquireComplex to the
-// arena. The caller must not use the slice afterwards.
-func ReleaseComplex(buf []complex128) {
-	if buf == nil {
-		return
-	}
-	arenaRelease(16 * len(buf))
-	if poolAny, ok := complexPools.Load(len(buf)); ok {
-		poolAny.(*sync.Pool).Put(&buf)
-	}
-}
-
-// AcquireFloats returns a zeroed scratch []float64 of length n from the
-// arena. Release it with ReleaseFloats when done.
-func AcquireFloats(n int) []float64 {
-	arenaAcquire(8 * n)
-	poolAny, ok := floatPools.Load(n)
-	if !ok {
-		poolAny, _ = floatPools.LoadOrStore(n, &sync.Pool{})
-	}
-	pool := poolAny.(*sync.Pool)
-	if v := pool.Get(); v != nil {
-		buf := *(v.(*[]float64))
-		for i := range buf {
-			buf[i] = 0
+		if arenaPeak.CompareAndSwap(peak, v) {
+			arenaPeakGauge.Set(float64(v))
+			return
 		}
-		return buf
 	}
-	return make([]float64, n)
 }
 
-// ReleaseFloats returns a buffer obtained from AcquireFloats to the arena.
-func ReleaseFloats(buf []float64) {
-	if buf == nil {
-		return
-	}
-	arenaRelease(8 * len(buf))
-	if poolAny, ok := floatPools.Load(len(buf)); ok {
-		poolAny.(*sync.Pool).Put(&buf)
-	}
+func arenaRelease(bytes int) {
+	v := arenaInUse.Add(-int64(bytes))
+	arenaInUseGauge.Set(float64(v))
 }
+
+// ArenaInUseBytes returns the live scratch-arena byte balance.
+func ArenaInUseBytes() int64 { return arenaInUse.Load() }
+
+// ArenaPeakBytes returns the scratch-arena high-water mark.
+func ArenaPeakBytes() int64 { return arenaPeak.Load() }
 
 // --- Cached analysis windows.
 
-// hannCache maps window length -> shared Hann table.
+// hannCache maps poolKey -> shared []F Hann table.
 var hannCache sync.Map
 
-// CachedHann returns the shared Hann window table of length n. The slice
-// is cached and must be treated as read-only; use Hann for a private copy.
-func CachedHann(n int) []float64 {
-	if w, ok := hannCache.Load(n); ok {
-		return w.([]float64)
+// CachedHann returns the shared Hann window table of length n in
+// element type F. The float32 table narrows the float64 one, so both
+// precisions window with the same curve. The slice is cached and must
+// be treated as read-only; use Hann for a private copy.
+func CachedHann[F mathx.Float](n int) []F {
+	key := keyOf[F](n)
+	if w, ok := hannCache.Load(key); ok {
+		return w.([]F)
 	}
-	w, _ := hannCache.LoadOrStore(n, Hann(n))
-	return w.([]float64)
+	w := make([]F, n)
+	for i, v := range Hann(n) {
+		w[i] = F(v)
+	}
+	actual, _ := hannCache.LoadOrStore(key, w)
+	return actual.([]F)
 }

@@ -6,42 +6,61 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"soundboost/internal/mathx"
 )
 
+// checkAgainstNaive compares the F-instantiated real FFT of x with the
+// naive complex DFT within tol per bin.
+func checkAgainstNaive[F mathx.Float](t *testing.T, x []float64, tol float64) {
+	t.Helper()
+	n := len(x)
+	xf := make([]F, n)
+	for i, v := range x {
+		xf[i] = F(v)
+	}
+	got := toComplex(PlanFFT[F](n).ForwardReal(xf, Spectrum[F]{}))
+	want := naiveDFT(asComplex(x))[:n/2+1]
+	if !complexSliceApproxEq(got, want, tol) {
+		t.Errorf("n=%d: %T plan disagrees with naive DFT (tol %g)", n, F(0), tol)
+	}
+}
+
 func TestPlanMatchesNaiveDFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 32, 100, 128, 257} {
-		x := randComplex(rng, n)
-		got := make([]complex128, n)
-		copy(got, x)
-		PlanFFT(n).Forward(got)
-		want := naiveDFT(x)
-		if !complexSliceApproxEq(got, want, 1e-7*float64(n)) {
-			t.Errorf("n=%d: plan Forward disagrees with naive DFT", n)
-		}
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 128, 512} {
+		x := randSignal(n, int64(n)+11)
+		checkAgainstNaive[float64](t, x, 1e-7*float64(n))
+		// float32 error grows ~sqrt(n)*eps relative to the spectrum scale
+		// (|X| ~ sqrt(n) for unit-variance noise).
+		checkAgainstNaive[float32](t, x, 1e-5*float64(n))
 	}
 }
 
 func TestPlanInverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{2, 8, 15, 64, 100, 1024} {
-		x := randComplex(rng, n)
-		buf := make([]complex128, n)
-		copy(buf, x)
-		p := PlanFFT(n)
-		p.Forward(buf)
-		p.Inverse(buf)
-		if !complexSliceApproxEq(buf, x, 1e-8*float64(n)) {
-			t.Errorf("n=%d: Inverse(Forward(x)) != x", n)
+	for _, n := range []int{2, 8, 16, 64, 1024} {
+		x := randSignal(n, int64(n)+12)
+		x32 := make([]float32, n)
+		for i, v := range x {
+			x32[i] = float32(v)
+		}
+		p := PlanFFT[float32](n)
+		back := p.InverseReal(p.ForwardReal(x32, Spectrum[float32]{}), nil)
+		for i := range x32 {
+			if math.Abs(float64(back[i]-x32[i])) > 1e-5*math.Sqrt(float64(n)) {
+				t.Fatalf("n=%d sample %d: float32 round trip %g, want %g", n, i, back[i], x32[i])
+			}
 		}
 	}
 }
 
 func TestPlanCacheReturnsSameInstance(t *testing.T) {
-	if PlanFFT(256) != PlanFFT(256) {
-		t.Error("PlanFFT(256) not cached")
+	if PlanFFT[float64](256) != PlanFFT[float64](256) {
+		t.Error("PlanFFT[float64](256) not cached")
 	}
-	if PlanFFT(256).Size() != 256 {
+	if PlanFFT[float32](256) != PlanFFT[float32](256) {
+		t.Error("PlanFFT[float32](256) not cached")
+	}
+	if PlanFFT[float64](256).Size() != 256 || PlanFFT[float32](256).Size() != 256 {
 		t.Error("wrong plan size")
 	}
 }
@@ -52,67 +71,72 @@ func TestPlanSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on size mismatch")
 		}
 	}()
-	PlanFFT(8).Forward(make([]complex128, 4))
+	PlanFFT[float64](8).ForwardReal(make([]float64, 4), Spectrum[float64]{})
+}
+
+func TestPlanRejectsNonPowerOfTwo(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a non-power-of-two size")
+		}
+	}()
+	PlanFFT[float64](12)
 }
 
 func TestPlanConcurrentUseMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 96 // non power of two: exercises the shared Bluestein path
-	inputs := make([][]complex128, 32)
-	want := make([][]complex128, len(inputs))
+	const n = 256
+	inputs := make([][]float64, 32)
+	want := make([]Spectrum[float64], len(inputs))
 	for i := range inputs {
-		inputs[i] = randComplex(rng, n)
-		want[i] = transform(inputs[i], false)
+		inputs[i] = randSignal(n, int64(i)+13)
+		want[i] = realSpectrum(inputs[i])
 	}
-	p := PlanFFT(n)
+	p := PlanFFT[float64](n)
 	var wg sync.WaitGroup
-	got := make([][]complex128, len(inputs))
+	got := make([]Spectrum[float64], len(inputs))
 	for i := range inputs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			buf := make([]complex128, n)
-			copy(buf, inputs[i])
-			p.Forward(buf)
-			got[i] = buf
+			got[i] = p.ForwardReal(inputs[i], Spectrum[float64]{})
 		}(i)
 	}
 	wg.Wait()
 	for i := range inputs {
-		for k := range got[i] {
-			if got[i][k] != want[i][k] {
-				t.Fatalf("input %d bin %d: concurrent %v != serial %v", i, k, got[i][k], want[i][k])
+		for k := range got[i].Re {
+			if got[i].Re[k] != want[i].Re[k] || got[i].Im[k] != want[i].Im[k] {
+				t.Fatalf("input %d bin %d: concurrent result differs from serial", i, k)
 			}
 		}
 	}
 }
 
 func TestScratchArenaZeroesBuffers(t *testing.T) {
-	buf := AcquireComplex(64)
+	buf := Acquire[float64](64)
 	for i := range buf {
-		buf[i] = complex(1, 1)
+		buf[i] = 1
 	}
-	ReleaseComplex(buf)
-	again := AcquireComplex(64)
-	defer ReleaseComplex(again)
+	Release(buf)
+	again := Acquire[float64](64)
+	defer Release(again)
 	for i, v := range again {
 		if v != 0 {
 			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
 		}
 	}
-	f := AcquireFloats(32)
-	f[5] = 3
-	ReleaseFloats(f)
-	f2 := AcquireFloats(32)
-	defer ReleaseFloats(f2)
-	if f2[5] != 0 {
-		t.Fatal("reused float buffer not zeroed")
+	spec := AcquireSpectrum[float64](32)
+	spec.Re[5], spec.Im[5] = 3, 4
+	ReleaseSpectrum(spec)
+	spec2 := AcquireSpectrum[float64](32)
+	defer ReleaseSpectrum(spec2)
+	if spec2.Re[5] != 0 || spec2.Im[5] != 0 {
+		t.Fatal("reused spectrum not zeroed")
 	}
 }
 
 func TestCachedHannMatchesHann(t *testing.T) {
 	for _, n := range []int{1, 8, 125, 256} {
-		got := CachedHann(n)
+		got := CachedHann[float64](n)
 		want := Hann(n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: length mismatch", n)
@@ -122,7 +146,7 @@ func TestCachedHannMatchesHann(t *testing.T) {
 				t.Fatalf("n=%d: CachedHann[%d] = %v, want %v", n, i, got[i], want[i])
 			}
 		}
-		if CachedHann(n)[0] != got[0] || &CachedHann(n)[0] != &got[0] {
+		if &CachedHann[float64](n)[0] != &got[0] {
 			t.Fatalf("n=%d: CachedHann not cached", n)
 		}
 	}
@@ -162,27 +186,12 @@ func TestGoertzelOffBinMatchesDirectDFT(t *testing.T) {
 }
 
 func BenchmarkPlanForward1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randComplex(rng, 1024)
-	p := PlanFFT(1024)
-	buf := make([]complex128, 1024)
+	x := randSignal(1024, 1)
+	p := PlanFFT[float64](1024)
+	out := AcquireSpectrum[float64](p.SpectrumLen())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		p.Forward(buf)
-	}
-}
-
-func BenchmarkPlanBluestein1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	x := randComplex(rng, 1000)
-	p := PlanFFT(1000)
-	buf := make([]complex128, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		p.Forward(buf)
+		out = p.ForwardReal(x, out)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"soundboost/internal/mathx"
 )
 
 // randSignal returns a deterministic pseudo-random real signal.
@@ -16,42 +18,36 @@ func randSignal(n int, seed int64) []float64 {
 	return x
 }
 
+// narrow converts a float64 signal to float32.
+func narrow(x []float64) []float32 {
+	out := make([]float32, len(x))
+	for i, v := range x {
+		out[i] = float32(v)
+	}
+	return out
+}
+
 func TestForwardRealMatchesComplexFFT(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 64, 256, 2048, 12, 100} {
+	for _, n := range []int{1, 2, 4, 8, 64, 256, 2048} {
 		x := randSignal(n, int64(n))
-		c := make([]complex128, n)
-		for i, v := range x {
-			c[i] = complex(v, 0)
+		want := naiveDFT(asComplex(x)) // full spectrum via the complex DFT
+		got := PlanFFT[float64](n).ForwardReal(x, Spectrum[float64]{})
+		if len(got.Re) != n/2+1 || len(got.Im) != n/2+1 {
+			t.Fatalf("n=%d: spectrum length %d/%d, want %d", n, len(got.Re), len(got.Im), n/2+1)
 		}
-		want := transform(c, false) // full spectrum via the complex transform
-		plan := PlanFFT(n)
-		got := plan.ForwardReal(x, nil)
-		if len(got) != n/2+1 {
-			t.Fatalf("n=%d: spectrum length %d, want %d", n, len(got), n/2+1)
-		}
-		// Cross-check against a direct DFT of the first bins.
-		for k := range got {
-			var re, im float64
-			for i, v := range x {
-				angle := -2 * math.Pi * float64(k) * float64(i) / float64(n)
-				re += v * math.Cos(angle)
-				im += v * math.Sin(angle)
-			}
-			if math.Abs(real(got[k])-re) > 1e-8*float64(n) || math.Abs(imag(got[k])-im) > 1e-8*float64(n) {
-				t.Fatalf("n=%d bin %d: ForwardReal %v, direct DFT (%g,%g)", n, k, got[k], re, im)
-			}
-			if math.Abs(real(got[k])-real(want[k])) > 1e-9*float64(n) || math.Abs(imag(got[k])-imag(want[k])) > 1e-9*float64(n) {
-				t.Fatalf("n=%d bin %d: ForwardReal %v, complex transform %v", n, k, got[k], want[k])
+		for k := range got.Re {
+			if math.Abs(got.Re[k]-real(want[k])) > 1e-8*float64(n) || math.Abs(got.Im[k]-imag(want[k])) > 1e-8*float64(n) {
+				t.Fatalf("n=%d bin %d: ForwardReal (%g,%g), naive DFT %v", n, k, got.Re[k], got.Im[k], want[k])
 			}
 		}
 	}
 }
 
 func TestInverseRealRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 64, 1024, 12, 100} {
+	for _, n := range []int{1, 2, 4, 8, 64, 1024} {
 		x := randSignal(n, int64(n)+7)
-		plan := PlanFFT(n)
-		spec := plan.ForwardReal(x, nil)
+		plan := PlanFFT[float64](n)
+		spec := plan.ForwardReal(x, Spectrum[float64]{})
 		back := plan.InverseReal(spec, nil)
 		if len(back) != n {
 			t.Fatalf("n=%d: round-trip length %d", n, len(back))
@@ -66,10 +62,10 @@ func TestInverseRealRoundTrip(t *testing.T) {
 
 func TestForwardRealReusesOutput(t *testing.T) {
 	x := randSignal(64, 3)
-	plan := PlanFFT(64)
-	buf := make([]complex128, plan.SpectrumLen())
+	plan := PlanFFT[float64](64)
+	buf := Spectrum[float64]{Re: make([]float64, plan.SpectrumLen()), Im: make([]float64, plan.SpectrumLen())}
 	out := plan.ForwardReal(x, buf)
-	if &out[0] != &buf[0] {
+	if &out.Re[0] != &buf.Re[0] || &out.Im[0] != &buf.Im[0] {
 		t.Error("ForwardReal allocated despite sufficient capacity")
 	}
 	fbuf := make([]float64, 64)
@@ -80,31 +76,27 @@ func TestForwardRealReusesOutput(t *testing.T) {
 }
 
 func TestPlan32ForwardRealTolerance(t *testing.T) {
-	for _, n := range []int{2, 8, 256, 2048, 12} {
+	for _, n := range []int{2, 8, 256, 2048} {
 		x64 := randSignal(n, int64(n)+13)
-		x32 := make([]float32, n)
-		for i, v := range x64 {
-			x32[i] = float32(v)
-		}
-		ref := PlanFFT(n).ForwardReal(x64, nil)
-		got := PlanFFT32(n).ForwardReal(x32, nil)
-		if len(got) != n/2+1 {
-			t.Fatalf("n=%d: spectrum length %d", n, len(got))
+		ref := PlanFFT[float64](n).ForwardReal(x64, Spectrum[float64]{})
+		got := PlanFFT[float32](n).ForwardReal(narrow(x64), Spectrum[float32]{})
+		if len(got.Re) != n/2+1 {
+			t.Fatalf("n=%d: spectrum length %d", n, len(got.Re))
 		}
 		// Scale-relative bound: float32 FFT error grows ~sqrt(n)*eps
 		// relative to the spectrum magnitude.
 		var scale float64
-		for _, c := range ref {
-			if m := math.Hypot(real(c), imag(c)); m > scale {
+		for k := range ref.Re {
+			if m := math.Hypot(ref.Re[k], ref.Im[k]); m > scale {
 				scale = m
 			}
 		}
 		tol := 1e-5 * scale * math.Sqrt(float64(n))
-		for k := range got {
-			dr := math.Abs(float64(real(got[k])) - real(ref[k]))
-			di := math.Abs(float64(imag(got[k])) - imag(ref[k]))
+		for k := range got.Re {
+			dr := math.Abs(float64(got.Re[k]) - ref.Re[k])
+			di := math.Abs(float64(got.Im[k]) - ref.Im[k])
 			if dr > tol || di > tol {
-				t.Fatalf("n=%d bin %d: float32 %v vs float64 %v (tol %g)", n, k, got[k], ref[k], tol)
+				t.Fatalf("n=%d bin %d: float32 (%g,%g) vs float64 (%g,%g) (tol %g)", n, k, got.Re[k], got.Im[k], ref.Re[k], ref.Im[k], tol)
 			}
 		}
 	}
@@ -113,18 +105,11 @@ func TestPlan32ForwardRealTolerance(t *testing.T) {
 func TestPlan32ForwardMatchesFloat64(t *testing.T) {
 	n := 128
 	x64 := randSignal(n, 99)
-	buf64 := make([]complex128, n)
-	buf32 := make([]complex64, n)
-	for i, v := range x64 {
-		buf64[i] = complex(v, 0)
-		buf32[i] = complex(float32(v), 0)
-	}
-	PlanFFT(n).Forward(buf64)
-	PlanFFT32(n).Forward(buf32)
-	for k := range buf64 {
-		if math.Abs(float64(real(buf32[k]))-real(buf64[k])) > 1e-3 ||
-			math.Abs(float64(imag(buf32[k]))-imag(buf64[k])) > 1e-3 {
-			t.Fatalf("bin %d: %v vs %v", k, buf32[k], buf64[k])
+	ref := PlanFFT[float64](n).ForwardReal(x64, Spectrum[float64]{})
+	got := PlanFFT[float32](n).ForwardReal(narrow(x64), Spectrum[float32]{})
+	for k := range ref.Re {
+		if math.Abs(float64(got.Re[k])-ref.Re[k]) > 1e-3 || math.Abs(float64(got.Im[k])-ref.Im[k]) > 1e-3 {
+			t.Fatalf("bin %d: (%g,%g) vs (%g,%g)", k, got.Re[k], got.Im[k], ref.Re[k], ref.Im[k])
 		}
 	}
 }
@@ -132,42 +117,42 @@ func TestPlan32ForwardMatchesFloat64(t *testing.T) {
 func TestBandPower32MatchesBandEnergy(t *testing.T) {
 	const n, rate = 1024, 8000.0
 	x64 := randSignal(n, 5)
-	x32 := make([]float32, n)
-	for i, v := range x64 {
-		x32[i] = float32(v)
-	}
-	spec64 := PlanFFT(n).ForwardReal(x64, nil)
+	spec64 := PlanFFT[float64](n).ForwardReal(x64, Spectrum[float64]{})
 	mags := Magnitudes(spec64)
-	spec32 := PlanFFT32(n).ForwardReal(x32, nil)
+	spec32 := PlanFFT[float32](n).ForwardReal(narrow(x64), Spectrum[float32]{})
 	for _, band := range []Band{{Name: "low", Low: 100, High: 900}, {Name: "mid", Low: 900, High: 2500}, {Name: "high", Low: 2500, High: 4000}} {
 		want := BandEnergy(mags, n, rate, band)
-		got := BandPower32(spec32, n, rate, band)
-		if math.Abs(got-want) > 1e-3*(1+want) {
-			t.Errorf("band %s: BandPower32 %g, BandEnergy %g", band.Name, got, want)
+		if got := BandPower(spec32, n, rate, band); math.Abs(got-want) > 1e-3*(1+want) {
+			t.Errorf("band %s: BandPower[float32] %g, BandEnergy %g", band.Name, got, want)
+		}
+		// At float64 the fused sum differs from squaring the magnitudes
+		// back only by rounding.
+		if got := BandPower(spec64, n, rate, band); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("band %s: BandPower[float64] %g, BandEnergy %g", band.Name, got, want)
 		}
 	}
 }
 
 func TestFloat32ArenaReuse(t *testing.T) {
-	a := AcquireComplex64(512)
-	for i := range a {
-		a[i] = complex(float32(i), 0)
+	s := AcquireSpectrum[float32](512)
+	for i := range s.Re {
+		s.Re[i], s.Im[i] = float32(i), 1
 	}
-	ReleaseComplex64(a)
-	b := AcquireComplex64(512)
-	defer ReleaseComplex64(b)
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("reused complex64 buffer not zeroed at %d: %v", i, v)
+	ReleaseSpectrum(s)
+	s2 := AcquireSpectrum[float32](512)
+	defer ReleaseSpectrum(s2)
+	for i := range s2.Re {
+		if s2.Re[i] != 0 || s2.Im[i] != 0 {
+			t.Fatalf("reused float32 spectrum not zeroed at %d", i)
 		}
 	}
-	f := AcquireFloats32(256)
+	f := Acquire[float32](256)
 	for i := range f {
 		f[i] = 1
 	}
-	ReleaseFloats32(f)
-	g := AcquireFloats32(256)
-	defer ReleaseFloats32(g)
+	Release(f)
+	g := Acquire[float32](256)
+	defer Release(g)
 	for i, v := range g {
 		if v != 0 {
 			t.Fatalf("reused float32 buffer not zeroed at %d: %v", i, v)
@@ -177,71 +162,53 @@ func TestFloat32ArenaReuse(t *testing.T) {
 
 func TestArenaByteAccounting(t *testing.T) {
 	before := ArenaInUseBytes()
-	buf := AcquireComplex64(1024) // 8 KiB
-	if got := ArenaInUseBytes() - before; got != 8*1024 {
-		t.Errorf("in-use delta %d after acquire, want 8192", got)
+	buf := Acquire[float32](1024)         // 4 KiB
+	spec := AcquireSpectrum[float64](256) // 2 x 2 KiB
+	if got := ArenaInUseBytes() - before; got != 4*1024+2*8*256 {
+		t.Errorf("in-use delta %d after acquire, want %d", got, 4*1024+2*8*256)
 	}
 	if ArenaPeakBytes() < ArenaInUseBytes() {
 		t.Errorf("peak %d below in-use %d", ArenaPeakBytes(), ArenaInUseBytes())
 	}
-	ReleaseComplex64(buf)
+	Release(buf)
+	ReleaseSpectrum(spec)
 	if got := ArenaInUseBytes(); got != before {
 		t.Errorf("in-use %d after release, want %d", got, before)
 	}
 }
 
 func TestCachedHann32MatchesFloat64(t *testing.T) {
-	w64 := CachedHann(401)
-	w32 := CachedHann32(401)
+	w64 := CachedHann[float64](401)
+	w32 := CachedHann[float32](401)
 	if len(w32) != len(w64) {
 		t.Fatalf("length %d, want %d", len(w32), len(w64))
 	}
 	for i := range w64 {
-		if math.Abs(float64(w32[i])-w64[i]) > 1e-6 {
-			t.Fatalf("index %d: %g vs %g", i, w32[i], w64[i])
+		if w32[i] != float32(w64[i]) {
+			t.Fatalf("index %d: %g is not the narrowed %g", i, w32[i], w64[i])
 		}
 	}
-	if &CachedHann32(401)[0] != &w32[0] {
-		t.Error("CachedHann32 not cached")
+	if &CachedHann[float32](401)[0] != &w32[0] {
+		t.Error("CachedHann[float32] not cached")
 	}
 }
 
 func BenchmarkForwardReal(b *testing.B) {
-	const n = 2048
-	x := randSignal(n, 1)
-	plan := PlanFFT(n)
-	out := make([]complex128, plan.SpectrumLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = plan.ForwardReal(x, out)
-	}
-}
-
-func BenchmarkForwardComplex(b *testing.B) {
-	const n = 2048
-	x := randSignal(n, 1)
-	buf := make([]complex128, n)
-	plan := PlanFFT(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, v := range x {
-			buf[j] = complex(v, 0)
-		}
-		plan.Forward(buf)
-	}
+	benchmarkForwardReal[float64](b)
 }
 
 func BenchmarkForwardReal32(b *testing.B) {
+	benchmarkForwardReal[float32](b)
+}
+
+func benchmarkForwardReal[F mathx.Float](b *testing.B) {
 	const n = 2048
-	x64 := randSignal(n, 1)
-	x := make([]float32, n)
-	for i, v := range x64 {
-		x[i] = float32(v)
+	x := make([]F, n)
+	for i, v := range randSignal(n, 1) {
+		x[i] = F(v)
 	}
-	plan := PlanFFT32(n)
-	out := make([]complex64, plan.SpectrumLen())
+	plan := PlanFFT[F](n)
+	out := AcquireSpectrum[F](plan.SpectrumLen())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,7 +18,8 @@ type STFTConfig struct {
 	// Window generates the analysis window; nil means Hann.
 	Window WindowFunc
 	// Pad, when true, zero-pads each frame to the next power of two before
-	// the transform (cheaper radix-2 path, finer bin spacing).
+	// the transform (finer bin spacing). Without it WindowSize must itself
+	// be a power of two.
 	Pad bool
 }
 
@@ -28,6 +29,9 @@ func (c STFTConfig) validate() error {
 	}
 	if c.HopSize <= 0 {
 		return fmt.Errorf("%w: hop size %d", ErrBadSTFTConfig, c.HopSize)
+	}
+	if !c.Pad && c.WindowSize&(c.WindowSize-1) != 0 {
+		return fmt.Errorf("%w: window size %d is not a power of two (set Pad)", ErrBadSTFTConfig, c.WindowSize)
 	}
 	return nil
 }
@@ -53,25 +57,25 @@ func STFT(x []float64, sampleRate float64, cfg STFTConfig) (*Spectrogram, error)
 	if cfg.Window != nil {
 		win = cfg.Window(cfg.WindowSize)
 	} else {
-		win = CachedHann(cfg.WindowSize)
+		win = CachedHann[float64](cfg.WindowSize)
 	}
 	nfft := cfg.WindowSize
 	if cfg.Pad {
 		nfft = NextPow2(cfg.WindowSize)
 	}
 	var frames [][]float64
-	plan := PlanFFT(nfft)
-	buf := AcquireComplex(nfft)
-	defer ReleaseComplex(buf)
+	plan := PlanFFT[float64](nfft)
+	buf := Acquire[float64](nfft)
+	defer Release(buf)
+	spec := AcquireSpectrum[float64](plan.SpectrumLen())
+	defer ReleaseSpectrum(spec)
 	for start := 0; start+cfg.WindowSize <= len(x); start += cfg.HopSize {
-		for i := range buf {
-			buf[i] = 0
-		}
+		// buf[WindowSize:] stays zero: the arena hands buffers out zeroed.
 		for i := 0; i < cfg.WindowSize; i++ {
-			buf[i] = complex(x[start+i]*win[i], 0)
+			buf[i] = x[start+i] * win[i]
 		}
-		plan.Forward(buf)
-		frames = append(frames, Magnitudes(buf[:nfft/2+1]))
+		spec = plan.ForwardReal(buf, spec)
+		frames = append(frames, Magnitudes(spec))
 	}
 	return &Spectrogram{Mag: frames, NFFT: nfft, SampleRate: sampleRate, HopSize: cfg.HopSize}, nil
 }

@@ -49,6 +49,7 @@ func TestSTFTInvalidConfig(t *testing.T) {
 		{"zero window", STFTConfig{WindowSize: 0, HopSize: 1}},
 		{"zero hop", STFTConfig{WindowSize: 16, HopSize: 0}},
 		{"negative window", STFTConfig{WindowSize: -4, HopSize: 4}},
+		{"unpadded non power of two", STFTConfig{WindowSize: 1000, HopSize: 500}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

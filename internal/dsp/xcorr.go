@@ -2,7 +2,7 @@ package dsp
 
 import (
 	"fmt"
-	"math/cmplx"
+	"math"
 )
 
 // CrossCorrelate returns the circular cross-correlation of a and b via the
@@ -11,24 +11,7 @@ import (
 // ±(len-1) are unaliased. Both signals are real, so only the
 // non-redundant half spectra are transformed and multiplied.
 func CrossCorrelate(a, b []float64) []float64 {
-	n := NextPow2(len(a) + len(b) - 1)
-	plan := PlanFFT(n)
-	fa := AcquireFloats(n)
-	defer ReleaseFloats(fa)
-	fb := AcquireFloats(n)
-	defer ReleaseFloats(fb)
-	copy(fa, a)
-	copy(fb, b)
-	A := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(A)
-	B := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(B)
-	A = plan.ForwardReal(fa, A)
-	B = plan.ForwardReal(fb, B)
-	for i := range A {
-		A[i] = cmplx.Conj(A[i]) * B[i]
-	}
-	return plan.InverseReal(A, make([]float64, n))
+	return correlate(a, b, false)
 }
 
 // GCCPHAT computes the Generalized Cross-Correlation with Phase Transform
@@ -37,27 +20,33 @@ func CrossCorrelate(a, b []float64) []float64 {
 // whitens the spectrum so the correlation peak sharpens to the true delay
 // even for broadband rotor noise.
 func GCCPHAT(a, b []float64) []float64 {
+	return correlate(a, b, true)
+}
+
+// correlate computes conj(A)·B in the frequency domain, optionally
+// PHAT-weighted to unit magnitude, and transforms back.
+func correlate(a, b []float64, phat bool) []float64 {
 	n := NextPow2(len(a) + len(b) - 1)
-	plan := PlanFFT(n)
-	fa := AcquireFloats(n)
-	defer ReleaseFloats(fa)
-	fb := AcquireFloats(n)
-	defer ReleaseFloats(fb)
+	plan := PlanFFT[float64](n)
+	fa := Acquire[float64](n)
+	defer Release(fa)
+	fb := Acquire[float64](n)
+	defer Release(fb)
 	copy(fa, a)
 	copy(fb, b)
-	A := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(A)
-	B := AcquireComplex(plan.SpectrumLen())
-	defer ReleaseComplex(B)
-	A = plan.ForwardReal(fa, A)
-	B = plan.ForwardReal(fb, B)
-	for i := range A {
-		c := cmplx.Conj(A[i]) * B[i]
-		mag := cmplx.Abs(c)
-		if mag > 1e-12 {
-			c /= complex(mag, 0)
+	A := plan.ForwardReal(fa, AcquireSpectrum[float64](plan.SpectrumLen()))
+	defer ReleaseSpectrum(A)
+	B := plan.ForwardReal(fb, AcquireSpectrum[float64](plan.SpectrumLen()))
+	defer ReleaseSpectrum(B)
+	for i := range A.Re {
+		ar, ai, br, bi := A.Re[i], A.Im[i], B.Re[i], B.Im[i]
+		cr, ci := ar*br+ai*bi, ar*bi-ai*br
+		if phat {
+			if mag := math.Hypot(cr, ci); mag > 1e-12 {
+				cr, ci = cr/mag, ci/mag
+			}
 		}
-		A[i] = c
+		A.Re[i], A.Im[i] = cr, ci
 	}
 	return plan.InverseReal(A, make([]float64, n))
 }

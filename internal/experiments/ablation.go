@@ -84,14 +84,20 @@ func RunKFAblation(lab *Lab, logf func(string, ...any)) (AblationResult, error) 
 		flights = append(flights, &flightWithSpec{flight: f, attack: spec.Attack})
 	}
 
+	// Every variant calibrates from one pass over the GPS corpus.
+	cfgs := make([]soundboost.GPSDetectorConfig, len(variants))
+	for i, v := range variants {
+		cfgs[i] = soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioIMU)
+		v.mutate(&cfgs[i])
+	}
+	dets, err := soundboost.NewGPSDetectors(lab.Model, lab.GPSCalib, cfgs...)
+	if err != nil {
+		return AblationResult{}, fmt.Errorf("experiments: ablation: %w", err)
+	}
+
 	var result AblationResult
-	for _, v := range variants {
-		cfg := soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioIMU)
-		v.mutate(&cfg)
-		det, err := soundboost.NewGPSDetector(lab.Model, lab.GPSCalib, cfg)
-		if err != nil {
-			return AblationResult{}, fmt.Errorf("experiments: ablation %s: %w", v.name, err)
-		}
+	for i, v := range variants {
+		det := dets[i]
 		var counts stats.ConfusionCounts
 		for _, fw := range flights {
 			verdict, err := det.Detect(fw.flight)

@@ -225,7 +225,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 		return nil, err
 	}
 
-	// --- Detectors: the eight calibrations are independent, so they run
+	// --- Detectors: the calibrations are independent, so they run
 	// concurrently on the worker pool. Each writes a distinct Lab field.
 	logf("calibrating detectors on %d benign flights", len(lab.Calib))
 	dnnCfg := baselines.DefaultDNNConfig()
@@ -240,19 +240,16 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 			}
 			return
 		},
-		func() (err error) {
-			lab.GPSAudioOnly, err = soundboost.NewGPSDetector(model, lab.GPSCalib, soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioOnly))
+		func() error {
+			// Both KF variants calibrate from one pass over the GPS corpus.
+			dets, err := soundboost.NewGPSDetectors(model, lab.GPSCalib,
+				soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioOnly),
+				soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
 			if err != nil {
-				err = fmt.Errorf("experiments: audio-only detector: %w", err)
+				return fmt.Errorf("experiments: GPS detectors: %w", err)
 			}
-			return
-		},
-		func() (err error) {
-			lab.GPSAudioIMU, err = soundboost.NewGPSDetector(model, lab.GPSCalib, soundboost.DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
-			if err != nil {
-				err = fmt.Errorf("experiments: audio+IMU detector: %w", err)
-			}
-			return
+			lab.GPSAudioOnly, lab.GPSAudioIMU = dets[0], dets[1]
+			return nil
 		},
 		func() (err error) {
 			lab.Failsafe, err = baselines.NewFailsafe(lab.GPSCalib, baselines.DefaultFailsafeConfig())

@@ -75,8 +75,9 @@ type BenchThroughput struct {
 	P99FlightSeconds         float64 `json:"p99_flight_seconds"`
 	// Float32 rows repeat the measurements under the float32 fast path
 	// (additive in schema v1; absent, and zero, in older artifacts).
-	// Float32Speedup is float32-baseline over float64-baseline — the
-	// precision win the bench gate holds above its committed floor.
+	// Float32Speedup is float32-baseline over float64-baseline
+	// (informational; the gate compares Float32BaselineFPS like for
+	// like).
 	Float32BaselineFPS              float64 `json:"float32_baseline_flights_per_sec,omitempty"`
 	Float32TriageFPS                float64 `json:"float32_triage_flights_per_sec,omitempty"`
 	Float32Speedup                  float64 `json:"float32_speedup,omitempty"`
@@ -268,35 +269,12 @@ func CompareBenchReports(oldR, newR *BenchReport, tolerance float64) error {
 		return fmt.Errorf("obs: p99 per-flight latency regressed: %.3fs vs baseline %.3fs (+%.1f%%, tolerance %.0f%%)",
 			newP99, oldP99, 100*(newP99/oldP99-1), 100*tolerance)
 	}
-	// The float32 rows gate like-for-like once both artifacts carry them;
-	// against an older float64-only baseline the floor check below is the
-	// only float32 gate.
+	// The float32 rows gate like-for-like once both artifacts carry them
+	// (an older float64-only baseline has no float32 row to hold).
 	oldF32, newF32 := oldR.Throughput.Float32BaselineFPS, newR.Throughput.Float32BaselineFPS
 	if oldF32 > 0 && newF32 > 0 && newF32 < oldF32*(1-tolerance) {
 		return fmt.Errorf("obs: float32 throughput regressed: %.2f flights/sec vs baseline %.2f (-%.1f%%, tolerance %.0f%%)",
 			newF32, oldF32, 100*(1-newF32/oldF32), 100*tolerance)
-	}
-	return nil
-}
-
-// CheckFloat32Speedup enforces the committed floor on the float32
-// precision win: the report must carry float32 rows and their speedup
-// over the float64 baseline must not fall below minSpeedup. A floor of
-// 0 disables the check (for gating artifacts predating the rows).
-func CheckFloat32Speedup(r *BenchReport, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	if r.Throughput == nil {
-		return fmt.Errorf("obs: report has no throughput section to check the float32 speedup in")
-	}
-	t := r.Throughput
-	if t.Float32BaselineFPS <= 0 {
-		return fmt.Errorf("obs: report has no float32 throughput rows (speedup floor %.2fx is enforced)", minSpeedup)
-	}
-	if t.Float32Speedup < minSpeedup {
-		return fmt.Errorf("obs: float32 speedup %.2fx fell below the committed floor %.2fx (%.2f vs %.2f flights/sec)",
-			t.Float32Speedup, minSpeedup, t.Float32BaselineFPS, t.BaselineFPS)
 	}
 	return nil
 }

@@ -606,10 +606,7 @@ func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 		gps[i] = triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel}
 	}
 	off := start - e.base
-	features := e.tri.Config().Features.Features
-	if e.sig.Precision == soundboost.Float32 {
-		features = e.tri.Config().Features.Features32
-	}
+	features := e.sig.Precision.TriageFeatures(e.tri.Config().Features)
 	feat := features(e.buf[0][off:off+total], e.rate, imu, gps)
 	return e.tri.Classify(feat).Benign
 }

@@ -76,110 +76,20 @@ func (c FeatureConfig) SNRIndex() int { return len(c.Bands) + 5 }
 // SNR dB, accel-magnitude std, gyro-magnitude mean, max consecutive GPS
 // velocity jump, position/velocity consistency gap].
 func (c FeatureConfig) Features(audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
-	c = c.withDefaults()
-	n := len(audio)
-	if n < 16 || rate <= 0 || len(c.Bands) == 0 || len(imu) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, c.Dim())
-
-	// --- One FFT over the whole window.
-	nfft := dsp.NextPow2(n)
-	plan := dsp.PlanFFT(nfft)
-	buf := dsp.AcquireComplex(nfft)
-	defer dsp.ReleaseComplex(buf)
-	win := dsp.CachedHann(n)
-	for i := range buf {
-		buf[i] = 0
-	}
-	var rms float64
-	zc := 0
-	prev := audio[0]
-	for i := 0; i < n; i++ {
-		v := audio[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		buf[i] = complex(v*win[i], 0)
-		rms += v * v
-		if (v > 0 && prev < 0) || (v < 0 && prev > 0) {
-			zc++
-		}
-		if v != 0 {
-			prev = v
-		}
-	}
-	rms = math.Sqrt(rms / float64(n))
-	plan.Forward(buf)
-	mags := dsp.Magnitudes(buf[:nfft/2+1])
-
-	// Band energies, normalised like the signature kernel so magnitudes
-	// stay comparable across window sizes.
-	inBand := 0.0
-	for _, band := range c.Bands {
-		e := dsp.BandEnergy(mags, nfft, rate, band) / math.Sqrt(float64(nfft))
-		out = append(out, math.Log1p(e))
-		inBand += e * e
-	}
-
-	// Broadband shape: centroid, rolloff, flatness over the power
-	// spectrum (DC excluded), frequencies normalised by Nyquist.
-	nyquist := rate / 2
-	var totalPow, weighted, logSum float64
-	for k := 1; k < len(mags); k++ {
-		p := mags[k] * mags[k]
-		totalPow += p
-		weighted += p * dsp.BinFrequency(k, nfft, rate)
-		logSum += math.Log(p + 1e-20)
-	}
-	if totalPow <= 0 {
-		return nil
-	}
-	centroid := weighted / totalPow / nyquist
-	target := c.RolloffFraction * totalPow
-	rolloff := nyquist
-	cum := 0.0
-	for k := 1; k < len(mags); k++ {
-		cum += mags[k] * mags[k]
-		if cum >= target {
-			rolloff = dsp.BinFrequency(k, nfft, rate)
-			break
-		}
-	}
-	bins := float64(len(mags) - 1)
-	flatness := math.Exp(logSum/bins) / (totalPow / bins)
-	zcr := float64(zc) / float64(n)
-
-	// SNR: energy inside the analysis bands against the out-of-band
-	// floor. The attack-free synthesiser concentrates rotor energy in
-	// the bands; a window whose floor swamps them is one the NN was not
-	// trained for, so the classifier treats low SNR as doubt.
-	outBand := totalPow/float64(nfft) - inBand
-	if outBand < 1e-20 {
-		outBand = 1e-20
-	}
-	snr := 10 * math.Log10((inBand+1e-20)/outBand)
-
-	out = append(out, centroid, rolloff/nyquist, flatness, zcr, math.Log1p(rms), snr)
-
-	out = appendTelemetryFeatures(out, imu, gps)
-
-	for _, v := range out {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-	}
-	return out
+	return features[float64](c, audio, rate, imu, gps)
 }
 
-// Features32 is the float32 spectral variant of Features: same feature
-// layout, same telemetry cross-checks (float64, bit-identical to
-// Features), but the window transform runs through the real-input
-// float32 FFT and the band energies are accumulated in float32. The
-// scalar features derived from the spectrum track Features within the
-// documented per-feature tolerance of the float32 path; callers opt in
-// via the signature precision, never by default.
+// Features32 is Features with the window transform and band-energy sums
+// in float32. The validity scan, RMS, ZCR and telemetry cross-checks are
+// float64 at both precisions, so they and the escalation predicate
+// match Features bit for bit; the spectral features track it within
+// the documented per-feature tolerance of the float32 path.
 func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
+	return features[float32](c, audio, rate, imu, gps)
+}
+
+// features is the triage kernel with its spectrum in element type F.
+func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
 	c = c.withDefaults()
 	n := len(audio)
 	if n < 16 || rate <= 0 || len(c.Bands) == 0 || len(imu) == 0 {
@@ -187,16 +97,14 @@ func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint,
 	}
 	out := make([]float64, 0, c.Dim())
 
-	// --- One real-input float32 FFT over the whole window. The validity
-	// scan, RMS and ZCR stay in float64 so the escalation predicate and
-	// the two broadband time-domain features match Features bit for bit.
+	// --- One real-input FFT over the whole window.
 	nfft := dsp.NextPow2(n)
-	plan := dsp.PlanFFT32(nfft)
-	re := dsp.AcquireFloats32(nfft)
-	defer dsp.ReleaseFloats32(re)
-	spec := dsp.AcquireComplex64(plan.SpectrumLen())
-	defer dsp.ReleaseComplex64(spec)
-	win := dsp.CachedHann32(n)
+	plan := dsp.PlanFFT[F](nfft)
+	re := dsp.Acquire[F](nfft)
+	defer dsp.Release(re)
+	spec := dsp.AcquireSpectrum[F](plan.SpectrumLen())
+	defer dsp.ReleaseSpectrum(spec)
+	win := dsp.CachedHann[F](n)
 	var rms float64
 	zc := 0
 	prev := audio[0]
@@ -206,7 +114,7 @@ func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint,
 			return nil
 		}
 		// re[n:] stays zero: the arena hands buffers out zeroed.
-		re[i] = float32(v) * win[i]
+		re[i] = F(v) * win[i]
 		rms += v * v
 		if (v > 0 && prev < 0) || (v < 0 && prev > 0) {
 			zc++
@@ -218,23 +126,29 @@ func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint,
 	rms = math.Sqrt(rms / float64(n))
 	spec = plan.ForwardReal(re, spec)
 
-	// Band energies, normalised like the signature kernel.
+	// Band energies, normalised like the signature kernel so magnitudes
+	// stay comparable across window sizes.
 	invSqrtN := 1 / math.Sqrt(float64(nfft))
 	inBand := 0.0
 	for _, band := range c.Bands {
-		e := dsp.BandPower32(spec, nfft, rate, band) * invSqrtN
+		e := dsp.BandPower(spec, nfft, rate, band) * invSqrtN
 		out = append(out, math.Log1p(e))
 		inBand += e * e
 	}
 
-	// Broadband shape over the half spectrum (DC excluded). Per-bin
-	// powers come straight off the float32 components — no square roots
-	// — and accumulate in float64 like the exact path.
+	// Broadband shape: centroid, rolloff, flatness over the power
+	// spectrum (DC excluded), frequencies normalised by Nyquist. Per-bin
+	// powers come straight off the F components and accumulate in
+	// float64.
+	power := func(k int) float64 {
+		zr, zi := spec.Re[k], spec.Im[k]
+		return float64(zr*zr + zi*zi)
+	}
 	nyquist := rate / 2
+	bins := len(spec.Re)
 	var totalPow, weighted, logSum float64
-	for k := 1; k < len(spec); k++ {
-		zr, zi := real(spec[k]), imag(spec[k])
-		p := float64(zr*zr + zi*zi)
+	for k := 1; k < bins; k++ {
+		p := power(k)
 		totalPow += p
 		weighted += p * dsp.BinFrequency(k, nfft, rate)
 		logSum += math.Log(p + 1e-20)
@@ -246,18 +160,20 @@ func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint,
 	target := c.RolloffFraction * totalPow
 	rolloff := nyquist
 	cum := 0.0
-	for k := 1; k < len(spec); k++ {
-		zr, zi := real(spec[k]), imag(spec[k])
-		cum += float64(zr*zr + zi*zi)
+	for k := 1; k < bins; k++ {
+		cum += power(k)
 		if cum >= target {
 			rolloff = dsp.BinFrequency(k, nfft, rate)
 			break
 		}
 	}
-	bins := float64(len(spec) - 1)
-	flatness := math.Exp(logSum/bins) / (totalPow / bins)
+	flatness := math.Exp(logSum/float64(bins-1)) / (totalPow / float64(bins-1))
 	zcr := float64(zc) / float64(n)
 
+	// SNR: energy inside the analysis bands against the out-of-band
+	// floor. The attack-free synthesiser concentrates rotor energy in
+	// the bands; a window whose floor swamps them is one the NN was not
+	// trained for, so the classifier treats low SNR as doubt.
 	outBand := totalPow/float64(nfft) - inBand
 	if outBand < 1e-20 {
 		outBand = 1e-20
@@ -277,8 +193,8 @@ func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint,
 
 // appendTelemetryFeatures appends the four telemetry cross-checks — the
 // features that can see attacks the microphones cannot (spoofed rows
-// never touch the audio channel). Shared verbatim by Features and
-// Features32 so the two precisions agree bit for bit on them.
+// never touch the audio channel). Computed in float64 at both
+// precisions, so they agree bit for bit.
 func appendTelemetryFeatures(out []float64, imu []IMUPoint, gps []GPSPoint) []float64 {
 	var accMean, gyroMean float64
 	accMags := make([]float64, len(imu))

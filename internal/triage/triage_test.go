@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"soundboost/internal/dsp"
@@ -152,6 +153,37 @@ func TestFeatures32RejectionParity(t *testing.T) {
 			t.Errorf("%s: exact path unexpectedly accepted the window", tc.name)
 		}
 	}
+}
+
+// TestFeaturesFloat32ConcurrentMatchesSerial runs both precisions of the
+// kernel concurrently over the shared plan, window and arena caches
+// (run under -race) and requires every result to match its serial run
+// bit for bit.
+func TestFeaturesFloat32ConcurrentMatchesSerial(t *testing.T) {
+	cfg := testFeatureConfig()
+	rng := rand.New(rand.NewSource(13))
+	audio := synthWindow(rng, 4000, 2000, 220, 0.5, 0.05)
+	imu, gps := benignTelemetry(rng, 100)
+	kernels := []func([]float64, float64, []IMUPoint, []GPSPoint) []float64{cfg.Features, cfg.Features32}
+	want := make([][]float64, len(kernels))
+	for k, f := range kernels {
+		want[k] = f(audio, 4000, imu, gps)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			got := kernels[k](audio, 4000, imu, gps)
+			for i := range want[k] {
+				if got[i] != want[k][i] {
+					t.Errorf("kernel %d feature %d: concurrent %g, serial %g", k, i, got[i], want[k][i])
+					return
+				}
+			}
+		}(g % len(kernels))
+	}
+	wg.Wait()
 }
 
 func TestFeaturesRejectUnusableWindows(t *testing.T) {

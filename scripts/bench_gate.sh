@@ -4,29 +4,27 @@
 #
 # Runs a fresh instrumented throughput bench (benchtab -run throughput),
 # then compares it against the newest committed BENCH_<n>.json baseline
-# with `benchtab -compare OLD NEW -max-regress <tol> -min-f32-speedup
-# <floor>`: the gate fails when flights/sec drops, or p99 per-flight
-# latency rises, by more than the tolerance (default 15%), or when the
-# fresh report's float32 speedup over its own float64 baseline falls
-# below the committed floor (default 1.3x).
+# with `benchtab -compare OLD NEW -max-regress <tol>`: the gate fails
+# when flights/sec (float64, and float32 once both reports carry the
+# float32 rows) drops, or p99 per-flight latency rises, by more than the
+# tolerance (default 15%).
 #
 # Before trusting its own pass verdict, the script self-tests the gate
 # on two injected synthetic failures — the fresh report with halved
-# throughput and doubled p99, and the fresh report with a sub-floor
-# float32 speedup — both of which MUST fail the comparison. A gate that
-# cannot reject a 2x slowdown or a collapsed precision win is broken,
-# and that brokenness should fail CI louder than any real regression.
+# throughput and doubled p99 against the committed baseline, and the
+# fresh report with halved float32 throughput against the fresh report
+# itself — both of which MUST fail the comparison. A gate that cannot
+# reject a 2x slowdown of either precision is broken, and that
+# brokenness should fail CI louder than any real regression.
 #
 # Environment:
 #   MAX_REGRESS       tolerance for -max-regress (default 15%)
-#   MIN_F32_SPEEDUP   floor for -min-f32-speedup (default 1.3; 0 disables)
 #   BENCH_GATE_SCALE  experiment scale for the fresh run (default bench)
 set -eu
 
 cd "$(dirname "$0")/.."
 
 MAX_REGRESS="${MAX_REGRESS:-15%}"
-MIN_F32_SPEEDUP="${MIN_F32_SPEEDUP:-1.3}"
 SCALE="${BENCH_GATE_SCALE:-bench}"
 
 # Newest committed baseline: the highest BENCH_<n>.json, starting at the
@@ -41,7 +39,7 @@ if [ -z "$baseline" ]; then
     echo "bench_gate: no committed BENCH_<n>.json baseline (run make bench-json)" >&2
     exit 1
 fi
-echo "bench_gate: baseline $baseline, tolerance $MAX_REGRESS, float32 floor ${MIN_F32_SPEEDUP}x, scale $SCALE"
+echo "bench_gate: baseline $baseline, tolerance $MAX_REGRESS, scale $SCALE"
 
 fresh="${TMPDIR:-/tmp}/bench_gate_$$.json"
 doctored="$fresh.regressed"
@@ -71,24 +69,31 @@ if go run ./cmd/benchtab -compare "$baseline" "$doctored" -max-regress "$MAX_REG
 fi
 echo "bench_gate: self-test ok (injected 2x slowdown rejected)"
 
-# Self-test 2: collapse the float32 speedup below any sane floor and
-# require the speedup gate to fail.
-if [ "$MIN_F32_SPEEDUP" != "0" ]; then
-    python3 - "$fresh" "$doctored_f32" <<'EOF'
+# Self-test 2: halve the fresh report's float32 throughput and require
+# the like-for-like float32 row to fail against the fresh report itself
+# (a host-independent baseline for that row).
+python3 - "$fresh" "$doctored_f32" <<'EOF'
 import json, sys
 
 report = json.load(open(sys.argv[1]))
 tp = report["throughput"]
-tp["float32_baseline_flights_per_sec"] = tp["baseline_flights_per_sec"]
-tp["float32_speedup"] = 1.0
+if not tp.get("float32_baseline_flights_per_sec"):
+    sys.exit("fresh report has no float32 throughput rows")
+tp["float32_baseline_flights_per_sec"] /= 2
 json.dump(report, open(sys.argv[2], "w"))
 EOF
-    if go run ./cmd/benchtab -compare "$baseline" "$doctored_f32" -max-regress "$MAX_REGRESS" -min-f32-speedup "$MIN_F32_SPEEDUP" >/dev/null 2>&1; then
-        echo "bench_gate: SELF-TEST FAILED: a collapsed float32 speedup passed the gate" >&2
-        exit 1
-    fi
-    echo "bench_gate: self-test ok (collapsed float32 speedup rejected)"
+if out=$(go run ./cmd/benchtab -compare "$fresh" "$doctored_f32" -max-regress "$MAX_REGRESS" 2>&1); then
+    echo "bench_gate: SELF-TEST FAILED: a halved float32 throughput passed the gate" >&2
+    exit 1
 fi
+case "$out" in
+*"float32 throughput regressed"*) ;;
+*)
+    echo "bench_gate: SELF-TEST FAILED: halved float32 throughput failed for another reason: $out" >&2
+    exit 1
+    ;;
+esac
+echo "bench_gate: self-test ok (halved float32 throughput rejected)"
 
-go run ./cmd/benchtab -compare "$baseline" "$fresh" -max-regress "$MAX_REGRESS" -min-f32-speedup "$MIN_F32_SPEEDUP"
+go run ./cmd/benchtab -compare "$baseline" "$fresh" -max-regress "$MAX_REGRESS"
 echo "bench_gate: OK"
