@@ -236,6 +236,10 @@ type FramesRequest struct {
 	// Close marks end-of-stream after this batch: the session drains,
 	// finalizes its verdict, and moves to "done".
 	Close bool `json:"close,omitempty"`
+
+	// wire holds the body bytes DecodeStrict parsed this request from,
+	// nil for a request built in code (see EncodeChunk).
+	wire []byte
 }
 
 // FramesResponse is the POST /v1/sessions/{id}/frames response.

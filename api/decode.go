@@ -1,17 +1,95 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"reflect"
+	"slices"
+	"strconv"
+	"sync"
 )
 
 // DecodeStrict decodes exactly one JSON value from r into v, rejecting
 // unknown fields and trailing garbage. The server uses it for every
 // request body so client typos (a misspelled field would otherwise be
 // silently zero) and concatenated bodies fail loudly with a 400.
+//
+// The chunk-carrying bodies, *FramesRequest and *JournalAppend, are
+// read whole and parsed in one pass by a decoder of the encoding
+// json.Marshal and ChunkFlight produce (any key order and JSON
+// whitespace accepted). Anything else it meets — null, escaped,
+// duplicate or case-folded keys, numbers a field cannot hold, malformed
+// input — sends the whole body to encoding/json, so which bodies are
+// accepted, the errors returned and the values decoded are exactly
+// those of encoding/json. A FramesRequest decoded on the fast path
+// keeps its body bytes for EncodeChunk; it must be treated as
+// read-only, because modifying it would not change those bytes.
+//
+// Such a body is read into a buffer of exactly the size a Len method
+// reports (bytes.Reader, strings.Reader, bytes.Buffer); other types are
+// decoded by encoding/json straight from r.
 func DecodeStrict(r io.Reader, v any) error {
+	size := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
+	}
+	return decodeStrict(r, size, v)
+}
+
+// DecodeRequest is DecodeStrict over an HTTP request body, sized from
+// its declared Content-Length. The declared length is a hint, not a
+// promise: the up-front allocation is capped (see maxPresize) and the
+// buffer grows only as bytes actually arrive, so a client claiming a
+// huge body it never sends costs no more than the bytes it sent.
+func DecodeRequest(r *http.Request, v any) error {
+	return decodeStrict(r.Body, r.ContentLength, v)
+}
+
+func decodeStrict(r io.Reader, size int64, v any) error {
+	// Only a zero target takes the fast path: encoding/json would merge
+	// a body into a non-zero one.
+	var fast func(p *parser) bool
+	switch v := v.(type) {
+	case *FramesRequest:
+		if v != nil && reflect.ValueOf(*v).IsZero() {
+			fast = func(p *parser) bool { return p.frames(v) }
+		}
+	case *JournalAppend:
+		if v != nil && reflect.ValueOf(*v).IsZero() {
+			fast = func(p *parser) bool { return p.journalAppend(v) }
+		}
+	}
+	if fast == nil {
+		return decodeJSON(r, v)
+	}
+	body, err := readBody(r, size)
+	if err != nil {
+		// encoding/json meets the same bytes followed by the same error,
+		// so the outcome is the one it always reported: a syntax error
+		// already in the prefix, or the read error itself (such as
+		// http.MaxBytesReader's "request body too large").
+		return decodeJSON(io.MultiReader(bytes.NewReader(body), errReader{err}), v)
+	}
+	p := parsers.Get().(*parser)
+	p.b, p.i = body, 0
+	ok := p.value(fast)
+	p.b = nil
+	parsers.Put(p)
+	if ok {
+		return nil
+	}
+	// The fast path may have filled part of the target before giving up.
+	reflect.ValueOf(v).Elem().SetZero()
+	return decodeJSON(bytes.NewReader(body), v)
+}
+
+// decodeJSON is the encoding/json path: the reference every other path
+// must agree with.
+func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -21,4 +99,428 @@ func DecodeStrict(r io.Reader, v any) error {
 		return fmt.Errorf("api: decode: trailing data after JSON body")
 	}
 	return nil
+}
+
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// maxPresize caps the allocation made from a declared body length
+// before any byte has arrived. It covers a 0.5 s four-microphone chunk
+// at 16 kHz (about 0.7 MB) with room to spare; larger bodies grow from
+// there by doubling.
+const maxPresize = 1 << 20
+
+// readBody reads r to EOF into a buffer sized from size (the declared
+// length, or negative when unknown). It returns what it read along with
+// any error other than io.EOF.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	n := int64(512)
+	if size >= 0 {
+		n = size
+	}
+	if n > maxPresize {
+		n = maxPresize
+	}
+	// One spare byte lets the final, empty read that reports EOF run
+	// without growing an exactly sized buffer.
+	buf := make([]byte, 0, n+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf))
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// EncodeChunk returns the JSON body of req. A request DecodeStrict
+// decoded on its fast path returns the body bytes it was decoded from,
+// unchanged and shared — the caller must not modify them — so a chunk
+// is never re-encoded on its way to the journal, the owner replica or
+// a follower. Any other request is marshalled with encoding/json.
+func EncodeChunk(req FramesRequest) ([]byte, error) {
+	if req.wire != nil {
+		return req.wire, nil
+	}
+	return json.Marshal(req)
+}
+
+// EncodeJournalAppend returns the JSON body of a: json.Marshal(a),
+// except that the chunk is written by EncodeChunk, so a chunk decoded
+// from a client's body is spliced in as received.
+func EncodeJournalAppend(a JournalAppend) ([]byte, error) {
+	chunk, err := EncodeChunk(a.Chunk)
+	if err != nil {
+		return nil, err
+	}
+	version, err := json.Marshal(a.SchemaVersion)
+	if err != nil {
+		return nil, err
+	}
+	req, err := json.Marshal(a.Request)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(version)+len(req)+len(chunk)+64)
+	out = append(out, `{"schema_version":`...)
+	out = append(out, version...)
+	out = append(out, `,"seq":`...)
+	out = strconv.AppendInt(out, int64(a.Seq), 10)
+	out = append(out, `,"request":`...)
+	out = append(out, req...)
+	out = append(out, `,"chunk":`...)
+	out = append(out, chunk...)
+	return append(out, '}'), nil
+}
+
+// parser is the fast path of DecodeStrict: a single-pass reader of one
+// JSON body in the canonical shape. Every method reports false on
+// anything it does not handle, and the caller then hands the whole body
+// to encoding/json. Numbers are converted by the same strconv calls
+// encoding/json makes, so decoded values are bit-identical.
+//
+// The scratch slices collect the elements of one array at a time; each
+// array is then copied into a slice of exactly its length. They are
+// reused across bodies through the parsers pool.
+type parser struct {
+	b []byte
+	i int
+
+	nums  []float64
+	chans [][]float64
+	audio []AudioFrame
+	imu   []IMUSample
+	gps   []GPSSample
+}
+
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// Object keys in field order, matched exactly: encoding/json's
+// case-insensitive matching is left to the fallback.
+var (
+	framesKeys = []string{"seq", "audio", "imu", "gps", "close"}
+	audioKeys  = []string{"start_seconds", "rate_hz", "samples"}
+	imuKeys    = []string{"time_seconds", "accel", "gyro", "att"}
+	gpsKeys    = []string{"time_seconds", "pos", "vel"}
+	vecKeys    = []string{"x", "y", "z"}
+	quatKeys   = []string{"w", "x", "y", "z"}
+	appendKeys = []string{"schema_version", "seq", "request", "chunk"}
+)
+
+// value parses the whole body as one top-level value with parse,
+// allowing only whitespace around it.
+func (p *parser) value(parse func(p *parser) bool) bool {
+	if !parse(p) {
+		return false
+	}
+	p.ws()
+	return p.i == len(p.b)
+}
+
+func (p *parser) ws() {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c after optional whitespace.
+func (p *parser) eat(c byte) bool {
+	p.ws()
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// object parses an object whose keys are all in keys, calling field
+// with each key's index to parse its value. A repeated key fails.
+func (p *parser) object(keys []string, field func(k int) bool) bool {
+	if !p.eat('{') {
+		return false
+	}
+	if p.eat('}') {
+		return true
+	}
+	var seen uint
+	for {
+		k := p.key(keys)
+		if k < 0 || seen&(1<<k) != 0 || !p.eat(':') || !field(k) {
+			return false
+		}
+		seen |= 1 << k
+		if p.eat(',') {
+			continue
+		}
+		return p.eat('}')
+	}
+}
+
+// key parses an object key and returns its index in keys, or -1.
+func (p *parser) key(keys []string) int {
+	if !p.eat('"') {
+		return -1
+	}
+	end := bytes.IndexByte(p.b[p.i:], '"')
+	if end < 0 {
+		return -1
+	}
+	k := p.b[p.i : p.i+end]
+	p.i += end + 1
+	for i, want := range keys {
+		if string(k) == want {
+			return i
+		}
+	}
+	return -1
+}
+
+// array parses an array, each element into a scratch slot by elem, and
+// returns the elements in a slice of exactly their count (non-nil even
+// when empty, as encoding/json decodes []).
+func array[T any](p *parser, scratch *[]T, elem func(*T) bool) ([]T, bool) {
+	if !p.eat('[') {
+		return nil, false
+	}
+	buf := (*scratch)[:0]
+	defer func() {
+		clear(buf) // the pooled scratch must not keep decoded slices alive
+		*scratch = buf[:0]
+	}()
+	if !p.eat(']') {
+		for {
+			var zero T
+			buf = append(buf, zero)
+			if !elem(&buf[len(buf)-1]) {
+				return nil, false
+			}
+			if p.eat(',') {
+				continue
+			}
+			if !p.eat(']') {
+				return nil, false
+			}
+			break
+		}
+	}
+	out := make([]T, len(buf))
+	copy(out, buf)
+	return out, true
+}
+
+// number scans a JSON number and returns its literal (nil when none)
+// and whether it has neither fraction nor exponent.
+func (p *parser) number() (lit []byte, isInt bool) {
+	p.ws()
+	b, i := p.b, p.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		return nil, false
+	}
+	isInt = true
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return nil, false
+		}
+		i, isInt = j, false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil, false
+		}
+		i, isInt = j, false
+	}
+	lit, p.i = b[p.i:i], i
+	return lit, isInt
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// float parses a number into a float64 field: strconv.ParseFloat of the
+// literal, as encoding/json does; out of range falls back.
+func (p *parser) float(dst *float64) bool {
+	lit, _ := p.number()
+	if lit == nil {
+		return false
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return false
+	}
+	*dst = f
+	return true
+}
+
+// integer parses an integer literal into an int field: strconv.ParseInt,
+// as encoding/json does; a fraction or exponent falls back.
+func (p *parser) integer(dst *int) bool {
+	lit, isInt := p.number()
+	if lit == nil || !isInt {
+		return false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	if err != nil {
+		return false
+	}
+	*dst = int(n)
+	return true
+}
+
+func (p *parser) boolean(dst *bool) bool {
+	p.ws()
+	switch {
+	case bytes.HasPrefix(p.b[p.i:], []byte("true")):
+		*dst = true
+		p.i += 4
+	case bytes.HasPrefix(p.b[p.i:], []byte("false")):
+		*dst = false
+		p.i += 5
+	default:
+		return false
+	}
+	return true
+}
+
+// jsonValue decodes the value at the cursor with encoding/json,
+// strictly — for the small string and SessionRequest fields of a
+// JournalAppend, where a hand-written parser would buy nothing.
+func (p *parser) jsonValue(v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(p.b[p.i:]))
+	dec.DisallowUnknownFields()
+	if dec.Decode(v) != nil {
+		return false
+	}
+	p.i += int(dec.InputOffset())
+	return true
+}
+
+// frames parses a FramesRequest object, keeping its bytes as the
+// request's wire form.
+func (p *parser) frames(req *FramesRequest) bool {
+	p.ws()
+	start := p.i
+	ok := p.object(framesKeys, func(k int) bool {
+		var ok bool
+		switch k {
+		case 0:
+			return p.integer(&req.Seq)
+		case 1:
+			req.Audio, ok = array(p, &p.audio, p.audioFrame)
+		case 2:
+			req.IMU, ok = array(p, &p.imu, p.imuSample)
+		case 3:
+			req.GPS, ok = array(p, &p.gps, p.gpsSample)
+		default:
+			return p.boolean(&req.Close)
+		}
+		return ok
+	})
+	if ok {
+		req.wire = p.b[start:p.i]
+	}
+	return ok
+}
+
+func (p *parser) audioFrame(f *AudioFrame) bool {
+	return p.object(audioKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return p.float(&f.StartSeconds)
+		case 1:
+			return p.float(&f.RateHz)
+		}
+		var ok bool
+		f.Samples, ok = array(p, &p.chans, p.channel)
+		return ok
+	})
+}
+
+func (p *parser) channel(ch *[]float64) bool {
+	var ok bool
+	*ch, ok = array(p, &p.nums, p.float)
+	return ok
+}
+
+func (p *parser) imuSample(s *IMUSample) bool {
+	return p.object(imuKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return p.float(&s.TimeSeconds)
+		case 1:
+			return p.vec3(&s.Accel)
+		case 2:
+			return p.vec3(&s.Gyro)
+		}
+		return p.quat(&s.Att)
+	})
+}
+
+func (p *parser) gpsSample(s *GPSSample) bool {
+	return p.object(gpsKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return p.float(&s.TimeSeconds)
+		case 1:
+			return p.vec3(&s.Pos)
+		}
+		return p.vec3(&s.Vel)
+	})
+}
+
+func (p *parser) vec3(v *Vec3) bool {
+	return p.object(vecKeys, func(k int) bool {
+		return p.float([...]*float64{&v.X, &v.Y, &v.Z}[k])
+	})
+}
+
+func (p *parser) quat(q *Quat) bool {
+	return p.object(quatKeys, func(k int) bool {
+		return p.float([...]*float64{&q.W, &q.X, &q.Y, &q.Z}[k])
+	})
+}
+
+// journalAppend parses a JournalAppend; its chunk takes the fast path
+// and keeps its own sub-slice of the body as its wire form.
+func (p *parser) journalAppend(a *JournalAppend) bool {
+	return p.object(appendKeys, func(k int) bool {
+		switch k {
+		case 0:
+			return p.jsonValue(&a.SchemaVersion)
+		case 1:
+			return p.integer(&a.Seq)
+		case 2:
+			return p.jsonValue(&a.Request)
+		}
+		return p.frames(&a.Chunk)
+	})
 }

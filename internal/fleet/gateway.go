@@ -146,7 +146,7 @@ type route struct {
 	// followers / repSeq / repAcked / prevLag drive journal replication
 	// (see replication.go): the follower set, the owner-acknowledged
 	// chunk count, each follower's acked high-water mark, and the last
-	// published lag (for the behind gauge's deltas).
+	// published lag (for the replication gauges).
 	followers []string
 	repSeq    int
 	repAcked  map[string]int
@@ -622,7 +622,7 @@ func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal
 		return fmt.Errorf("fleet: successor %s rejected session: %w", target, err)
 	}
 	for _, c := range exp.Chunks {
-		raw, err := json.Marshal(c)
+		raw, err := api.EncodeChunk(c)
 		if err != nil {
 			return err
 		}
@@ -891,13 +891,14 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	var req api.FramesRequest
+	if err := api.DecodeRequest(r, &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	var req api.FramesRequest
-	if err := api.DecodeStrict(bytes.NewReader(buf.Bytes()), &req); err != nil {
+	// The owner gets the client's bytes, not a re-encoding.
+	body, err := api.EncodeChunk(req)
+	if err != nil {
 		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
@@ -907,7 +908,7 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var out api.FramesResponse
-	if err := g.forwardLocked(rt, "POST", "/frames", buf.Bytes(), &out); err != nil {
+	if err := g.forwardLocked(rt, "POST", "/frames", body, &out); err != nil {
 		g.writeUpstreamError(w, err)
 		return
 	}

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"soundboost/api"
 	"soundboost/internal/httpretry"
@@ -27,7 +27,7 @@ import (
 //
 // Replication is best-effort per chunk and never fails the client: the
 // owner's fsynced journal already made the chunk durable, so a follower
-// falling behind is a visible (fleet.replication.lag.*) reduction in
+// falling behind is a visible (fleet.replication.lag_max) reduction in
 // failure coverage, not an error. Appends ride a tighter retry budget
 // than client forwarding — the client is waiting.
 
@@ -50,17 +50,20 @@ func (g *Gateway) pickFollowers(gwID, owner string) []string {
 	return out
 }
 
-// appendFollower replicates one chunk to one follower.
-func (g *Gateway) appendFollower(rt *route, follower string, seq int, chunk api.FramesRequest) error {
-	body, err := json.Marshal(api.JournalAppend{
+// appendBody is the JournalAppend body replicating chunk as the
+// session's seq-th append. A chunk the gateway decoded from its client
+// is spliced in as the client sent it, never re-encoded.
+func appendBody(rt *route, seq int, chunk api.FramesRequest) ([]byte, error) {
+	return api.EncodeJournalAppend(api.JournalAppend{
 		SchemaVersion: api.Version,
 		Seq:           seq,
 		Request:       rt.req,
 		Chunk:         chunk,
 	})
-	if err != nil {
-		return err
-	}
+}
+
+// appendFollower sends one JournalAppend body to one follower.
+func (g *Gateway) appendFollower(rt *route, follower string, body []byte) error {
 	var resp api.JournalAppendResponse
 	return g.repClient.Do("POST",
 		g.base(follower)+"/"+api.Version+"/sessions/"+rt.gwID+"/journal/append",
@@ -92,11 +95,18 @@ func (g *Gateway) replicateLocked(rt *route, chunk api.FramesRequest, duplicate 
 		return
 	}
 	rt.repSeq++
+	body, err := appendBody(rt, rt.repSeq, chunk)
+	if err != nil {
+		replicationErrors.Inc()
+		g.logf("session %s: encode seq %d: %v", rt.gwID, rt.repSeq, err)
+		g.updateLagLocked(rt)
+		return
+	}
 	for _, f := range rt.followers {
 		if f == rt.replica || !g.health.Up(f) {
 			continue // lag accrues; a later reseed or append catches up
 		}
-		if err := g.appendFollower(rt, f, rt.repSeq, chunk); err != nil {
+		if err := g.appendFollower(rt, f, body); err != nil {
 			replicationErrors.Inc()
 			var se *httpretry.StatusError
 			if errors.As(err, &se) && se.Code == api.CodeConflict {
@@ -136,7 +146,11 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 		}
 		seeded := true
 		for i, c := range exp.Chunks {
-			if err := g.appendFollower(rt, f, i+1, c); err != nil {
+			body, err := appendBody(rt, i+1, c)
+			if err == nil {
+				err = g.appendFollower(rt, f, body)
+			}
+			if err != nil {
 				replicationErrors.Inc()
 				g.logf("session %s: seed chunk %d to %s failed: %v", rt.gwID, i+1, f, err)
 				seeded = false
@@ -151,9 +165,9 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 	g.updateLagLocked(rt)
 }
 
-// updateLagLocked refreshes the session's replication-lag gauge (owner
-// high-water mark minus the slowest follower's) and the fleet-wide
-// behind count. Caller holds rt.mu.
+// updateLagLocked records the session's replication lag (owner
+// high-water mark minus the slowest follower's) in the fleet-wide
+// gauges. Caller holds rt.mu.
 func (g *Gateway) updateLagLocked(rt *route) {
 	lag := 0
 	for _, f := range rt.followers {
@@ -164,14 +178,43 @@ func (g *Gateway) updateLagLocked(rt *route) {
 			lag = l
 		}
 	}
-	replicationLag(rt.gwID).Set(float64(lag))
-	switch {
-	case lag > 0 && rt.prevLag == 0:
-		replicationBehind.Add(1)
-	case lag == 0 && rt.prevLag > 0:
-		replicationBehind.Add(-1)
-	}
+	replicationLags.move(rt.prevLag, lag)
 	rt.prevLag = lag
+}
+
+// lagTracker counts lagging routes by lag. It feeds the two replication
+// gauges, so their number stays fixed however many sessions pass
+// through: behind is how many routes lag, lag_max the largest lag. It is
+// process-wide, like the registry holding the gauges.
+type lagTracker struct {
+	mu     sync.Mutex
+	routes map[int]int // lag (> 0) → routes at that lag
+}
+
+var replicationLags = lagTracker{routes: make(map[int]int)}
+
+// move re-files one route from lag from to lag to.
+func (t *lagTracker) move(from, to int) {
+	if from == to {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from > 0 {
+		if t.routes[from]--; t.routes[from] == 0 {
+			delete(t.routes, from)
+		}
+	}
+	if to > 0 {
+		t.routes[to]++
+	}
+	behind, worst := 0, 0
+	for lag, n := range t.routes {
+		behind += n
+		worst = max(worst, lag)
+	}
+	replicationBehind.Set(float64(behind))
+	replicationLagMax.Set(float64(worst))
 }
 
 // liveExport fetches the session's journal from its current owner.

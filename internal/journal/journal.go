@@ -213,7 +213,8 @@ func (s *Store) RemoveSession(id string) {
 // tail (the final non-empty line fails to parse: the crash landed
 // mid-append, nothing acknowledged was lost) from mid-log corruption
 // (an earlier line fails: acknowledged chunks are gone — corrupt
-// carries the cause and parsing stops at the damage).
+// carries the cause and parsing stops at the damage). Lines are decoded
+// by api.DecodeStrict, the decoder that validated them on arrival.
 func readChunkLog(path string) (chunks []api.FramesRequest, corrupt string) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -233,7 +234,7 @@ func readChunkLog(path string) (chunks []api.FramesRequest, corrupt string) {
 			continue
 		}
 		var req api.FramesRequest
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := api.DecodeStrict(bytes.NewReader(line), &req); err != nil {
 			if i == lastNonEmpty {
 				// Torn tail from a crash mid-append: the chunk was never
 				// acknowledged, so dropping it loses nothing the client
@@ -300,20 +301,52 @@ func (sj *Session) WriteMeta(m Meta) error {
 // AppendChunk durably logs one accepted FramesRequest. It must return
 // before the chunk is published or acknowledged — the write-ahead
 // ordering is what makes "accepted" mean "survives a crash".
+//
+// The line is api.EncodeChunk(req): for a request decoded from a
+// client's body, those very bytes, not a re-encoding. JSON allows
+// newlines only as whitespace, so any in the body become spaces and the
+// chunk stays one line.
 func (sj *Session) AppendChunk(req api.FramesRequest) error {
-	raw, err := json.Marshal(req)
+	body, err := api.EncodeChunk(req)
 	if err != nil {
 		return err
 	}
+	// One write per line, so a crash tears at most the final line.
+	bp := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(bp)
+	line := append(append((*bp)[:0], body...), '\n')
+	*bp = line
+	flattenNewlines(line[:len(line)-1])
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	if sj.chunks == nil {
 		return fmt.Errorf("journal chunk log closed")
 	}
-	if _, err := sj.chunks.Write(append(raw, '\n')); err != nil {
+	if _, err := sj.chunks.Write(line); err != nil {
 		return err
 	}
 	return sj.chunks.Sync()
+}
+
+// lineBufs pools AppendChunk's line buffers: a chunk body is large
+// (about 0.7 MB for 0.5 s of 4-microphone 16 kHz audio) and written at
+// chunk rate.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// flattenNewlines turns the CR and LF bytes of a JSON text into spaces.
+// Outside strings they are whitespace, and inside strings JSON forbids
+// them unescaped, so the text means the same.
+func flattenNewlines(b []byte) {
+	for _, c := range []byte{'\n', '\r'} {
+		for i := 0; ; {
+			j := bytes.IndexByte(b[i:], c)
+			if j < 0 {
+				break
+			}
+			i += j
+			b[i] = ' '
+		}
+	}
 }
 
 // CloseChunks releases the chunk-log handle once the session stops

@@ -100,7 +100,7 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.JournalAppend
-	if err := api.DecodeStrict(r.Body, &req); err != nil {
+	if err := api.DecodeRequest(r, &req); err != nil {
 		s.writeBadRequest(w, err)
 		return
 	}
@@ -150,6 +150,7 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		fc.sj, fc.closed = sj, false
 	}
+	// The chunk's own bytes within this body are what gets journaled.
 	if err := fc.sj.AppendChunk(req.Chunk); err != nil {
 		s.writeError(w, fmt.Errorf("server: follower append: %w", err))
 		return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strings"
+	"sync"
 
 	"soundboost/internal/obs"
 )
@@ -58,15 +59,6 @@ var (
 	framesAccepted = obs.Default.Counter("server.frames.accepted")
 	httpErrors     = obs.Default.Counter("server.http.errors")
 
-	// sessionsOpenedByGroup counts opened sessions per flight-label group
-	// (see labelGroup): workload drivers that label sessions
-	// "sweep/trial-…", "chaos-…", etc. become separately countable in the
-	// registry snapshot, so a sweep's sessions are attributable among
-	// whatever else the server is doing.
-	sessionsOpenedByGroup = func(flight string) *obs.Counter {
-		return obs.Default.Counter("server.sessions.opened." + labelGroup(flight))
-	}
-
 	flightsTimer        = obs.Default.Timer("server.http.flights")
 	sessionsTimer       = obs.Default.Timer("server.http.sessions.create")
 	framesTimer         = obs.Default.Timer("server.http.sessions.frames")
@@ -75,6 +67,38 @@ var (
 	journalExportTimer  = obs.Default.Timer("server.http.sessions.journal")
 	followerAppendTimer = obs.Default.Timer("server.http.sessions.journal_append")
 )
+
+// maxLabelGroups caps the distinct server.sessions.opened.<group>
+// counters. The group comes from a label the client chooses, so without
+// a cap every distinct label would add a counter for good.
+const maxLabelGroups = 32
+
+// labelGroups is the set of groups given their own counter so far,
+// process-wide like the registry that holds the counters.
+var labelGroups = struct {
+	sync.Mutex
+	seen map[string]bool
+}{seen: make(map[string]bool)}
+
+// sessionsOpenedByGroup counts opened sessions per flight-label group
+// (see labelGroup): workload drivers that label sessions
+// "sweep/trial-…", "chaos-…", etc. become separately countable in the
+// registry snapshot, so a sweep's sessions are attributable among
+// whatever else the server is doing. Groups beyond the first
+// maxLabelGroups share the "other" counter.
+func sessionsOpenedByGroup(flight string) *obs.Counter {
+	group := labelGroup(flight)
+	labelGroups.Lock()
+	if !labelGroups.seen[group] {
+		if len(labelGroups.seen) < maxLabelGroups {
+			labelGroups.seen[group] = true
+		} else {
+			group = "other"
+		}
+	}
+	labelGroups.Unlock()
+	return obs.Default.Counter("server.sessions.opened." + group)
+}
 
 // labelGroup maps a session's flight label to a bounded metric group:
 // the prefix before the first "/" when the label carries one (the

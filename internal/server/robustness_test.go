@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -445,4 +449,98 @@ func mustGlob(t *testing.T, dir, pattern string) []string {
 		t.Fatalf("glob %s in %s: %v (%d matches)", pattern, dir, err, len(matches))
 	}
 	return matches
+}
+
+// TestJournalPrettyBodyRecovery streams pretty-printed, multi-line
+// frames bodies: each is journaled as the client's bytes on one line
+// (newlines flattened), and a restart over the journal mid-upload ends
+// with the verdict of the compact upload.
+func TestJournalPrettyBodyRecovery(t *testing.T) {
+	fx := getFixture(t)
+	flight := fx.calib[0]
+	liveDir := t.TempDir()
+	a := newTestServer(t, Config{JournalDir: liveDir})
+	clean := runSession(t, a, flight, 6)
+
+	reqs, err := framesFromFlight(flight, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pretty := make([]string, len(reqs))
+	for i, r := range reqs {
+		b, err := json.MarshalIndent(r, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pretty[i] = strings.ReplaceAll(string(b), "\n", "\r\n")
+	}
+	base := openSession(t, a, flight)
+	cut := len(reqs) / 2
+	for _, body := range pretty[:cut] {
+		decode[api.FramesResponse](t, do(t, a, "POST", base+"/frames", body), http.StatusOK)
+	}
+
+	crashDir := copyDir(t, liveDir)
+	var log []byte
+	for _, m := range mustGlob(t, crashDir, "*.chunks.jsonl") {
+		raw, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Count(raw, []byte("\n")) == cut {
+			log = raw
+		}
+	}
+	if log == nil {
+		t.Fatalf("no chunk log holds the %d pretty chunks one per line", cut)
+	}
+	if bytes.ContainsRune(log, '\r') || !bytes.HasPrefix(log, []byte("{  \t\"seq\": 1,  \t\"audio\"")) {
+		t.Fatalf("journal line is not the client's body with newlines flattened: %.80q", log)
+	}
+
+	b := newTestServer(t, Config{JournalDir: crashDir})
+	if st := waitSessionState(t, b, base, api.SessionOpen); st.LastSeq != cut {
+		t.Fatalf("recovered last_seq = %d, want %d", st.LastSeq, cut)
+	}
+	for _, body := range pretty[cut:] {
+		decode[api.FramesResponse](t, do(t, b, "POST", base+"/frames", body), http.StatusOK)
+	}
+	report := decode[api.Report](t, do(t, b, "GET", base+"/report", nil), http.StatusOK)
+	if !reflect.DeepEqual(report, clean) {
+		t.Errorf("pretty upload after recovery diverged from compact:\nclean: %+v\ngot:   %+v", clean, report)
+	}
+}
+
+// TestClaimedContentLengthNotTrusted sends a frames request declaring
+// 200 MiB that carries 1 KB: it gets the answer the truthful request
+// gets, and the server never allocates anything like the claimed size.
+// An over-limit body still fails as it always did.
+func TestClaimedContentLengthNotTrusted(t *testing.T) {
+	s := newTestServer(t, Config{MaxBodyBytes: 64 << 10, Logf: t.Logf})
+	base := openSession(t, s, getFixture(t).calib[0])
+	body := []byte(`{"seq":1,"imu":[` + strings.Repeat(`{"time_seconds":0.5},`, 48))[:1024]
+
+	truthful := do(t, s, "POST", base+"/frames", bytes.NewReader(body))
+	errCode(t, truthful, http.StatusBadRequest, api.CodeBadRequest)
+
+	req := httptest.NewRequest("POST", base+"/frames", bytes.NewReader(body))
+	req.ContentLength = 200 << 20
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.Code != truthful.Code || w.Body.String() != truthful.Body.String() {
+		t.Fatalf("lying Content-Length answered %d %s, truthful %d %s", w.Code, w.Body, truthful.Code, truthful.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("request claiming 200 MiB allocated %d bytes", grew)
+	}
+
+	over := bytes.Repeat([]byte(" "), 128<<10)
+	w = do(t, s, "POST", base+"/frames", bytes.NewReader(over))
+	errCode(t, w, http.StatusBadRequest, api.CodeBadRequest)
+	if !strings.Contains(w.Body.String(), "request body too large") {
+		t.Fatalf("over-limit body: %s", w.Body)
+	}
 }

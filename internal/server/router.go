@@ -135,7 +135,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.FramesRequest
-	if err := api.DecodeStrict(r.Body, &req); err != nil {
+	if err := api.DecodeRequest(r, &req); err != nil {
 		s.writeBadRequest(w, err)
 		return
 	}

@@ -2,7 +2,8 @@
 # verify.sh — the repository's full verification gate:
 #   gofmt (fail on any unformatted file), go vet, staticcheck, build,
 #   race-enabled tests (uncached: -count=1 avoids cached-test false greens),
-#   vet and short tests of the bench/ module, and the seeded chaos soak
+#   10 s of each native fuzz target, vet and short tests of the bench/
+#   module, and the seeded chaos soak
 #   (scripts/chaos_smoke.sh).
 # Run from the repo root, or via `make verify`.
 #
@@ -58,6 +59,14 @@ go build ./...
 
 echo "== go test -race -count=1 =="
 go test -race -count=1 ./...
+
+echo "== fuzz (10s per target) =="
+# The native fuzz targets: the strict chunk decoder against encoding/json
+# (frames bodies and replication appends) and the journal scanner's
+# torn-tail/corruption contract. Seed corpora live in testdata/fuzz.
+for target in ./api:FuzzDecodeFrames ./api:FuzzDecodeJournalAppend ./internal/journal:FuzzReadChunkLog; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "${target%%:*}"
+done
 
 echo "== bench module: go vet + go test -short =="
 # bench/ is its own module (it replaces soundboost with this checkout),
