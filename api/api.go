@@ -152,7 +152,7 @@ type SessionRequest struct {
 	// SampleRateHz is the audio sample rate of the incoming frames
 	// (required; it must satisfy the calibrated model's layout).
 	SampleRateHz float64 `json:"sample_rate_hz"`
-	// Buffer is the per-topic subscription depth (0 = server default).
+	// Buffer is accepted, no effect; removal waits for a /v2.
 	Buffer int `json:"buffer,omitempty"`
 	// LagHorizonSeconds bounds how far audio may outrun telemetry
 	// before windows are shed (0 = engine default).
@@ -245,11 +245,12 @@ type FramesRequest struct {
 // FramesResponse is the POST /v1/sessions/{id}/frames response.
 type FramesResponse struct {
 	SchemaVersion string `json:"schema_version"`
-	// Accepted counts the messages published to the session bus.
+	// Accepted counts the messages (audio frames, IMU rows, GPS fixes)
+	// of the request's chunk, now queued for the session's engine; 0 on
+	// a duplicate. Every accepted message reaches the engine.
 	Accepted int `json:"accepted"`
-	// Shed counts session-lifetime bus messages dropped by
-	// backpressure; a nonzero value means the client is outrunning the
-	// engine and the verdict may no longer match a batch run.
+	// Shed is always 0: the server never drops input. A client that
+	// outruns its session's engine waits for the ack instead.
 	Shed  int    `json:"shed"`
 	State string `json:"state"`
 	// Duplicate reports that the request's Seq was already accepted and
@@ -286,7 +287,7 @@ type SessionStatus struct {
 	// creation and last touch.
 	AgeSeconds  float64 `json:"age_seconds"`
 	IdleSeconds float64 `json:"idle_seconds"`
-	// Shed counts bus messages dropped by backpressure so far.
+	// Shed is always 0: the server never drops input.
 	Shed int `json:"shed"`
 	// LastSeq is the highest frames-request sequence number accepted so
 	// far (0 when the client is not using sequence numbers). A client

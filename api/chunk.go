@@ -20,14 +20,16 @@ import (
 // replay ordering. The final request has Close set.
 //
 // frameSeconds <= 0 selects the 50 ms default. chunkSeconds must be
-// positive (faults.ErrBadChunk otherwise) — callers wanting the whole
-// flight in one request pass a chunk size covering its full duration. A
-// nil or empty flight yields faults.ErrNoFlight.
+// positive (faults.ErrBadChunk otherwise, NaN included) — callers
+// wanting the whole flight in one request pass a chunk size covering
+// its full duration. Only slices holding an event become requests, so
+// memory follows the flight, not the chunk count. A nil or empty flight
+// yields faults.ErrNoFlight.
 func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]FramesRequest, error) {
 	if f == nil || f.Audio == nil || f.Audio.Samples() == 0 {
 		return nil, fmt.Errorf("api: nothing to chunk: %w", faults.ErrNoFlight)
 	}
-	if chunkSeconds <= 0 {
+	if !(chunkSeconds > 0) {
 		return nil, fmt.Errorf("%w: got %v", faults.ErrBadChunk, chunkSeconds)
 	}
 	if frameSeconds <= 0 {
@@ -61,8 +63,15 @@ func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]Frame
 		}
 		return i
 	}
+	slices := map[int]*FramesRequest{}
+	at := func(tm float64) *FramesRequest {
+		i := sliceAt(tm)
+		if slices[i] == nil {
+			slices[i] = &FramesRequest{}
+		}
+		return slices[i]
+	}
 
-	reqs := make([]FramesRequest, nChunks)
 	for o := 0; o < total; o += frameN {
 		end := o + frameN
 		if end > total {
@@ -72,33 +81,32 @@ func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]Frame
 		for m := range samples {
 			samples[m] = f.Audio.Channels[m][o:end]
 		}
-		endT := float64(end) / rate
-		i := sliceAt(endT)
-		reqs[i].Audio = append(reqs[i].Audio, AudioFrameFromStream(stream.AudioFrame{
+		r := at(float64(end) / rate)
+		r.Audio = append(r.Audio, AudioFrameFromStream(stream.AudioFrame{
 			Start: float64(o) / rate, Rate: rate, Samples: samples,
 		}))
 	}
 	for _, s := range f.Telemetry {
-		i := sliceAt(s.Time)
-		reqs[i].IMU = append(reqs[i].IMU, IMUSampleFromStream(stream.IMUSample{
+		r := at(s.Time)
+		r.IMU = append(r.IMU, IMUSampleFromStream(stream.IMUSample{
 			Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt,
 		}))
-		reqs[i].GPS = append(reqs[i].GPS, GPSSampleFromStream(stream.GPSSample{
+		r.GPS = append(r.GPS, GPSSampleFromStream(stream.GPSSample{
 			Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel,
 		}))
 	}
-	// Drop empty slices (possible at the tail for coarse chunk sizes),
-	// then assert the cross-request invariant: no stream runs backwards
-	// across a chunk boundary.
-	dense := reqs[:0]
-	for _, r := range reqs {
-		if len(r.Audio) > 0 || len(r.IMU) > 0 || len(r.GPS) > 0 {
-			dense = append(dense, r)
-		}
+	// Requests in slice order. Slices are consecutive time intervals and
+	// every event lands in the one holding its time (an audio frame's is
+	// its capture-complete time), so no stream runs backwards across a
+	// request boundary.
+	order := make([]int, 0, len(slices))
+	for i := range slices {
+		order = append(order, i)
 	}
-	reqs = dense
-	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return firstTime(reqs[i]) < firstTime(reqs[j]) }) {
-		return nil, fmt.Errorf("api: chunking produced out-of-order requests")
+	sort.Ints(order)
+	reqs := make([]FramesRequest, len(order))
+	for k, i := range order {
+		reqs[k] = *slices[i]
 	}
 	// Sequence numbers make the upload idempotent: a resent chunk is
 	// acknowledged, not re-published, and a journal-recovered session
@@ -108,20 +116,4 @@ func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]Frame
 	}
 	reqs[len(reqs)-1].Close = true
 	return reqs, nil
-}
-
-// firstTime returns the earliest event timestamp in a (non-empty)
-// request.
-func firstTime(r FramesRequest) float64 {
-	t := 1e300
-	if len(r.Audio) > 0 && r.Audio[0].StartSeconds < t {
-		t = r.Audio[0].StartSeconds
-	}
-	if len(r.IMU) > 0 && r.IMU[0].TimeSeconds < t {
-		t = r.IMU[0].TimeSeconds
-	}
-	if len(r.GPS) > 0 && r.GPS[0].TimeSeconds < t {
-		t = r.GPS[0].TimeSeconds
-	}
-	return t
 }

@@ -142,3 +142,21 @@ func GPSSampleFromStream(s stream.GPSSample) GPSSample {
 func (s GPSSample) ToStream() stream.GPSSample {
 	return stream.GPSSample{Time: s.TimeSeconds, Pos: s.Pos.ToMathx(), Vel: s.Vel.ToMathx()}
 }
+
+// ToStream converts a chunk's three streams to the engine's input types,
+// in the argument order of stream.Events.
+func (r FramesRequest) ToStream() ([]stream.AudioFrame, []stream.IMUSample, []stream.GPSSample) {
+	audio := make([]stream.AudioFrame, len(r.Audio))
+	for i, f := range r.Audio {
+		audio[i] = f.ToStream()
+	}
+	imu := make([]stream.IMUSample, len(r.IMU))
+	for i, s := range r.IMU {
+		imu[i] = s.ToStream()
+	}
+	gps := make([]stream.GPSSample, len(r.GPS))
+	for i, s := range r.GPS {
+		gps[i] = s.ToStream()
+	}
+	return audio, imu, gps
+}

@@ -35,7 +35,6 @@ func runPush(args []string) error {
 		mode       = fs.String("mode", "batch", "batch (one-shot upload) or session (chunked streaming)")
 		frameSec   = fs.Float64("frame", 0.05, "audio frame length in seconds (session mode)")
 		chunkSec   = fs.Float64("chunk", 2, "flight seconds per frames request (session mode, 0 = single request)")
-		buffer     = fs.Int("buffer", 1<<15, "server-side per-topic buffer depth (session mode)")
 		retries    = fs.Int("retries", 8, "max retries per request for transient failures")
 		retryBase  = fs.Duration("retry-base", 200*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
 		pace       = fs.Duration("pace", 0, "sleep between frames requests (session mode); paces the upload like a live source so mid-flight outages land inside it")
@@ -63,7 +62,7 @@ func runPush(args []string) error {
 	case "batch":
 		wire, err = pushBatch(client, base, *flightPath)
 	case "session":
-		wire, err = pushSession(client, base, flight, *frameSec, *chunkSec, *buffer, *pace)
+		wire, err = pushSession(client, base, flight, *frameSec, *chunkSec, *pace)
 	default:
 		return fmt.Errorf("unknown -mode %q (want batch or session)", *mode)
 	}
@@ -108,12 +107,11 @@ func flightDuration(f *dataset.Flight) float64 {
 
 // pushSession streams the flight through a session: create, feed
 // sequence-numbered frame batches, read the final report.
-func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, frameSec, chunkSec float64, buffer int, pace time.Duration) (api.Report, error) {
+func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, frameSec, chunkSec float64, pace time.Duration) (api.Report, error) {
 	var created api.SessionResponse
 	body, err := json.Marshal(api.SessionRequest{
 		Flight:       flight.Name,
 		SampleRateHz: flight.Audio.SampleRate,
-		Buffer:       buffer,
 	})
 	if err != nil {
 		return api.Report{}, err
@@ -149,9 +147,6 @@ func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, 
 		total += resp.Accepted
 		if resp.Duplicate {
 			dups++
-		}
-		if resp.Shed > 0 {
-			fmt.Fprintf(os.Stderr, "warning: server shed %d messages; verdict may diverge from batch\n", resp.Shed)
 		}
 	}
 	if dups > 0 {

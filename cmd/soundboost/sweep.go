@@ -32,7 +32,6 @@ func runSweep(args []string) error {
 		seconds     = fs.Float64("seconds", 20, "flight duration (s)")
 		seed        = fs.Int64("seed", 42, "master seed; the same seed reproduces the sweep byte for byte")
 		concurrency = fs.Int("concurrency", 4, "trials in flight at once")
-		buffer      = fs.Int("buffer", 1<<16, "per-topic session buffer depth")
 		preset      = fs.String("preset", "fast", "flight synthesis preset: fast (4 kHz) or paper (must match the analyzer's corpus)")
 		timings     = fs.Bool("timings", false, "record per-trial wall-clock phase timings (breaks byte-determinism)")
 		jsonlPath   = fs.String("jsonl", "", "write per-trial JSONL records here (empty = stdout)")
@@ -54,7 +53,6 @@ func runSweep(args []string) error {
 		Seed:        *seed,
 		Preset:      *preset,
 		Concurrency: *concurrency,
-		Buffer:      *buffer,
 		Timings:     *timings,
 		Attacks:     sweep.ParseStrings(*attackAxis),
 		Logf:        func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) },

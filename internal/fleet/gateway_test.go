@@ -142,7 +142,6 @@ func openVia(t *testing.T, h http.Handler, f *dataset.Flight) (base, id string) 
 	created := decode[api.SessionResponse](t, hdo(t, h, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       f.Name,
 		SampleRateHz: f.Audio.SampleRate,
-		Buffer:       1 << 15,
 	}), http.StatusCreated)
 	if created.State != api.SessionOpen {
 		t.Fatalf("new session state = %q", created.State)

@@ -157,3 +157,63 @@ func TestRecoveryCleansEmptyJournals(t *testing.T) {
 	// A fresh session under a cleaned id works normally.
 	runSession(t, s, getFixture(t).calib[0], 2)
 }
+
+// FuzzFollowerAppend drives the follower append route with an arbitrary
+// sequence of replication seqs. Each input byte is one append: its low
+// six bits are the seq and its top bit sets Close on the chunk. A model
+// of the contract predicts every answer — seq 0 is a 400, a seq at or
+// below the high-water mark acks duplicate with the mark unchanged, the
+// next seq is appended, anything further ahead is a 409 gap — and the
+// copy exported at the end holds exactly the accepted prefix.
+func FuzzFollowerAppend(f *testing.F) {
+	f.Add([]byte{1, 2, 3})
+	f.Add([]byte{1, 1, 3, 2, 2, 0x83, 4, 2})
+	f.Add([]byte{2, 0, 1})
+	f.Fuzz(func(t *testing.T, seqs []byte) {
+		if len(seqs) > 32 {
+			seqs = seqs[:32]
+		}
+		s := newTestServer(t, Config{JournalDir: t.TempDir()})
+		const id = "g-00000001"
+		path := "/v1/sessions/" + id + "/journal"
+		req := api.SessionRequest{Flight: "fuzz", SampleRateHz: 4000}
+		var held []api.FramesRequest
+		for _, b := range seqs {
+			seq := int(b & 0x3f)
+			chunk := api.FramesRequest{Seq: seq, IMU: []api.IMUSample{{TimeSeconds: float64(seq)}}, Close: b&0x80 != 0}
+			w := do(t, s, "POST", path+"/append", api.JournalAppend{
+				SchemaVersion: api.Version, Seq: seq, Request: req, Chunk: chunk,
+			})
+			last := len(held)
+			switch {
+			case seq == 0:
+				errCode(t, w, http.StatusBadRequest, api.CodeBadRequest)
+			case seq <= last:
+				if resp := decode[api.JournalAppendResponse](t, w, http.StatusOK); !resp.Duplicate || resp.LastSeq != last {
+					t.Fatalf("seq %d at mark %d: %+v, want a duplicate ack", seq, last, resp)
+				}
+			case seq == last+1:
+				if resp := decode[api.JournalAppendResponse](t, w, http.StatusOK); resp.Duplicate || resp.LastSeq != seq {
+					t.Fatalf("seq %d at mark %d: %+v, want it appended", seq, last, resp)
+				}
+				held = append(held, chunk)
+			default:
+				errCode(t, w, http.StatusConflict, api.CodeConflict)
+			}
+		}
+		w := do(t, s, "GET", path, nil)
+		if len(held) == 0 {
+			if w.Code == http.StatusOK {
+				if exp := decode[api.SessionJournal](t, w, http.StatusOK); len(exp.Chunks) != 0 {
+					t.Fatalf("nothing accepted, yet the copy holds %d chunks", len(exp.Chunks))
+				}
+			}
+			return
+		}
+		exp := decode[api.SessionJournal](t, w, http.StatusOK)
+		if !reflect.DeepEqual(exp.Chunks, held) || exp.LastSeq != len(held) || exp.Request != req {
+			t.Fatalf("copy holds %+v (last_seq %d, request %+v), want the accepted prefix %+v",
+				exp.Chunks, exp.LastSeq, exp.Request, held)
+		}
+	})
+}

@@ -19,7 +19,6 @@ func runPrecisionSession(t *testing.T, s *Server, f *dataset.Flight, precision s
 	created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       f.Name,
 		SampleRateHz: f.Audio.SampleRate,
-		Buffer:       1 << 15, // lossless: every frame must reach the engine
 		Precision:    precision,
 	}), http.StatusCreated)
 	if created.State != api.SessionOpen {

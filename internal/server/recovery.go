@@ -7,11 +7,8 @@ import (
 	"strings"
 
 	"soundboost/api"
-	soundboost "soundboost/internal/core"
 	"soundboost/internal/faults"
 	"soundboost/internal/journal"
-	"soundboost/internal/mavbus"
-	"soundboost/internal/stream"
 )
 
 // Crash recovery: with Config.JournalDir set, a restarted server rebuilds
@@ -75,12 +72,10 @@ func (s *Server) recoverSessions() {
 // logs, the reason there cannot be one).
 func (s *Server) recoverTerminal(meta journal.Meta) error {
 	now := s.now()
-	bus := mavbus.NewBus(1)
-	bus.Close()
 	sess := &session{
-		id: meta.ID, flight: meta.Req.Flight, bus: bus,
+		id: meta.ID, flight: meta.Req.Flight,
 		created: now, lastTouch: now, req: meta.Req,
-		pub: bus.Publish, logf: s.logf,
+		logf:  s.logf,
 		state: meta.State, lastSeq: meta.LastSeq,
 		failCause: meta.FailCause,
 		done:      make(chan struct{}),
@@ -138,46 +133,15 @@ func (s *Server) recoverSession(rec journal.Recovered) error {
 	}
 
 	// Interrupted session: rebuild the engine and replay the chunk log.
-	// The buffer floor absorbs the replay burst — recovery publishes the
-	// whole log as fast as the bus accepts, and a shed message here would
-	// silently change the verdict.
-	opts := []stream.Option{
-		stream.WithFlightName(meta.Req.Flight),
-		stream.WithBuffer(maxInt(meta.Req.Buffer, maxInt(s.cfg.SessionBuffer, recoveryBufferFloor))),
-	}
-	if meta.Req.LagHorizonSeconds > 0 {
-		opts = append(opts, stream.WithLagHorizon(meta.Req.LagHorizonSeconds))
-	}
-	if meta.Req.GapFill {
-		opts = append(opts, stream.WithGapFill(true))
-	}
-	if meta.Req.Precision != "" {
-		opts = append(opts, stream.WithPrecision(soundboost.Precision(meta.Req.Precision)))
-	}
-	eng, err := stream.New(s.an, meta.Req.SampleRateHz, opts...)
+	// The replay blocks on the chunk queue like any client, so nothing
+	// is dropped however fast the log is read.
+	sess, err := s.newSession(meta.ID, meta.Req)
 	if err != nil {
 		return err
 	}
-	bus := mavbus.NewBus(0)
-	if err := eng.Attach(bus); err != nil {
-		return err
-	}
-	sess := &session{
-		id: meta.ID, flight: meta.Req.Flight, bus: bus, eng: eng,
-		created: now, lastTouch: now, req: meta.Req,
-		pub: bus.Publish, logf: s.logf,
-		state: api.SessionOpen,
-		done:  make(chan struct{}),
-	}
 	s.mu.Lock()
-	s.sessions[meta.ID] = sess
-	sessionsActive.Set(float64(len(s.sessions)))
-	s.wg.Add(1)
+	s.startLocked(sess)
 	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-	}()
 
 	// Replay with journaling detached: these chunks are already on disk.
 	closeSeen := false
@@ -206,15 +170,4 @@ func (s *Server) recoverSession(rec journal.Recovered) error {
 	s.logf("session %s recovered (%d chunk(s) replayed, last_seq %d)",
 		meta.ID, len(rec.Chunks), sess.snapshot(now).LastSeq)
 	return nil
-}
-
-// recoveryBufferFloor is the minimum per-topic bus depth used while
-// replaying a journaled chunk log at startup.
-const recoveryBufferFloor = 1 << 16
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

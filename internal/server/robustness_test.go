@@ -69,12 +69,11 @@ func TestSessionPanicIsolation(t *testing.T) {
 	poisoned := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       poisonFlight,
 		SampleRateHz: flight.Audio.SampleRate,
-		Buffer:       1 << 15,
 	}), http.StatusCreated)
 	pBase := "/v1/sessions/" + poisoned.ID
 	for _, req := range reqs {
-		// Posts racing the panic may fail once the bus dies; that is the
-		// expected way for the client to learn.
+		// Posts racing the panic may fail once the engine dies; that is
+		// the expected way for the client to learn.
 		if w := do(t, s, "POST", pBase+"/frames", req); w.Code != http.StatusOK {
 			break
 		}
@@ -100,6 +99,96 @@ func TestSessionPanicIsolation(t *testing.T) {
 	if !reflect.DeepEqual(report, clean) {
 		t.Errorf("healthy session verdict diverged after sibling panic:\nclean: %+v\ngot:   %+v", clean, report)
 	}
+}
+
+// TestPoisonReleasesBlockedPost pins the chunk queue's failure path: a
+// post blocked on a full queue of a session whose engine then panics is
+// released with 500 session_failed, as is every later post, while a
+// sibling session streamed meanwhile keeps its clean verdict.
+func TestPoisonReleasesBlockedPost(t *testing.T) {
+	fx := getFixture(t)
+	flight := fx.calib[0]
+	const poisonFlight = "poisoned-run"
+	// The poisoned engine stalls on its first message until gate opens
+	// (a latency burst), then dies on its second (the poison pill).
+	gate := make(chan struct{})
+	s := newTestServer(t, Config{
+		SessionInjector: func(id, flight string) *chaos.Injector {
+			if flight != poisonFlight {
+				return nil
+			}
+			return chaos.NewInjector(chaos.Config{
+				LatencyRate: 1, LatencySeconds: 1,
+				Sleep:       func(time.Duration) { <-gate },
+				PoisonAfter: 2,
+			}, nil)
+		},
+	})
+	clean := runSession(t, s, flight, 4)
+
+	reqs, err := framesFromFlight(flight, chunkQueueDepth+4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
+		Flight:       poisonFlight,
+		SampleRateHz: flight.Audio.SampleRate,
+	}), http.StatusCreated)
+	pBase := "/v1/sessions/" + poisoned.ID
+	sess, err := s.lookup(poisoned.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// The engine takes the first chunk and stalls inside it; the next
+	// chunkQueueDepth chunks fill the queue and are all acknowledged.
+	decode[api.FramesResponse](t, do(t, s, "POST", pBase+"/frames", reqs[0]), http.StatusOK)
+	waitFor("the engine to take chunk 1", func() bool { return len(sess.in) == 0 })
+	for _, req := range reqs[1 : 1+chunkQueueDepth] {
+		decode[api.FramesResponse](t, do(t, s, "POST", pBase+"/frames", req), http.StatusOK)
+	}
+	if n := len(sess.in); n != chunkQueueDepth {
+		t.Fatalf("queue holds %d chunks, want %d", n, chunkQueueDepth)
+	}
+	blocked := make(chan *httptest.ResponseRecorder)
+	go func() { blocked <- do(nil, s, "POST", pBase+"/frames", reqs[1+chunkQueueDepth]) }()
+	// The blocked post holds the session's publication lock.
+	waitFor("the post to block", func() bool {
+		if sess.pubMu.TryLock() {
+			sess.pubMu.Unlock()
+			return false
+		}
+		return true
+	})
+	select {
+	case w := <-blocked:
+		t.Fatalf("post on a full queue returned %d before the engine moved", w.Code)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// A sibling streams to completion while the poisoned engine stalls.
+	report, err := feedSession(s, openSession(t, s, flight), flight, 4)
+	if err != nil {
+		t.Fatalf("sibling session: %v", err)
+	}
+	if !reflect.DeepEqual(report, clean) {
+		t.Errorf("sibling verdict diverged:\nclean: %+v\ngot:   %+v", clean, report)
+	}
+
+	close(gate)
+	errCode(t, <-blocked, http.StatusInternalServerError, api.CodeSessionFailed)
+	st := waitSessionState(t, s, pBase, api.SessionFailed)
+	if !strings.Contains(st.FailCause, "poison pill") {
+		t.Errorf("fail cause = %q, want the poison pill", st.FailCause)
+	}
+	errCode(t, do(t, s, "POST", pBase+"/frames", reqs[2+chunkQueueDepth]), http.StatusInternalServerError, api.CodeSessionFailed)
 }
 
 // TestFramesSeqIdempotency pins the sequence-number contract: duplicate

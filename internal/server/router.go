@@ -122,10 +122,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFrames feeds one batch of telemetry into a session's bus. The
-// three streams are merged by timestamp (stable: audio before IMU
-// before GPS at equal times, matching stream.Replay) and published in
-// order.
+// handleFrames accepts one batch of telemetry into a session's chunk
+// queue. The engine goroutine merges the three streams by timestamp
+// (stream.Events, the order stream.Replay publishes in) and ingests
+// them in order. A full queue holds the post until the engine catches
+// up.
 func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	span := framesTimer.Start()
 	defer span.Stop()
@@ -142,7 +143,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	switch st := sess.stateNow(); st {
 	case api.SessionOpen:
 	case api.SessionFailed:
-		s.writeError(w, fmt.Errorf("%w: %q: %s", faults.ErrSessionFailed, sess.id, sess.snapshot(s.now()).FailCause))
+		s.writeError(w, sess.failed())
 		return
 	default:
 		s.writeError(w, fmt.Errorf("%w: %q", faults.ErrSessionClosed, sess.id))
@@ -167,7 +168,6 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, api.FramesResponse{
 		SchemaVersion: api.Version,
 		Accepted:      accepted,
-		Shed:          sess.bus.Dropped(),
 		State:         sess.stateNow(),
 		Duplicate:     duplicate,
 	})
@@ -317,8 +317,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, api.CodeTimeout
 	case errors.Is(err, faults.ErrSessionClosed),
 		errors.Is(err, faults.ErrSessionOpen),
-		errors.Is(err, faults.ErrSeqGap),
-		errors.Is(err, faults.ErrBusClosed):
+		errors.Is(err, faults.ErrSeqGap):
 		status, code = http.StatusConflict, api.CodeConflict
 	case errors.Is(err, faults.ErrNoFlight),
 		errors.Is(err, faults.ErrUnprocessable):

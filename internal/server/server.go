@@ -2,15 +2,17 @@
 // calibrated Analyzer serving many concurrent flights over HTTP. Batch
 // uploads (POST /v1/flights) run the offline pipeline under a bounded
 // admission pool; streaming sessions (POST /v1/sessions + frames) feed a
-// per-session mavbus into a per-session stream.Engine, so a streamed
-// flight yields the same verdict as a batch upload of the same
+// per-session chunk queue into a per-session stream.Engine, so a
+// streamed flight yields the same verdict as a batch upload of the same
 // recording. All request/response bodies are the schema-versioned DTOs
 // of the top-level api package; internal structs never cross the wire.
 //
 // Resource bounds and backpressure: the session table is capped
 // (finished sessions are LRU-evicted to make room; when every slot is
 // live, creation sheds with 429 + Retry-After), the batch pool is a
-// parallel.Limiter (full → 429), per-session idle timeouts and hard
+// parallel.Limiter (full → 429), each session's chunk queue is bounded
+// (full → the frames post waits; nothing is dropped), per-session idle
+// timeouts and hard
 // deadlines reclaim abandoned streams, and Shutdown drains gracefully:
 // no new work, open streams closed, verdicts flushed.
 //
@@ -56,10 +58,6 @@ type Config struct {
 	// MaxSessionAge is the hard deadline: an open session older than
 	// this is closed regardless of activity (default 15m).
 	MaxSessionAge time.Duration
-	// SessionBuffer is the default per-topic subscription depth for
-	// session engines (default 8192); SessionRequest.Buffer overrides
-	// per session.
-	SessionBuffer int
 	// MaxBodyBytes caps request bodies (default 256 MiB — a flight
 	// upload carries raw audio).
 	MaxBodyBytes int64
@@ -83,7 +81,7 @@ type Config struct {
 	JournalDir string
 	// SessionInjector, when set, supplies a chaos fault schedule for each
 	// new session: the returned injector (nil = no faults) wraps the
-	// session's bus publish path. Used by the `soundboost chaos` soak to
+	// session's engine ingest path. Used by the `soundboost chaos` soak to
 	// inject message-plane faults server-side; never set in production.
 	SessionInjector func(id, flight string) *chaos.Injector
 	// Logf, when set, receives one line per lifecycle event (session
@@ -103,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessionAge <= 0 {
 		c.MaxSessionAge = 15 * time.Minute
-	}
-	if c.SessionBuffer <= 0 {
-		c.SessionBuffer = 8192
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
@@ -213,11 +208,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closeFollowers()
 		s.logf("drain: closing %d session(s)", len(open))
 	}
-	for _, sess := range open {
-		sess.closeStream()
-	}
 	done := make(chan struct{})
 	go func() {
+		// Closing a stream waits for a post blocked on its full queue,
+		// so it runs under ctx's budget too.
+		for _, sess := range open {
+			sess.closeStream()
+		}
 		s.wg.Wait()
 		close(done)
 	}()
@@ -226,13 +223,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.logf("drain: complete")
 		return nil
 	case <-ctx.Done():
-		// Abandon straggler engines: detach them so their goroutines
-		// unwind even if a publisher still holds the bus.
-		for _, sess := range open {
-			if sess.eng != nil {
-				sess.eng.Close()
-			}
-		}
+		// Straggler engines keep draining their closed queues; their
+		// goroutines end when they do.
 		return ctx.Err()
 	}
 }

@@ -227,7 +227,6 @@ func openSession(t *testing.T, s *Server, f *dataset.Flight) string {
 	created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       f.Name,
 		SampleRateHz: f.Audio.SampleRate,
-		Buffer:       1 << 15, // lossless: every frame must reach the engine
 	}), http.StatusCreated)
 	if created.State != api.SessionOpen {
 		t.Fatalf("new session state = %q", created.State)
@@ -330,6 +329,46 @@ func TestSessionMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestWholeFlightOneChunk posts a whole attacked flight as one frames
+// request, cut into one-sample audio frames (80k of them), with the
+// session's buffer unset. The audio topic alone carries ten times the
+// 8192-message default depth of a per-topic mavbus subscription, the
+// burst a bus in front of the engine would shed. Nothing may be
+// dropped: the ack reports shed 0 and every message accepted, and the
+// verdict is the batch one.
+func TestWholeFlightOneChunk(t *testing.T) {
+	fx := getFixture(t)
+	s := newTestServer(t, Config{})
+	f := gpsAttackFlight(t, 5300)
+	reqs, err := api.ChunkFlight(f, 1/f.Audio.SampleRate, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != 1 {
+		t.Fatalf("want the flight in one chunk, got %d", len(reqs))
+	}
+	chunk := reqs[0]
+	if n := len(chunk.Audio); n <= 8192 {
+		t.Fatalf("chunk carries %d audio frames; the burst must exceed 8192", n)
+	}
+	base := openSession(t, s, f)
+	resp := decode[api.FramesResponse](t, do(t, s, "POST", base+"/frames", chunk), http.StatusOK)
+	if want := len(chunk.Audio) + len(chunk.IMU) + len(chunk.GPS); resp.Accepted != want || resp.Shed != 0 {
+		t.Fatalf("ack: accepted %d shed %d, want %d accepted and 0 shed", resp.Accepted, resp.Shed, want)
+	}
+	got := decode[api.Report](t, do(t, s, "GET", base+"/report", nil), http.StatusOK)
+	if st := decode[api.SessionStatus](t, do(t, s, "GET", base+"/status", nil), http.StatusOK); st.Shed != 0 {
+		t.Errorf("status reports %d shed", st.Shed)
+	}
+	batch, err := fx.analyzer.Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := api.ReportFromCore(batch); !reflect.DeepEqual(got, want) {
+		t.Errorf("one-chunk session report:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestSessionPrecision opens a float32 session, verifies the served
 // report records the mode it ran under (with its documented tolerance)
 // and still reaches the float64 batch verdict, and checks an unknown
@@ -347,7 +386,6 @@ func TestSessionPrecision(t *testing.T) {
 	created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       f.Name,
 		SampleRateHz: f.Audio.SampleRate,
-		Buffer:       1 << 15,
 		Precision:    string(soundboost.Float32),
 	}), http.StatusCreated)
 	report, err := feedSession(s, "/v1/sessions/"+created.ID, f, 5)

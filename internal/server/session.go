@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,38 +11,52 @@ import (
 	soundboost "soundboost/internal/core"
 	"soundboost/internal/faults"
 	"soundboost/internal/journal"
-	"soundboost/internal/mavbus"
 	"soundboost/internal/stream"
 )
 
+// chunkQueueDepth bounds the chunks a session holds between the frames
+// handler and its engine goroutine. A full queue blocks the next frames
+// post until the engine catches up: backpressure travels back over
+// HTTP, and no accepted message is ever dropped. Eight chunks (4 s of a
+// live 0.5 s-chunk stream) ride out an ack-latency hiccup such as a
+// slow fsync without holding more than a few MB per session; a deeper
+// queue would only delay the backpressure.
+const chunkQueueDepth = 8
+
 // session is one live (or recently finished) streaming RCA run: a
-// private mavbus carrying the client's telemetry into a dedicated
-// engine. Lifecycle: open (accepting frames) → draining (end-of-stream
-// seen, engine flushing) → done (final report held until eviction), or
-// → failed if the engine dies (the failure domain is this one session —
-// see DESIGN.md "Failure domains & recovery").
+// bounded queue carrying the client's accepted chunks into a dedicated
+// engine goroutine. Lifecycle: open (accepting frames) → draining
+// (end-of-stream seen, engine flushing) → done (final report held until
+// eviction), or → failed if the engine dies (the failure domain is this
+// one session — see DESIGN.md "Failure domains & recovery").
 type session struct {
 	id      string
 	flight  string
-	bus     *mavbus.Bus
 	eng     *stream.Engine // nil for sessions recovered in a terminal state
 	created time.Time
 	req     api.SessionRequest
 
-	// pub is the bus publish path, possibly wrapped by a chaos injector.
-	pub chaos.PubFunc
-	inj *chaos.Injector  // nil unless Config.SessionInjector supplied one
-	sj  *journal.Session // nil unless journaling is enabled
+	// in carries accepted chunks to the engine goroutine in acceptance
+	// order; closeStream closes it (under pubMu, recorded in closed).
+	in     chan api.FramesRequest
+	closed bool
 
-	// done closes when the engine goroutine has stored its report (or the
-	// session was recovered directly into a terminal state).
+	// ingest is eng.Ingest, possibly wrapped by a chaos injector.
+	ingest chaos.PubFunc
+	inj    *chaos.Injector  // nil unless Config.SessionInjector supplied one
+	sj     *journal.Session // nil unless journaling is enabled
+
+	// done closes when the engine goroutine has stored its report or
+	// died (or the session was recovered directly into a terminal
+	// state).
 	done chan struct{}
 
 	// logf receives lifecycle lines (the server's Config.Logf; never nil).
 	logf func(format string, a ...any)
 
-	// pubMu serializes frame publication so sequence-number bookkeeping
-	// and the write-ahead journal see chunks in one total order.
+	// pubMu serializes chunk acceptance so sequence-number bookkeeping,
+	// the write-ahead journal and the queue see chunks in one total
+	// order.
 	pubMu sync.Mutex
 
 	mu        sync.Mutex
@@ -56,11 +68,60 @@ type session struct {
 	runErr    error
 }
 
-// run consumes the session's bus until it closes, then records the
-// final verdict. It is the session's only long-lived goroutine, and the
-// session's panic isolation domain: a panicking engine (poison pill,
-// corrupted state, a bug) marks this one session failed with its cause
-// recorded — the process, and every other session, keeps running.
+// newSession builds an open session and its engine from the open
+// request. It is the one mapping of SessionRequest fields onto engine
+// options, shared by creation and journal recovery. Buffer is accepted
+// on the wire but has no effect: the chunk queue never drops.
+func (s *Server) newSession(id string, req api.SessionRequest) (*session, error) {
+	opts := []stream.Option{stream.WithFlightName(req.Flight)}
+	if req.LagHorizonSeconds > 0 {
+		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
+	}
+	if req.GapFill {
+		opts = append(opts, stream.WithGapFill(true))
+	}
+	if req.Precision != "" {
+		// Engine construction validates the mode.
+		opts = append(opts, stream.WithPrecision(soundboost.Precision(req.Precision)))
+	}
+	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
+	if err != nil {
+		return nil, err
+	}
+	now := s.now()
+	return &session{
+		id:        id,
+		flight:    req.Flight,
+		eng:       eng,
+		created:   now,
+		lastTouch: now,
+		req:       req,
+		in:        make(chan api.FramesRequest, chunkQueueDepth),
+		ingest:    eng.Ingest,
+		logf:      s.logf,
+		state:     api.SessionOpen,
+		done:      make(chan struct{}),
+	}, nil
+}
+
+// startLocked registers a built session in the table and starts its engine
+// goroutine. Caller holds s.mu.
+func (s *Server) startLocked(sess *session) {
+	s.sessions[sess.id] = sess
+	sessionsActive.Set(float64(len(s.sessions)))
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		sess.run()
+	}()
+}
+
+// run feeds the queued chunks into the engine until the queue closes,
+// then records the final verdict. It is the session's only long-lived
+// goroutine, and the session's panic isolation domain: a panicking
+// engine (poison pill, corrupted state, a bug) marks this one session
+// failed with its cause recorded — the process, and every other
+// session, keeps running.
 func (s *session) run() {
 	defer func() {
 		if p := recover(); p != nil {
@@ -71,16 +132,26 @@ func (s *session) run() {
 			s.failCause = cause
 			s.runErr = fmt.Errorf("%w: %s", faults.ErrSessionFailed, cause)
 			s.mu.Unlock()
-			// The engine goroutine is gone; close the bus so publishers
-			// get ErrBusClosed instead of filling a dead queue. Keep the
-			// stack out of the HTTP response but not out of the log.
-			s.bus.Close()
+			// Closing done releases any post blocked on the full queue
+			// with the failure. Keep the stack out of the HTTP response
+			// but not out of the log.
 			close(s.done)
 			s.persistMeta()
 			s.logf("session %s failed: %s\n%s", s.id, cause, debug.Stack())
 		}
 	}()
-	report, err := s.eng.Run(context.Background())
+	for req := range s.in {
+		for _, m := range stream.Events(req.ToStream()) {
+			_ = s.ingest(m)
+		}
+		s.eng.Advance()
+	}
+	if s.inj != nil {
+		// Release any message the schedule held back for reordering
+		// before the engine finalizes.
+		_ = s.inj.Flush(s.eng.Ingest)
+	}
+	report, err := s.eng.Finish()
 	s.mu.Lock()
 	s.report = report
 	s.runErr = err
@@ -124,9 +195,9 @@ func (s *session) touch(now time.Time) {
 	s.mu.Unlock()
 }
 
-// closeStream ends the session's input stream: open → draining, bus
-// closed so the engine flushes and finalizes. Idempotent; reports
-// whether this call performed the transition.
+// closeStream ends the session's input stream: open → draining, chunk
+// queue closed so the engine drains it, flushes and finalizes.
+// Idempotent; reports whether this call performed the transition.
 func (s *session) closeStream() bool {
 	s.mu.Lock()
 	if s.state != api.SessionOpen {
@@ -135,15 +206,13 @@ func (s *session) closeStream() bool {
 	}
 	s.state = api.SessionDraining
 	s.mu.Unlock()
-	if s.inj != nil {
-		// Release any message the schedule held back for reordering
-		// before end-of-stream reaches the engine.
-		_ = s.inj.Flush(s.bus.Publish)
-	}
-	s.bus.Close()
+	s.pubMu.Lock()
+	s.closed = true
+	close(s.in)
 	if s.sj != nil {
 		s.sj.CloseChunks()
 	}
+	s.pubMu.Unlock()
 	s.persistMeta()
 	return true
 }
@@ -163,7 +232,6 @@ func (s *session) snapshot(now time.Time) api.SessionStatus {
 		State:         state,
 		AgeSeconds:    now.Sub(s.created).Seconds(),
 		IdleSeconds:   now.Sub(last).Seconds(),
-		Shed:          s.bus.Dropped(),
 		LastSeq:       lastSeq,
 		FailCause:     failCause,
 	}
@@ -173,20 +241,30 @@ func (s *session) snapshot(now time.Time) api.SessionStatus {
 	return st
 }
 
-// publish feeds one FramesRequest into the session bus. The three
-// streams are merged by timestamp — stable, audio appended before IMU
-// before GPS at equal times — exactly mirroring stream.Replay's event
-// ordering so a chunked upload reproduces the batch verdict.
+// failed is the error a post gets from a session whose engine died.
+func (s *session) failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return fmt.Errorf("%w: %q: %s", faults.ErrSessionFailed, s.id, s.failCause)
+}
+
+// publish accepts one FramesRequest into the session's chunk queue and
+// reports how many messages it carries. A full queue blocks until the
+// engine takes a chunk; a session that fails meanwhile answers with
+// ErrSessionFailed.
 //
-// When the request carries a sequence number (Seq > 0) publication is
+// When the request carries a sequence number (Seq > 0) acceptance is
 // idempotent: a chunk at or below the accepted high-water mark is
-// acknowledged without re-publishing (duplicate=true) so a client that
+// acknowledged without re-queueing (duplicate=true) so a client that
 // lost an ack can blindly resend, and a chunk that skips ahead is
 // rejected with faults.ErrSeqGap. With journaling on, an accepted chunk
-// is fsynced to the write-ahead log before it reaches the bus.
+// is fsynced to the write-ahead log before it is queued.
 func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, err error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
+	if s.closed {
+		return 0, false, fmt.Errorf("%w: %q", faults.ErrSessionClosed, s.id)
+	}
 	if req.Seq > 0 {
 		s.mu.Lock()
 		last := s.lastSeq
@@ -198,64 +276,30 @@ func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, 
 			return 0, false, fmt.Errorf("%w: got seq %d, want %d", faults.ErrSeqGap, req.Seq, last+1)
 		}
 	}
+	select {
+	case <-s.done:
+		return 0, false, s.failed()
+	default:
+	}
 	if s.sj != nil {
 		if err := s.sj.AppendChunk(req); err != nil {
 			return 0, false, fmt.Errorf("server: journal append: %w", err)
 		}
 		journalChunks.Inc()
 	}
-	n, err := s.publishEvents(req)
-	if err != nil {
-		return n, false, err
+	// pubMu stays held while the queue is full, so journal order is
+	// queue order; the wait ends when the engine takes a chunk or dies.
+	select {
+	case s.in <- req:
+	case <-s.done:
+		return 0, false, s.failed()
 	}
 	if req.Seq > 0 {
 		s.mu.Lock()
 		s.lastSeq = req.Seq
 		s.mu.Unlock()
 	}
-	return n, false, nil
-}
-
-// publishEvents merges and publishes one request's events (no sequence
-// or journal bookkeeping — publish and recovery replay share it).
-func (s *session) publishEvents(req api.FramesRequest) (int, error) {
-	type event struct {
-		t   float64
-		msg mavbus.Message
-	}
-	events := make([]event, 0, len(req.Audio)+len(req.IMU)+len(req.GPS))
-	for _, f := range req.Audio {
-		frame := f.ToStream()
-		endT := frame.Start
-		if frame.Rate > 0 && len(frame.Samples) > 0 {
-			endT += float64(len(frame.Samples[0])) / frame.Rate
-		}
-		events = append(events, event{
-			t:   endT, // a frame exists once its last sample is captured
-			msg: mavbus.Message{Topic: stream.TopicAudio, Time: endT, Payload: frame},
-		})
-	}
-	for _, sample := range req.IMU {
-		imu := sample.ToStream()
-		events = append(events, event{
-			t:   imu.Time,
-			msg: mavbus.Message{Topic: stream.TopicIMU, Time: imu.Time, Payload: imu},
-		})
-	}
-	for _, sample := range req.GPS {
-		gps := sample.ToStream()
-		events = append(events, event{
-			t:   gps.Time,
-			msg: mavbus.Message{Topic: stream.TopicGPS, Time: gps.Time, Payload: gps},
-		})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
-	for i, ev := range events {
-		if err := s.pub(ev.msg); err != nil {
-			return i, err
-		}
-	}
-	return len(events), nil
+	return len(req.Audio) + len(req.IMU) + len(req.GPS), false, nil
 }
 
 // stateNow returns the current lifecycle state.
@@ -270,24 +314,6 @@ func (s *session) stateNow() string {
 // evicted; if every slot holds a live session the request is shed with
 // ErrCapacity (HTTP 429).
 func (s *Server) createSession(req api.SessionRequest) (*session, error) {
-	opts := []stream.Option{
-		stream.WithFlightName(req.Flight),
-		stream.WithBuffer(s.cfg.SessionBuffer),
-	}
-	if req.Buffer > 0 {
-		opts = append(opts, stream.WithBuffer(req.Buffer))
-	}
-	if req.LagHorizonSeconds > 0 {
-		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
-	}
-	if req.GapFill {
-		opts = append(opts, stream.WithGapFill(true))
-	}
-	if req.Precision != "" {
-		// Engine construction below validates the mode (422 on unknown).
-		opts = append(opts, stream.WithPrecision(soundboost.Precision(req.Precision)))
-	}
-
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -303,40 +329,22 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 	id := fmt.Sprintf("s-%08d", s.nextID)
 	s.mu.Unlock()
 
-	// Engine construction validates the sample rate against the
-	// calibrated model outside the table lock (it allocates filters).
-	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
+	// Engine construction validates the sample rate and precision
+	// against the calibrated model (422 on a mismatch) outside the table
+	// lock (it allocates filters).
+	sess, err := s.newSession(id, req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", faults.ErrUnprocessable, err)
-	}
-	bus := mavbus.NewBus(0)
-	if err := eng.Attach(bus); err != nil {
-		return nil, err
-	}
-	now := s.now()
-	sess := &session{
-		id:        id,
-		flight:    req.Flight,
-		bus:       bus,
-		eng:       eng,
-		created:   now,
-		lastTouch: now,
-		req:       req,
-		pub:       bus.Publish,
-		logf:      s.logf,
-		state:     api.SessionOpen,
-		done:      make(chan struct{}),
 	}
 	if s.cfg.SessionInjector != nil {
 		if inj := s.cfg.SessionInjector(id, req.Flight); inj != nil {
 			sess.inj = inj
-			sess.pub = inj.Publisher(bus.Publish)
+			sess.ingest = inj.Publisher(sess.eng.Ingest)
 		}
 	}
 	if s.journal != nil {
 		sj, err := s.journal.Session(id)
 		if err != nil {
-			bus.Close()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		sess.sj = sj
@@ -345,7 +353,6 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		bus.Close()
 		if sess.sj != nil {
 			sess.sj.Remove()
 		}
@@ -355,24 +362,17 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 		sessionsRejected.Inc()
 		n := len(s.sessions)
 		s.mu.Unlock()
-		bus.Close()
 		if sess.sj != nil {
 			sess.sj.Remove()
 		}
 		return nil, fmt.Errorf("%w: %d live sessions (cap %d)", faults.ErrCapacity, n, s.cfg.MaxSessions)
 	}
-	s.sessions[id] = sess
-	sessionsActive.Set(float64(len(s.sessions)))
-	s.wg.Add(1)
+	s.startLocked(sess)
 	s.mu.Unlock()
 
 	sessionsOpened.Inc()
 	sessionsOpenedByGroup(req.Flight).Inc()
 	sess.persistMeta()
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-	}()
 	s.logf("session %s opened (flight %q, %g Hz)", id, req.Flight, req.SampleRateHz)
 	return sess, nil
 }

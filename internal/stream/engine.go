@@ -63,11 +63,23 @@ type Status struct {
 }
 
 // Engine is the online RCA engine. It consumes AudioFrame, IMUSample,
-// and GPSSample messages from a mavbus and incrementally runs the same
-// calibrated two-stage analysis as Analyzer.Analyze; on a clean, ordered,
-// lossless stream the final Report is equivalent to the batch one.
+// and GPSSample messages and incrementally runs the same calibrated
+// two-stage analysis as Analyzer.Analyze; on a clean, ordered, lossless
+// stream the final Report is equivalent to the batch one.
 //
-// Typical use:
+// An engine is driven one of two ways, by one goroutine at a time.
+// Directly, as the server's sessions do:
+//
+//	eng, _ := stream.New(analyzer, rate)
+//	for _, chunk := range chunks {
+//		for _, m := range chunk {
+//			eng.Ingest(m)
+//		}
+//		eng.Advance()
+//	}
+//	report, err := eng.Finish()
+//
+// Or from a mavbus, which Run loops over in the same three steps:
 //
 //	eng, _ := stream.New(analyzer, rate)
 //	eng.Attach(bus)
@@ -94,14 +106,11 @@ type Engine struct {
 	written int
 	invalid []sampleRange
 
-	// Telemetry buffers, time-sorted, with high-water marks. done flags
-	// flip when the corresponding bus channel closes.
+	// Telemetry buffers, time-sorted, with high-water marks.
 	imuBuf   []IMUSample
 	gpsBuf   []GPSSample
 	imuWM    float64
 	gpsWM    float64
-	imuDone  bool
-	gpsDone  bool
 	imuEvict int
 	gpsEvict int
 
@@ -218,26 +227,33 @@ func (e *Engine) Attach(bus *mavbus.Bus) error {
 // Run consumes the attached subscriptions until all three channels close
 // (bus closed) or the context is cancelled, then flushes the remaining
 // ready windows and returns the final report. A context cancellation
-// still returns the best-effort report alongside ctx.Err().
+// still returns the best-effort report alongside ctx.Err(). It is the
+// bus-driven loop over Ingest, Advance and Finish.
 func (e *Engine) Run(ctx context.Context) (soundboost.Report, error) {
 	if e.subAudio == nil || e.subIMU == nil || e.subGPS == nil {
 		return soundboost.Report{}, ErrNotAttached
 	}
-	audioC, imuC, gpsC := e.subAudio.C, e.subIMU.C, e.subGPS.C
-	for audioC != nil || imuC != nil || gpsC != nil {
+	subs := []<-chan mavbus.Message{e.subAudio.C, e.subIMU.C, e.subGPS.C}
+	receive := func(i int, m mavbus.Message, ok bool) {
+		if !ok {
+			subs[i] = nil
+			return
+		}
+		_ = e.Ingest(m)
+	}
+	for subs[0] != nil || subs[1] != nil || subs[2] != nil {
 		// Block for at least one message (or closure, or cancellation).
 		select {
 		case <-ctx.Done():
 			e.cancelSubs()
-			e.advance(true)
-			report, _ := e.finalize()
+			report, _ := e.Finish()
 			return report, ctx.Err()
-		case m, ok := <-audioC:
-			e.dispatchAudio(m, ok, &audioC)
-		case m, ok := <-imuC:
-			e.dispatchIMU(m, ok, &imuC)
-		case m, ok := <-gpsC:
-			e.dispatchGPS(m, ok, &gpsC)
+		case m, ok := <-subs[0]:
+			receive(0, m, ok)
+		case m, ok := <-subs[1]:
+			receive(1, m, ok)
+		case m, ok := <-subs[2]:
+			receive(2, m, ok)
 		}
 		// Drain everything already queued before judging window
 		// readiness: a bursty publisher delivers the three streams at
@@ -246,82 +262,66 @@ func (e *Engine) Run(ctx context.Context) (soundboost.Report, error) {
 		// windows.
 		for drained := true; drained; {
 			drained = false
-			if audioC != nil {
-				select {
-				case m, ok := <-audioC:
-					e.dispatchAudio(m, ok, &audioC)
-					drained = true
-				default:
+			for i, c := range subs {
+				if c == nil {
+					continue
 				}
-			}
-			if imuC != nil {
 				select {
-				case m, ok := <-imuC:
-					e.dispatchIMU(m, ok, &imuC)
-					drained = true
-				default:
-				}
-			}
-			if gpsC != nil {
-				select {
-				case m, ok := <-gpsC:
-					e.dispatchGPS(m, ok, &gpsC)
+				case m, ok := <-c:
+					receive(i, m, ok)
 					drained = true
 				default:
 				}
 			}
 		}
-		e.advance(false)
+		e.Advance()
 	}
-	e.advance(true)
-	return e.finalize()
+	return e.Finish()
 }
 
-// checkPoison treats a chaos.PoisonPill payload as an engine-integrity
-// fault and panics. This is the deliberate crash-test trigger for the
-// fault-injection harness: the panic must be contained by the engine's
-// owner (the server's per-session isolation domain), never by the engine
-// itself — swallowing it here would hide exactly the failure the soak
-// exists to exercise.
-func checkPoison(m mavbus.Message) {
+// Ingest takes in one message: an AudioFrame, IMUSample or GPSSample
+// payload on its topic. Anything else is ignored, as a bus subscription
+// would never deliver it. Ingest processes no window; call Advance once
+// a batch of messages is in. The error result is always nil: it gives
+// Ingest the signature of Bus.Publish and chaos.PubFunc, so a fault
+// injector can wrap it.
+//
+// A chaos.PoisonPill payload panics. This is the deliberate crash-test
+// trigger for the fault-injection harness: the panic must be contained
+// by the engine's owner (the server's per-session isolation domain),
+// never by the engine itself — swallowing it here would hide exactly
+// the failure the soak exists to exercise.
+func (e *Engine) Ingest(m mavbus.Message) error {
 	if _, bad := m.Payload.(chaos.PoisonPill); bad {
 		panic(fmt.Sprintf("stream: poison pill on %q at t=%.3f", m.Topic, m.Time))
 	}
+	switch m.Topic {
+	case e.cfg.AudioTopic:
+		if f, ok := m.Payload.(AudioFrame); ok {
+			e.onAudio(f)
+		}
+	case e.cfg.IMUTopic:
+		if s, ok := m.Payload.(IMUSample); ok {
+			e.onIMU(s)
+		}
+	case e.cfg.GPSTopic:
+		if s, ok := m.Payload.(GPSSample); ok {
+			e.onGPS(s)
+		}
+	}
+	return nil
 }
 
-func (e *Engine) dispatchAudio(m mavbus.Message, ok bool, c *<-chan mavbus.Message) {
-	if !ok {
-		*c = nil
-		return
-	}
-	checkPoison(m)
-	if f, good := m.Payload.(AudioFrame); good {
-		e.onAudio(f)
-	}
-}
+// Advance processes every window the ingested messages made decidable.
+// Call it once per batch (a bus drain, a served chunk), not per message.
+func (e *Engine) Advance() { e.advance(false) }
 
-func (e *Engine) dispatchIMU(m mavbus.Message, ok bool, c *<-chan mavbus.Message) {
-	if !ok {
-		*c = nil
-		e.imuDone = true
-		return
-	}
-	checkPoison(m)
-	if s, good := m.Payload.(IMUSample); good {
-		e.onIMU(s)
-	}
-}
-
-func (e *Engine) dispatchGPS(m mavbus.Message, ok bool, c *<-chan mavbus.Message) {
-	if !ok {
-		*c = nil
-		e.gpsDone = true
-		return
-	}
-	checkPoison(m)
-	if s, good := m.Payload.(GPSSample); good {
-		e.onGPS(s)
-	}
+// Finish ends the stream: it forces the remaining audio-ready windows
+// through with whatever telemetry arrived and returns the final report.
+// Call it once, after the last Ingest.
+func (e *Engine) Finish() (soundboost.Report, error) {
+	e.advance(true)
+	return e.finalize()
 }
 
 // cancelSubs detaches all subscriptions (used on context cancellation).
@@ -329,25 +329,6 @@ func (e *Engine) cancelSubs() {
 	e.subAudio.Cancel()
 	e.subIMU.Cancel()
 	e.subGPS.Cancel()
-}
-
-// Close detaches the engine from its bus by cancelling its
-// subscriptions. A concurrent Run drains what is already queued, flushes
-// the remaining ready windows, and returns its final report — this is
-// how an owner (a server session, a supervisor) ends a stream without
-// closing a bus other consumers may share. Close is idempotent and a
-// no-op on a never-attached engine; Attach must have completed
-// (happened-before) for Close to observe the subscriptions.
-func (e *Engine) Close() {
-	if e.subAudio != nil {
-		e.subAudio.Cancel()
-	}
-	if e.subIMU != nil {
-		e.subIMU.Cancel()
-	}
-	if e.subGPS != nil {
-		e.subGPS.Cancel()
-	}
 }
 
 // Status returns a snapshot of the engine state for live display. It is
@@ -523,10 +504,10 @@ func (e *Engine) onGPS(s GPSSample) {
 // advance processes every window that has become decidable. A window is
 // audio-ready under exactly the batch predicate (its samples are all
 // written AND t0+window fits the duration streamed so far) and
-// telemetry-ready when both telemetry watermarks passed its end (or the
-// stream closed). flush forces pending audio-ready windows through with
-// whatever telemetry arrived — used at end of stream, where the buffers
-// hold everything that will ever arrive.
+// telemetry-ready when both telemetry watermarks passed its end. flush
+// forces pending audio-ready windows through with whatever telemetry
+// arrived — used at end of stream, where the buffers hold everything
+// that will ever arrive.
 func (e *Engine) advance(flush bool) {
 	win := e.sig.WindowSeconds
 	hop := e.sig.HopSeconds
@@ -539,7 +520,7 @@ func (e *Engine) advance(flush bool) {
 			break // audio not complete for this window yet (or ever)
 		}
 		if !flush {
-			telReady := (e.imuDone || e.imuWM >= endT) && (e.gpsDone || e.gpsWM >= endT)
+			telReady := e.imuWM >= endT && e.gpsWM >= endT
 			if !telReady {
 				lag := float64(e.written)/e.rate - endT
 				lagGauge.Set(lag)

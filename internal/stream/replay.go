@@ -53,10 +53,6 @@ type ReplayConfig struct {
 	// rates (explicit PerTopic entries in Chaos win), and a zero
 	// Chaos.Seed inherits Seed.
 	Chaos *chaos.Config
-	// AudioTopic, IMUTopic, GPSTopic override the default topic names.
-	AudioTopic string
-	IMUTopic   string
-	GPSTopic   string
 }
 
 // injector builds the replay's fault schedule: the shared chaos types,
@@ -72,11 +68,11 @@ func (c ReplayConfig) injector() *chaos.Injector {
 	}
 	perTopic := make(map[string]chaos.Rates, len(ccfg.PerTopic)+3)
 	if c.AudioDropRate > 0 {
-		perTopic[c.AudioTopic] = chaos.Rates{Drop: c.AudioDropRate}
+		perTopic[TopicAudio] = chaos.Rates{Drop: c.AudioDropRate}
 	}
 	if c.DropRate > 0 {
-		perTopic[c.IMUTopic] = chaos.Rates{Drop: c.DropRate}
-		perTopic[c.GPSTopic] = chaos.Rates{Drop: c.DropRate}
+		perTopic[TopicIMU] = chaos.Rates{Drop: c.DropRate}
+		perTopic[TopicGPS] = chaos.Rates{Drop: c.DropRate}
 	}
 	for t, r := range ccfg.PerTopic {
 		perTopic[t] = r
@@ -89,31 +85,41 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.FrameSeconds <= 0 {
 		c.FrameSeconds = 0.05
 	}
-	if c.AudioTopic == "" {
-		c.AudioTopic = TopicAudio
-	}
-	if c.IMUTopic == "" {
-		c.IMUTopic = TopicIMU
-	}
-	if c.GPSTopic == "" {
-		c.GPSTopic = TopicGPS
-	}
 	return c
 }
 
-// replayEvent is one timed publication.
-type replayEvent struct {
-	t   float64
-	msg mavbus.Message
+// Events merges the three streams of one stretch of flight into the
+// order every producer publishes them in: by timestamp, stable, with
+// audio before IMU before GPS at equal times. An audio frame is timed
+// when its last sample is captured. Messages carry the default topics.
+// Replay and the server's sessions both order through here, which is
+// what lets a chunked upload reproduce the replayed stream.
+func Events(audio []AudioFrame, imu []IMUSample, gps []GPSSample) []mavbus.Message {
+	events := make([]mavbus.Message, 0, len(audio)+len(imu)+len(gps))
+	for _, f := range audio {
+		endT := f.Start
+		if f.Rate > 0 && len(f.Samples) > 0 {
+			endT += float64(len(f.Samples[0])) / f.Rate
+		}
+		events = append(events, mavbus.Message{Topic: TopicAudio, Time: endT, Payload: f})
+	}
+	for _, s := range imu {
+		events = append(events, mavbus.Message{Topic: TopicIMU, Time: s.Time, Payload: s})
+	}
+	for _, s := range gps {
+		events = append(events, mavbus.Message{Topic: TopicGPS, Time: s.Time, Payload: s})
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	return events
 }
 
 // Replay publishes a recorded flight onto the bus as the live streams the
 // engine consumes: the audio recording chunked into frames (each
 // published at its capture-complete time) and one IMU plus one GPS
-// message per telemetry row. With Speed > 0 publication is paced to
-// scaled real time; Speed == 0 publishes as fast as possible. The caller
-// owns the bus and typically closes it when Replay returns so consumers
-// see end-of-stream.
+// message per telemetry row, in Events order. With Speed > 0 publication
+// is paced to scaled real time; Speed == 0 publishes as fast as
+// possible. The caller owns the bus and typically closes it when Replay
+// returns so consumers see end-of-stream.
 func Replay(ctx context.Context, bus *mavbus.Bus, f *dataset.Flight, cfg ReplayConfig) error {
 	if f == nil || f.Audio == nil || f.Audio.Samples() == 0 {
 		return fmt.Errorf("stream: nothing to replay")
@@ -122,57 +128,40 @@ func Replay(ctx context.Context, bus *mavbus.Bus, f *dataset.Flight, cfg ReplayC
 	rate := f.Audio.SampleRate
 	frameN := FrameLen(cfg.FrameSeconds, rate)
 
-	var events []replayEvent
 	total := f.Audio.Samples()
+	var audio []AudioFrame
 	for o := 0; o < total; o += frameN {
-		end := o + frameN
-		if end > total {
-			end = total
-		}
+		end := min(o+frameN, total)
 		samples := make([][]float64, acoustics.NumMics)
 		for m := range samples {
 			samples[m] = f.Audio.Channels[m][o:end]
 		}
-		frame := AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples}
-		endT := float64(end) / rate
-		events = append(events, replayEvent{
-			t:   endT, // a frame exists once its last sample is captured
-			msg: mavbus.Message{Topic: cfg.AudioTopic, Time: endT, Payload: frame},
-		})
+		audio = append(audio, AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples})
 	}
-	for _, s := range f.Telemetry {
-		events = append(events, replayEvent{
-			t: s.Time,
-			msg: mavbus.Message{Topic: cfg.IMUTopic, Time: s.Time, Payload: IMUSample{
-				Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt,
-			}},
-		})
-		events = append(events, replayEvent{
-			t: s.Time,
-			msg: mavbus.Message{Topic: cfg.GPSTopic, Time: s.Time, Payload: GPSSample{
-				Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel,
-			}},
-		})
+	imu := make([]IMUSample, len(f.Telemetry))
+	gps := make([]GPSSample, len(f.Telemetry))
+	for i, s := range f.Telemetry {
+		imu[i] = IMUSample{Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt}
+		gps[i] = GPSSample{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel}
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].t < events[j].t })
 
 	inj := cfg.injector()
 	pub := inj.Publisher(bus.Publish)
 	prev := 0.0
-	for _, ev := range events {
-		if cfg.Speed > 0 && ev.t > prev {
-			d := time.Duration(float64(time.Second) * (ev.t - prev) / cfg.Speed)
+	for _, m := range Events(audio, imu, gps) {
+		if cfg.Speed > 0 && m.Time > prev {
+			d := time.Duration(float64(time.Second) * (m.Time - prev) / cfg.Speed)
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-time.After(d):
 			}
-			prev = ev.t
+			prev = m.Time
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := pub(ev.msg); err != nil {
+		if err := pub(m); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
-// Package stream is SoundBoost's online RCA engine: it subscribes to the
-// mavbus telemetry topics a companion computer sees in flight
-// ("audio-frame", "imu", "gps") and runs the calibrated two-stage
-// analysis incrementally — a ring-buffered windower emits acoustic
+// Package stream is SoundBoost's online RCA engine: it takes in the
+// telemetry streams a companion computer sees in flight ("audio-frame",
+// "imu", "gps" — message by message through Engine.Ingest, or from a
+// mavbus subscription through Engine.Run) and runs the calibrated
+// two-stage analysis incrementally — a ring-buffered windower emits acoustic
 // signatures as each hop of audio completes and feeds them, window by
 // window, to the core's IMU KS monitor and two GPS Kalman error
 // monitors, with the active KF variant switching live when the IMU

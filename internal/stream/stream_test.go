@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -217,6 +218,56 @@ func TestStreamEquivalence(t *testing.T) {
 				t.Errorf("GPS threshold = %v, batch %v", got.GPS.Threshold, batch.GPS.Threshold)
 			}
 		})
+	}
+}
+
+// TestIngestMatchesRun drives the engine directly — Events ingested in
+// batches of n messages, one Advance per batch, then Finish — and
+// requires the report of the bus-driven Run for every batch size, from
+// one message per Advance to the whole flight in one.
+func TestIngestMatchesRun(t *testing.T) {
+	fx := getFixture(t)
+	f := gpsAttackFlight(t, 4300)
+	want, _ := runStream(t, fx.analyzer, f, ReplayConfig{Speed: 0})
+
+	rate := f.Audio.SampleRate
+	frameN := FrameLen(0.05, rate)
+	var audio []AudioFrame
+	for o := 0; o < f.Audio.Samples(); o += frameN {
+		end := min(o+frameN, f.Audio.Samples())
+		samples := make([][]float64, len(f.Audio.Channels))
+		for m := range samples {
+			samples[m] = f.Audio.Channels[m][o:end]
+		}
+		audio = append(audio, AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples})
+	}
+	var imu []IMUSample
+	var gps []GPSSample
+	for _, s := range f.Telemetry {
+		imu = append(imu, IMUSample{Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt})
+		gps = append(gps, GPSSample{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel})
+	}
+	events := Events(audio, imu, gps)
+	for _, n := range []int{1, 97, len(events)} {
+		eng, err := New(fx.analyzer, rate, WithFlightName(f.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range events {
+			if err := eng.Ingest(m); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%n == 0 {
+				eng.Advance()
+			}
+		}
+		got, err := eng.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("batches of %d: report\n got %+v\nwant %+v", n, got, want)
+		}
 	}
 }
 

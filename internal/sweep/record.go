@@ -108,9 +108,8 @@ type Record struct {
 	Correct bool `json:"correct"`
 	// Chunks counts the frames requests the trial pushed.
 	Chunks int `json:"chunks"`
-	// Shed counts bus messages the session dropped under backpressure
-	// (deterministically 0 when the server capacity covers the sweep
-	// concurrency).
+	// Shed is the session status's shed count: always 0, since the
+	// server never drops input. Kept so the record schema is unchanged.
 	Shed int `json:"shed"`
 	// Retries counts data-path HTTP retries (0 against a healthy
 	// server; nonzero values mean wall-clock luck entered the sweep).

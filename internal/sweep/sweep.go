@@ -71,9 +71,6 @@ type Config struct {
 	Preset string
 	// Concurrency bounds trials in flight at once (default 4).
 	Concurrency int
-	// Buffer is the per-topic session buffer depth (default 1<<16,
-	// large enough that no trial sheds under backpressure).
-	Buffer int
 	// Timings records wall-clock phase timings per trial. Off by
 	// default: wall time is nondeterministic and would break the
 	// byte-identity contract.
@@ -174,9 +171,6 @@ func (c Config) normalized() (Config, error) {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 4
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = 1 << 16
-	}
 	return c, nil
 }
 
@@ -202,8 +196,7 @@ func (c *Config) startHost(analyzer *soundboost.Analyzer) (*host, error) {
 		// Concurrency bounds live sessions per host; finished sessions
 		// are LRU-evicted on demand, so a small table suffices for any
 		// trial count.
-		MaxSessions:   c.Concurrency + 2,
-		SessionBuffer: c.Buffer,
+		MaxSessions: c.Concurrency + 2,
 	})
 	if err != nil {
 		return nil, err

@@ -47,7 +47,6 @@ func (c *Config) runTrial(base string, idx int, p Params, f *dataset.Flight) (Re
 	body, err := json.Marshal(api.SessionRequest{
 		Flight:       fmt.Sprintf("sweep/trial-%04d", idx),
 		SampleRateHz: f.Audio.SampleRate,
-		Buffer:       c.Buffer,
 	})
 	if err != nil {
 		return rec, err
