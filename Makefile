@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-gate cover verify verify-short staticcheck fmt live-smoke serve-smoke chaos-smoke sweep-smoke fleet-smoke ha-smoke
+.PHONY: build test race bench cover verify verify-short staticcheck fmt live-smoke serve-smoke chaos-smoke sweep-smoke fleet-smoke ha-smoke
 
 build:
 	$(GO) build ./...
@@ -14,22 +14,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json writes the next BENCH_<n>.json perf artifact: a
-# schema-versioned machine-readable report (wall time, per-stage
-# timings, allocations, environment) from an instrumented benchtab run.
-bench-json:
-	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	echo "writing BENCH_$$n.json"; \
-	$(GO) run ./cmd/benchtab -scale bench -run timing,rca,throughput -bench-json BENCH_$$n.json && \
-	$(GO) run ./cmd/benchtab -validate-bench BENCH_$$n.json
-
-# bench-gate is the perf-regression gate: a fresh throughput bench
-# compared against the newest committed BENCH_<n>.json with
-# `benchtab -compare` — fails when flights/sec drops or p99 per-flight
-# latency rises by more than 15% (override with MAX_REGRESS=10%). The
-# script self-tests on an injected synthetic regression first.
-bench-gate:
-	sh scripts/bench_gate.sh
+# The perf-regression gate takes the parent commit as its argument, so
+# it runs as a script: sh scripts/bench_gate.sh PARENT_COMMIT (the
+# end-to-end benchmark in bench/, this tree against that commit).
 
 # cover produces coverage.out and prints the total; CI publishes the
 # per-package summary from the same profile.

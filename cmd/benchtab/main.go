@@ -8,28 +8,15 @@
 //	benchtab -run table1,fig6,importance
 //
 // Available runs: table1, table2, table3, imu, fig2, fig3, fig6, fig7,
-// importance, window, families, interference, ablation, timing,
-// throughput, rca, all.
+// importance, window, families, interference, ablation, timing, rca,
+// all.
 //
 // Observability:
 //
 //	benchtab -debug-addr :8080 ...          # live /debug/metrics + pprof
-//	benchtab -run timing,rca -bench-json BENCH_2.json
-//	benchtab -validate-bench BENCH_2.json   # schema-check an artifact
 //
-// -bench-json enables the obs layer for the run and writes a
-// schema-versioned machine-readable benchmark report (wall time,
-// per-stage timings, allocations, environment) on exit. The throughput
-// run adds the flights/sec section the CI bench-gate compares; pass
-// -no-triage to measure the full-pipeline baseline only.
-//
-// Perf-regression gate:
-//
-//	benchtab -compare BENCH_0.json BENCH_1.json -max-regress 15%
-//
-// fails (exit 1) when the new report's flights/sec falls more than
-// -max-regress below the old one's, or its p99 per-flight latency
-// rises more than -max-regress above.
+// Performance is measured by the end-to-end benchmark in bench/, not
+// here (see bench/README.md).
 package main
 
 import (
@@ -37,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"soundboost/internal/dataset"
@@ -55,34 +41,15 @@ func main() {
 
 func run() error {
 	var (
-		scaleName     = flag.String("scale", "bench", "experiment scale: quick|bench|paper")
-		runs          = flag.String("run", "all", "comma-separated experiment list")
-		verbose       = flag.Bool("v", false, "stream progress")
-		csvDir        = flag.String("csv", "", "directory to export figure data as CSV (empty = no export)")
-		workers       = flag.Int("workers", 0, "worker-pool size for parallel stages (0 = GOMAXPROCS, 1 = serial)")
-		debugAddr     = flag.String("debug-addr", "", "serve /debug/metrics and /debug/pprof on this address (enables the obs layer)")
-		benchJSON     = flag.String("bench-json", "", "write a schema-versioned benchmark report to this path (enables the obs layer)")
-		validateBench = flag.String("validate-bench", "", "validate a BENCH_*.json report and exit")
-		compareBench  = flag.String("compare", "", "old BENCH_*.json to gate against; the new report follows as a positional argument")
-		maxRegress    = flag.String("max-regress", "15%", "tolerated throughput/p99 regression for -compare (e.g. 15% or 0.15)")
-		noTriage      = flag.Bool("no-triage", false, "measure the throughput run without the triage tier (full-pipeline baseline)")
+		scaleName = flag.String("scale", "bench", "experiment scale: quick|bench|paper")
+		runs      = flag.String("run", "all", "comma-separated experiment list")
+		verbose   = flag.Bool("v", false, "stream progress")
+		csvDir    = flag.String("csv", "", "directory to export figure data as CSV (empty = no export)")
+		workers   = flag.Int("workers", 0, "worker-pool size for parallel stages (0 = GOMAXPROCS, 1 = serial)")
+		debugAddr = flag.String("debug-addr", "", "serve /debug/metrics and /debug/pprof on this address (enables the obs layer)")
 	)
 	flag.Parse()
 	parallel.SetDefaultWorkers(*workers)
-
-	if *validateBench != "" {
-		report, err := obs.ReadBenchFile(*validateBench)
-		if err != nil {
-			return fmt.Errorf("validate %s: %w", *validateBench, err)
-		}
-		fmt.Printf("%s: valid (schema v%d, scale %s, %.1fs wall, %d stages)\n",
-			*validateBench, report.SchemaVersion, report.Scale, report.WallSeconds, len(report.Stages))
-		return nil
-	}
-
-	if *compareBench != "" {
-		return runCompare(*compareBench, flag.Args(), *maxRegress)
-	}
 
 	if *debugAddr != "" {
 		addr, err := obs.Serve(*debugAddr)
@@ -90,11 +57,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("debug endpoint on http://%s/debug/metrics\n", addr)
-	}
-
-	var bench *obs.BenchStart
-	if *benchJSON != "" {
-		bench = obs.StartBench()
 	}
 
 	var scale experiments.Scale
@@ -120,7 +82,7 @@ func run() error {
 	}
 	all := want["all"]
 	needLab := all
-	for _, r := range []string{"table2", "table3", "imu", "fig6", "fig7", "importance", "interference", "ablation", "timing", "throughput", "rca"} {
+	for _, r := range []string{"table2", "table3", "imu", "fig6", "fig7", "importance", "interference", "ablation", "timing", "rca"} {
 		if want[r] {
 			needLab = true
 		}
@@ -375,33 +337,6 @@ func run() error {
 		return err
 	}
 
-	var throughput *experiments.ThroughputResult
-	if err := section("throughput", func() error {
-		r, err := experiments.RunThroughput(lab, !*noTriage, logf)
-		if err != nil {
-			return err
-		}
-		throughput = &r
-		fmt.Printf("clean-majority corpus: %d flights (%.0f%% benign)\n", r.Flights, 100*r.CleanFraction)
-		fmt.Printf("full pipeline: %.2f flights/sec (p99 %.3fs/flight)\n",
-			r.BaselineFPS, r.BaselineP99FlightSeconds)
-		if r.TriageFPS > 0 {
-			fmt.Printf("with triage:   %.2f flights/sec (p99 %.3fs/flight, %.0f%% fast-path, %.2fx)\n",
-				r.TriageFPS, r.P99FlightSeconds, 100*r.FastpathRatio, r.Speedup)
-		} else {
-			fmt.Println("with triage:   skipped (-no-triage)")
-		}
-		fmt.Printf("float32 path:  %.2f flights/sec (p99 %.3fs/flight, %.2fx vs float64)\n",
-			r.Float32BaselineFPS, r.Float32BaselineP99FlightSeconds, r.Float32Speedup)
-		if r.Float32TriageFPS > 0 {
-			fmt.Printf("float32+triage: %.2f flights/sec (p99 %.3fs/flight)\n",
-				r.Float32TriageFPS, r.Float32P99FlightSeconds)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
 	if err := section("rca", func() error {
 		outcomes, err := experiments.RunEndToEndRCA(lab, logf)
 		if err != nil {
@@ -416,108 +351,7 @@ func run() error {
 		return err
 	}
 
-	if bench != nil {
-		var runList []string
-		for _, r := range strings.Split(*runs, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				runList = append(runList, r)
-			}
-		}
-		report := bench.Collect(obs.BenchMeta{
-			Tool:    "benchtab",
-			Scale:   scale.Name,
-			Runs:    runList,
-			Workers: parallel.DefaultWorkers(),
-		})
-		if throughput != nil {
-			report.Throughput = &obs.BenchThroughput{
-				Flights:                         throughput.Flights,
-				CleanFraction:                   throughput.CleanFraction,
-				BaselineFPS:                     throughput.BaselineFPS,
-				TriageFPS:                       throughput.TriageFPS,
-				Speedup:                         throughput.Speedup,
-				FastpathRatio:                   throughput.FastpathRatio,
-				BaselineP99FlightSeconds:        throughput.BaselineP99FlightSeconds,
-				P99FlightSeconds:                throughput.P99FlightSeconds,
-				Float32BaselineFPS:              throughput.Float32BaselineFPS,
-				Float32TriageFPS:                throughput.Float32TriageFPS,
-				Float32Speedup:                  throughput.Float32Speedup,
-				Float32BaselineP99FlightSeconds: throughput.Float32BaselineP99FlightSeconds,
-				Float32P99FlightSeconds:         throughput.Float32P99FlightSeconds,
-			}
-		}
-		if err := obs.WriteBenchFile(*benchJSON, report); err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		fmt.Printf("bench report written to %s (%d stages, %.1fs wall)\n",
-			*benchJSON, len(report.Stages), report.WallSeconds)
-	}
-
 	return nil
-}
-
-// runCompare gates a new bench report against an old one:
-// `benchtab -compare OLD.json NEW.json -max-regress 15%`. The new report
-// and any trailing flags land in rest because flag parsing stops at the
-// first positional argument.
-func runCompare(oldPath string, rest []string, tolSpec string) error {
-	var newPath string
-	for i := 0; i < len(rest); i++ {
-		switch {
-		case rest[i] == "-max-regress" || rest[i] == "--max-regress":
-			if i+1 >= len(rest) {
-				return fmt.Errorf("-max-regress needs a value")
-			}
-			i++
-			tolSpec = rest[i]
-		case strings.HasPrefix(rest[i], "-max-regress="):
-			tolSpec = strings.TrimPrefix(strings.TrimPrefix(rest[i], "-"), "max-regress=")
-		case newPath == "":
-			newPath = rest[i]
-		default:
-			return fmt.Errorf("unexpected argument %q (usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%])", rest[i])
-		}
-	}
-	if newPath == "" {
-		return fmt.Errorf("usage: benchtab -compare OLD.json NEW.json [-max-regress 15%%]")
-	}
-	tol, err := parseRegress(tolSpec)
-	if err != nil {
-		return err
-	}
-	oldR, err := obs.ReadBenchFile(oldPath)
-	if err != nil {
-		return fmt.Errorf("compare %s: %w", oldPath, err)
-	}
-	newR, err := obs.ReadBenchFile(newPath)
-	if err != nil {
-		return fmt.Errorf("compare %s: %w", newPath, err)
-	}
-	if err := obs.CompareBenchReports(oldR, newR, tol); err != nil {
-		return fmt.Errorf("%s vs baseline %s: %w", newPath, oldPath, err)
-	}
-	fmt.Printf("%s vs baseline %s: OK (%.2f -> %.2f flights/sec, p99 %.3fs -> %.3fs, tolerance %.0f%%)\n",
-		newPath, oldPath,
-		oldR.Throughput.FPS(), newR.Throughput.FPS(),
-		oldR.Throughput.P99(), newR.Throughput.P99(), 100*tol)
-	return nil
-}
-
-// parseRegress accepts "15%" or "0.15".
-func parseRegress(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	pct := strings.HasSuffix(s, "%")
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad -max-regress %q (want e.g. 15%% or 0.15)", s)
-	}
-	if pct || v >= 1 {
-		v /= 100
-	}
-	if v <= 0 || v >= 1 {
-		return 0, fmt.Errorf("-max-regress %q outside (0%%, 100%%)", s)
-	}
-	return v, nil
 }
 
 // writeCSV writes one figure-data table under dir.

@@ -8,11 +8,11 @@ import (
 	"soundboost/internal/triage"
 )
 
-// trainedTriageAnalyzer calibrates an analyzer over the fixture corpus
+// trainedScreenedAnalyzer calibrates an analyzer over the fixture corpus
 // with a triage tier trained on the calibration flights plus one attack
 // flight per family, and verifies the zero-flip guarantee on that
 // training corpus.
-func trainedTriageAnalyzer(t *testing.T) (*Analyzer, []*dataset.Flight) {
+func trainedScreenedAnalyzer(t *testing.T) (*Analyzer, []*dataset.Flight) {
 	t.Helper()
 	fx := getFixture(t)
 	// The tier needs benign breadth beyond the three calibration flights,
@@ -55,7 +55,7 @@ func fastpathed(t *testing.T, an *Analyzer, f *dataset.Flight) bool {
 // guarantee: over the whole training corpus, the triage-on analyzer
 // must attribute exactly the cause the triage-off analyzer does.
 func TestTriageZeroFlipOnCorpus(t *testing.T) {
-	an, corpus := trainedTriageAnalyzer(t)
+	an, corpus := trainedScreenedAnalyzer(t)
 	full := an.WithoutTriage()
 	if full.Triage != nil || an.Triage == nil {
 		t.Fatal("WithoutTriage did not detach the tier (or mutated the receiver)")
@@ -81,7 +81,7 @@ func TestTriageZeroFlipOnCorpus(t *testing.T) {
 // full pipeline (the conservative direction the zero-flip guarantee
 // depends on), and the benign fast-path must not be degenerate.
 func TestTriageEscalationAccuracyDisjoint(t *testing.T) {
-	an, _ := trainedTriageAnalyzer(t)
+	an, _ := trainedScreenedAnalyzer(t)
 	fx := getFixture(t)
 
 	attacks := []struct {

@@ -23,8 +23,9 @@ var (
 	ErrNoFlight = errors.New("soundboost: nil or empty flight")
 
 	// ErrBusClosed is returned when publishing to or subscribing on a
-	// closed mavbus. A server session whose bus has been closed reports
-	// it for late frame posts. HTTP: 409 Conflict.
+	// closed mavbus, which only the in-process live replay (`soundboost
+	// live`) uses. The server has no bus and never returns it: frames
+	// posted to a closed session get ErrSessionClosed.
 	ErrBusClosed = errors.New("mavbus: bus closed")
 
 	// ErrEngineDetached is returned by stream.Engine.Run when the engine

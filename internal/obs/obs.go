@@ -7,8 +7,8 @@
 // instrumentation sites cost a single atomic bool load (plus a nil
 // check) on the disabled path — the uninstrumented hot path is within
 // measurement noise of code compiled without the calls. Call Enable
-// (the CLIs do this when -debug-addr or -bench-json is given) to start
-// recording.
+// (the CLIs do this when -debug-addr is given, the end-to-end benchmark
+// for its traced runs) to start recording.
 //
 // Typical instrumentation site:
 //

@@ -15,9 +15,9 @@
 # where the workflow installs it); locally it downgrades to a warning so
 # the gate stays dependency-free.
 #
-# Performance is gated separately: `make bench-gate` compares a fresh
-# throughput bench against the newest committed BENCH_<n>.json
-# (scripts/bench_gate.sh; CI runs it in the bench-gate job).
+# Performance is gated separately: `sh scripts/bench_gate.sh PARENT`
+# runs the end-to-end benchmark in bench/ on this tree against the
+# parent commit (CI runs it in the bench-gate job).
 set -eu
 
 cd "$(dirname "$0")/.."
