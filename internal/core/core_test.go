@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"soundboost/internal/acoustics"
 	"soundboost/internal/attack"
 	"soundboost/internal/dataset"
 	"soundboost/internal/kalman"
@@ -202,6 +203,16 @@ func TestExtractorFeatures(t *testing.T) {
 func TestExtractorEmptyRecording(t *testing.T) {
 	if _, err := NewExtractor(nil, testSignatureConfig()); err == nil {
 		t.Error("nil recording accepted")
+	}
+	// The four mics filter in lockstep, so ragged channels are refused
+	// up front.
+	rec := &acoustics.Recording{SampleRate: 4000}
+	for m := range rec.Channels {
+		rec.Channels[m] = make([]float64, 4000)
+	}
+	rec.Channels[2] = rec.Channels[2][:3999]
+	if _, err := NewExtractor(rec, testSignatureConfig()); err == nil {
+		t.Error("recording with ragged channels accepted")
 	}
 }
 

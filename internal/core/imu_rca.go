@@ -3,6 +3,7 @@ package soundboost
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/stats"
@@ -179,10 +180,13 @@ func (d *IMUDetector) ResidualHistogram(f *dataset.Flight, lo, hi float64, bins 
 }
 
 // imuWindow is the IMU stage's input for one window: its start time and
-// per-IMU-sample prediction residuals.
+// per-IMU-sample prediction residuals. A monitor's ring also keeps the
+// residuals sorted, so each window is sorted once however many periods
+// pool it.
 type imuWindow struct {
-	start float64
-	vals  []float64
+	start  float64
+	vals   []float64
+	sorted []float64
 }
 
 // imuWindows reduces a flight's observations to z-axis residuals against
@@ -234,6 +238,8 @@ type IMUMonitor struct {
 	onPeriod func(stat, std float64)
 
 	ring        []imuWindow
+	pool        []float64 // the period's residuals in window order
+	merge       stats.RunMerger
 	consecutive int
 	verdict     IMUVerdict
 	// rejectedVals pools the residuals of rejected periods (overlapping
@@ -261,23 +267,36 @@ func (d *IMUDetector) NewMonitor() *IMUMonitor {
 // A window without residuals is not fed at all: period pooling has no
 // timebase, so the IMU stage needs no hole handling.
 func (m *IMUMonitor) AddWindow(start float64, vals []float64) {
-	m.ring = append(m.ring, imuWindow{start: start, vals: vals})
-	if len(m.ring) > m.cfg.PeriodWindows {
-		m.ring = m.ring[1:]
+	// The evicted window's sorted buffer takes the new window's values.
+	var sorted []float64
+	if len(m.ring) == m.cfg.PeriodWindows {
+		sorted = m.ring[0].sorted[:0]
+		m.ring = append(m.ring[:0], m.ring[1:]...)
 	}
+	sorted = append(sorted, vals...)
+	sort.Float64s(sorted)
+	m.ring = append(m.ring, imuWindow{start: start, vals: vals, sorted: sorted})
 	if len(m.ring) < m.cfg.PeriodWindows {
 		return
 	}
-	var pool []float64
+	m.pool = m.pool[:0]
 	for _, w := range m.ring {
-		pool = append(pool, w.vals...)
+		m.pool = append(m.pool, w.vals...)
 	}
+	pool := m.pool
 	// A too-small or untestable pool emits no period and does not reset
 	// the consecutive-rejection counter.
 	if len(pool) < m.cfg.MinResiduals {
 		return
 	}
-	res, err := stats.KSTestNormal(pool, m.benign)
+	// Merging the windows' sorted runs yields the pool in sorted order
+	// without sorting it again; the KS statistic only reads that order.
+	// The spread reads the pool in window order, as it always has.
+	m.merge.Reset()
+	for _, w := range m.ring {
+		m.merge.Add(w.sorted)
+	}
+	res, err := stats.KSTestNormalSorted(m.merge.Merged(), m.benign)
 	if err != nil {
 		return
 	}

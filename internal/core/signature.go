@@ -15,7 +15,6 @@ import (
 	"soundboost/internal/acoustics"
 	"soundboost/internal/dsp"
 	"soundboost/internal/mathx"
-	"soundboost/internal/parallel"
 )
 
 // SignatureConfig controls acoustic signature generation (paper §III-A).
@@ -191,27 +190,27 @@ func NewExtractor(rec *acoustics.Recording, cfg SignatureConfig) (*Extractor, er
 	if err := cfg.ValidateForRate(rec.SampleRate); err != nil {
 		return nil, err
 	}
+	for m, ch := range rec.Channels {
+		if len(ch) != rec.Samples() {
+			return nil, fmt.Errorf("soundboost: channel %d has %d samples, channel 0 has %d", m, len(ch), rec.Samples())
+		}
+	}
 	e := &Extractor{cfg: cfg, rate: rec.SampleRate}
 	span := extractFilterTimer.Start()
 	defer span.Stop()
-	// Each channel filters independently; fan the four mics out across the
-	// worker pool. Filter state is per-channel, so results are identical to
-	// the serial loop.
-	channels, err := parallel.MapErr(0, len(rec.Channels), func(m int) ([]float64, error) {
-		ch := rec.Channels[m]
-		if cfg.LowPassHz > 0 && cfg.LowPassHz < rec.SampleRate/2 {
-			lp, err := dsp.NewLowPass(cfg.LowPassHz, rec.SampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("soundboost: low-pass: %w", err)
-			}
-			return lp.ProcessAll(ch), nil
+	// The four mics filter in one interleaved four-lane loop; each lane
+	// is bitwise identical to a scalar filter over its channel.
+	if cfg.LowPassHz > 0 && cfg.LowPassHz < rec.SampleRate/2 {
+		lp, err := dsp.NewLowPass(cfg.LowPassHz, rec.SampleRate)
+		if err != nil {
+			return nil, fmt.Errorf("soundboost: low-pass: %w", err)
 		}
-		return append([]float64(nil), ch...), nil
-	})
-	if err != nil {
-		return nil, err
+		e.filtered = lp.Lanes4().ProcessAll(rec.Channels)
+		return e, nil
 	}
-	copy(e.filtered[:], channels)
+	for m, ch := range rec.Channels {
+		e.filtered[m] = append([]float64(nil), ch...)
+	}
 	return e, nil
 }
 

@@ -168,3 +168,36 @@ func TestRMS(t *testing.T) {
 		t.Errorf("sine RMS = %v, want %v", got, 1/math.Sqrt2)
 	}
 }
+
+// lowPassSink keeps BenchmarkLowPass's results live.
+var lowPassSink []float64
+
+// BenchmarkLowPass filters one second of four-mic 16 kHz audio at the
+// paper's 6 kHz cutoff, one lane at a time (four scalar ProcessAll
+// chains) against the four-lane Biquad4.
+func BenchmarkLowPass(b *testing.B) {
+	const rate = 16000
+	var x [4][]float64
+	for c := range x {
+		x[c] = randSignal(rate, int64(c)+1)
+	}
+	lp, err := NewLowPass(6000, rate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("one-lane", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, ch := range x {
+				f := *lp
+				lowPassSink = f.ProcessAll(ch)
+			}
+		}
+	})
+	b.Run("four-lane", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lowPassSink = lp.Lanes4().ProcessAll(x)[3]
+		}
+	})
+}

@@ -28,17 +28,21 @@ type Spectrum[F mathx.Float] struct {
 
 // Plan holds everything size-dependent a real-input FFT of length n
 // needs, in element type F: the bit-reversal permutation of the
-// half-length complex transform and the twiddle table
-// exp(-2*pi*i*k/n), k < n/2, which serves both the half-length
-// butterflies (every (n/size)-th entry) and the packed-real untangle.
-// Sizes are powers of two. Plans are immutable after construction and
-// safe for concurrent use; PlanFFT caches one plan per (size, F), so
-// every session, stream engine and fleet replica in the process shares
-// one table set.
+// half-length complex transform, the twiddle table exp(-2*pi*i*k/n),
+// k < n/2, of the packed-real untangle, and the same twiddles regrouped
+// stage by stage for the half-length butterflies. Sizes are powers of
+// two. Plans are immutable after construction and safe for concurrent
+// use; PlanFFT caches one plan per (size, F), so every session, stream
+// engine and fleet replica in the process shares one table set.
 type Plan[F mathx.Float] struct {
 	n          int
 	bitrev     []int // permutation of the n/2-point complex transform
 	twRe, twIm []F
+	// stageRe, stageIm hold the butterfly twiddles stage after stage:
+	// the stage of half-size m reads entries [m-1, 2m-1), entry m-1+k
+	// being twiddle k*n/(2m). Each stage walks its twiddles
+	// contiguously instead of striding through twRe/twIm.
+	stageRe, stageIm []F
 }
 
 // poolKey identifies a per-size cache entry of one element type;
@@ -79,6 +83,15 @@ func PlanFFT[F mathx.Float](n int) *Plan[F] {
 			s, c := math.Sincos(-angle)
 			p.twRe[k], p.twIm[k] = F(c), F(s)
 		}
+		p.stageRe = make([]F, 0, h-1)
+		p.stageIm = make([]F, 0, h-1)
+		for m := 1; m < h; m <<= 1 {
+			stride := n / (2 * m)
+			for k := 0; k < m; k++ {
+				p.stageRe = append(p.stageRe, p.twRe[k*stride])
+				p.stageIm = append(p.stageIm, p.twIm[k*stride])
+			}
+		}
 	}
 	actual, _ := planCache.LoadOrStore(key, p)
 	fftPlanCount.Inc()
@@ -102,18 +115,62 @@ func (p *Plan[F]) SpectrumLen() int {
 // out in F component arithmetic: complex64 multiplication evaluates
 // through complex128, which would forfeit the single-precision speedup,
 // and at float64 the component form rounds exactly like complex128.
+//
+// The size-2 and size-4 stages, whose groups hold one and two
+// butterflies, run as flat loops over the whole sequence with their
+// twiddles hoisted; later stages read the contiguous per-stage
+// twiddles. Every butterfly evaluates the same expression on the same
+// table values as the plain radix-2 loop, so the result is bitwise
+// identical to it.
 func (p *Plan[F]) butterfly(re, im []F) {
 	h := len(re)
-	for size := 2; size <= h; size <<= 1 {
-		half := size >> 1
-		stride := p.n / size
+	im = im[:h]
+	if h < 2 {
+		return
+	}
+	// Size 2: the one twiddle is entry 0 of the table, (1, -0).
+	wr, wi := p.stageRe[0], p.stageIm[0]
+	for s := 0; s < h; s += 2 {
+		xr, xi := re[s:s+2], im[s:s+2]
+		br, bi := xr[1], xi[1]
+		tr := br*wr - bi*wi
+		ti := br*wi + bi*wr
+		ar, ai := xr[0], xi[0]
+		xr[0], xi[0] = ar+tr, ai+ti
+		xr[1], xi[1] = ar-tr, ai-ti
+	}
+	if h < 4 {
+		return
+	}
+	// Size 4: butterflies (s, s+2) and (s+1, s+3) of every group.
+	w0r, w0i := p.stageRe[1], p.stageIm[1]
+	w1r, w1i := p.stageRe[2], p.stageIm[2]
+	for s := 0; s < h; s += 4 {
+		xr, xi := re[s:s+4], im[s:s+4]
+		br, bi := xr[2], xi[2]
+		tr := br*w0r - bi*w0i
+		ti := br*w0i + bi*w0r
+		ar, ai := xr[0], xi[0]
+		xr[0], xi[0] = ar+tr, ai+ti
+		xr[2], xi[2] = ar-tr, ai-ti
+		br, bi = xr[3], xi[3]
+		tr = br*w1r - bi*w1i
+		ti = br*w1i + bi*w1r
+		ar, ai = xr[1], xi[1]
+		xr[1], xi[1] = ar+tr, ai+ti
+		xr[3], xi[3] = ar-tr, ai-ti
+	}
+	for half := 4; half < h; half <<= 1 {
+		size := half << 1
+		twr, twi := p.stageRe[half-1:size-1], p.stageIm[half-1:size-1]
 		for start := 0; start < h; start += size {
 			// Equal-length views let the compiler drop bounds checks.
 			xr, xi := re[start:start+half], im[start:start+half]
 			yr, yi := re[start+half:start+size], im[start+half:start+size]
 			yr, yi, xi = yr[:len(xr)], yi[:len(xr)], xi[:len(xr)]
+			twr, twi := twr[:len(xr)], twi[:len(xr)]
 			for k := range xr {
-				wr, wi := p.twRe[k*stride], p.twIm[k*stride]
+				wr, wi := twr[k], twi[k]
 				br, bi := yr[k], yi[k]
 				tr := br*wr - bi*wi
 				ti := br*wi + bi*wr

@@ -184,14 +184,3 @@ func TestGoertzelOffBinMatchesDirectDFT(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkPlanForward1024(b *testing.B) {
-	x := randSignal(1024, 1)
-	p := PlanFFT[float64](1024)
-	out := AcquireSpectrum[float64](p.SpectrumLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = p.ForwardReal(x, out)
-	}
-}

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,25 +194,27 @@ func TestCachedHann32MatchesFloat64(t *testing.T) {
 	}
 }
 
+// BenchmarkForwardReal times the real FFT at the signature sub-frame
+// sizes (1024, 2048) and the triage window (8192), at both precisions.
 func BenchmarkForwardReal(b *testing.B) {
-	benchmarkForwardReal[float64](b)
-}
-
-func BenchmarkForwardReal32(b *testing.B) {
-	benchmarkForwardReal[float32](b)
-}
-
-func benchmarkForwardReal[F mathx.Float](b *testing.B) {
-	const n = 2048
-	x := make([]F, n)
-	for i, v := range randSignal(n, 1) {
-		x[i] = F(v)
+	for _, n := range []int{1024, 2048, 8192} {
+		b.Run(fmt.Sprintf("n=%d/float64", n), benchmarkForwardReal[float64](n))
+		b.Run(fmt.Sprintf("n=%d/float32", n), benchmarkForwardReal[float32](n))
 	}
-	plan := PlanFFT[F](n)
-	out := AcquireSpectrum[F](plan.SpectrumLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = plan.ForwardReal(x, out)
+}
+
+func benchmarkForwardReal[F mathx.Float](n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		x := make([]F, n)
+		for i, v := range randSignal(n, 1) {
+			x[i] = F(v)
+		}
+		plan := PlanFFT[F](n)
+		out := AcquireSpectrum[F](plan.SpectrumLen())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out = plan.ForwardReal(x, out)
+		}
 	}
 }

@@ -90,13 +90,21 @@ func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
 // KSTestNormal runs a one-sample KS test of samples against the reference
 // normal distribution. This is SoundBoost's IMU attack decision: benign
 // residuals follow the fitted benign normal; attack residuals do not.
+// samples is left untouched.
 func KSTestNormal(samples []float64, ref Normal) (KSResult, error) {
-	n := len(samples)
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	return KSTestNormalSorted(sorted, ref)
+}
+
+// KSTestNormalSorted is KSTestNormal over samples already in
+// sort.Float64s order (ascending, NaN first), as RunMerger.Merged produces
+// them; it skips the copy and the sort.
+func KSTestNormalSorted(sorted []float64, ref Normal) (KSResult, error) {
+	n := len(sorted)
 	if n == 0 {
 		return KSResult{}, ErrInsufficientData
 	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
 	d := 0.0
 	for i, v := range sorted {
 		cdf := ref.CDF(v)
@@ -110,6 +118,77 @@ func KSTestNormal(samples []float64, ref Normal) (KSResult, error) {
 		}
 	}
 	return KSResult{Statistic: d, PValue: ksPValue(d, n), N: n}, nil
+}
+
+// RunMerger merges ascending runs into one ascending slice, reusing its
+// buffers from call to call. It produces sort.Float64s order (NaN
+// first) when every run is in that order, so a pool of pre-sorted runs
+// need not be sorted again.
+type RunMerger struct {
+	buf, tmp []float64
+	ends     []int // ends[i] is the end of run i in buf
+}
+
+// Reset discards the runs added so far.
+func (r *RunMerger) Reset() {
+	r.buf, r.ends = r.buf[:0], r.ends[:0]
+}
+
+// Add appends a copy of run, which must be in sort.Float64s order.
+func (r *RunMerger) Add(run []float64) {
+	r.buf = append(r.buf, run...)
+	r.ends = append(r.ends, len(r.buf))
+}
+
+// Merged merges the runs added since Reset pairwise, adjacent runs
+// first, and returns the result. The slice is owned by the merger and
+// valid until the next Reset.
+func (r *RunMerger) Merged() []float64 {
+	n := len(r.buf)
+	if cap(r.tmp) < n {
+		r.tmp = make([]float64, n)
+	}
+	src, dst := r.buf, r.tmp[:n]
+	for len(r.ends) > 1 {
+		start, out := 0, 0
+		for i := 0; i < len(r.ends); i += 2 {
+			end := r.ends[i]
+			if i+1 < len(r.ends) {
+				end = r.ends[i+1]
+				mergeInto(dst[start:end], src[start:r.ends[i]], src[r.ends[i]:end])
+			} else {
+				copy(dst[start:end], src[start:end])
+			}
+			r.ends[out] = end
+			out++
+			start = end
+		}
+		r.ends = r.ends[:out]
+		src, dst = dst, src
+	}
+	// Keep the merged slice in buf so the next Reset reuses both.
+	r.buf, r.tmp = src, dst
+	return src
+}
+
+// mergeInto merges the ascending runs a and b into dst (len(a)+len(b)),
+// taking from a on ties.
+func mergeInto(dst, a, b []float64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && !floatLess(b[j], a[i])) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
+}
+
+// floatLess is sort.Float64s's order: ascending, NaN first.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 // ksPValue evaluates the asymptotic Kolmogorov distribution tail

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -438,5 +439,61 @@ func TestROCAndAUC(t *testing.T) {
 	}
 	if ROC(nil, nil) != nil {
 		t.Error("empty ROC should be nil")
+	}
+}
+
+// TestKSMergedRunsBitwise checks RunMerger and KSTestNormalSorted
+// against KSTestNormal on the concatenated pool: the merge must yield
+// sort.Float64s order (duplicates, both infinities and NaN, which sorts
+// first) and the statistic must match bit for bit. One merger is
+// reused across pools of different shapes.
+func TestKSMergedRunsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ref := Normal{Mu: 0.1, Sigma: 1.3}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 1}
+	var r RunMerger
+	for trial := 0; trial < 200; trial++ {
+		runs := make([][]float64, 1+rng.Intn(9))
+		var pool []float64
+		for i := range runs {
+			run := make([]float64, rng.Intn(40))
+			for j := range run {
+				switch rng.Intn(8) {
+				case 0:
+					run[j] = specials[rng.Intn(len(specials))]
+				case 1:
+					run[j] = float64(rng.Intn(3)) // duplicates
+				default:
+					run[j] = rng.NormFloat64()
+				}
+			}
+			pool = append(pool, run...)
+			sort.Float64s(run)
+			runs[i] = run
+		}
+		r.Reset()
+		for _, run := range runs {
+			r.Add(run)
+		}
+		merged := r.Merged()
+		want := append([]float64(nil), pool...)
+		sort.Float64s(want)
+		if len(merged) != len(want) {
+			t.Fatalf("trial %d: merged %d values, want %d", trial, len(merged), len(want))
+		}
+		for i := range want {
+			if merged[i] != want[i] && !(math.IsNaN(merged[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("trial %d: merged[%d] = %v, want %v", trial, i, merged[i], want[i])
+			}
+		}
+		got, gotErr := KSTestNormalSorted(merged, ref)
+		exp, expErr := KSTestNormal(pool, ref)
+		if (gotErr == nil) != (expErr == nil) {
+			t.Fatalf("trial %d: error %v, want %v", trial, gotErr, expErr)
+		}
+		if math.Float64bits(got.Statistic) != math.Float64bits(exp.Statistic) ||
+			math.Float64bits(got.PValue) != math.Float64bits(exp.PValue) || got.N != exp.N {
+			t.Fatalf("trial %d: merged-run KS %+v, want %+v", trial, got, exp)
+		}
 	}
 }

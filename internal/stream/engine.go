@@ -100,7 +100,7 @@ type Engine struct {
 
 	// Audio ring: filtered samples [base, written) per mic, plus the
 	// invalid (gap-filled / non-finite) ranges still overlapping it.
-	filters [acoustics.NumMics]*dsp.Biquad
+	lp      *dsp.Biquad4 // nil when the signature has no low-pass
 	buf     [acoustics.NumMics][]float64
 	base    int
 	written int
@@ -186,16 +186,14 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		imuWM: math.Inf(-1),
 		gpsWM: math.Inf(-1),
 	}
-	// Mirror NewExtractor's per-channel low-pass: a causal biquad fed
+	// Mirror NewExtractor's four-lane low-pass: the same filter stepped
 	// sample by sample is bit-identical to the batch ProcessAll.
 	if sig.LowPassHz > 0 && sig.LowPassHz < sampleRate/2 {
-		for m := range e.filters {
-			lp, err := dsp.NewLowPass(sig.LowPassHz, sampleRate)
-			if err != nil {
-				return nil, fmt.Errorf("stream: low-pass: %w", err)
-			}
-			e.filters[m] = lp
+		lp, err := dsp.NewLowPass(sig.LowPassHz, sampleRate)
+		if err != nil {
+			return nil, fmt.Errorf("stream: low-pass: %w", err)
 		}
+		e.lp = lp.Lanes4()
 	}
 	if !e.cfg.DisableTriage {
 		e.tri = an.Triage
@@ -378,41 +376,40 @@ func (e *Engine) onAudio(f AudioFrame) {
 		e.invalid = append(e.invalid, sampleRange{e.written, startIdx})
 		gapSamplesFilled.Add(int64(gap))
 		for i := 0; i < gap; i++ {
-			for m := range e.buf {
-				e.buf[m] = append(e.buf[m], e.filterSample(m, 0))
-			}
+			e.appendSample([acoustics.NumMics]float64{})
 		}
 		e.written = startIdx
 	}
 	for i := skip; i < n; i++ {
+		var x [acoustics.NumMics]float64
 		finite := true
-		for m := 0; m < acoustics.NumMics; m++ {
+		for m := range x {
 			v := f.Samples[m][i]
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				finite = false
+				v = 0
 			}
+			x[m] = v
 		}
 		if !finite {
 			nonFiniteSamples.Inc()
 			e.markInvalid(e.written, e.written+1)
 		}
-		for m := range e.buf {
-			v := f.Samples[m][i]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			e.buf[m] = append(e.buf[m], e.filterSample(m, v))
-		}
+		e.appendSample(x)
 		e.written++
 	}
 	audioBufferGauge.Set(float64(e.written-e.base) / e.rate)
 }
 
-func (e *Engine) filterSample(m int, v float64) float64 {
-	if e.filters[m] != nil {
-		return e.filters[m].Process(v)
+// appendSample low-passes one sample per mic and appends it to the
+// audio ring.
+func (e *Engine) appendSample(x [acoustics.NumMics]float64) {
+	if e.lp != nil {
+		x = e.lp.Process(x)
 	}
-	return v
+	for m, v := range x {
+		e.buf[m] = append(e.buf[m], v)
+	}
 }
 
 // markInvalid records [start, end) as untrustworthy, merging with a

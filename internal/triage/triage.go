@@ -488,28 +488,69 @@ func (m *Model) normalize(x []float64) []float64 {
 }
 
 // meanBenignDistance is the mean Euclidean distance from z to its k
-// nearest benign prototypes.
+// nearest benign prototypes (+Inf without benign prototypes), selected
+// as neighbours selects them.
 func (m *Model) meanBenignDistance(z []float64) float64 {
-	var dists []float64
-	for i, p := range m.protos {
-		if m.labels[i] != 0 {
-			continue
-		}
-		dists = append(dists, euclid(z, p))
-	}
-	sort.Float64s(dists)
-	k := m.k
-	if k > len(dists) {
-		k = len(dists)
-	}
-	if k == 0 {
+	var stack [maxStackK]neighbour
+	near := m.nearest(z, true, stack[:0])
+	if len(near) == 0 {
 		return math.Inf(1)
 	}
 	sum := 0.0
-	for _, d := range dists[:k] {
-		sum += d
+	for _, nb := range near {
+		sum += nb.dist
 	}
-	return sum / float64(k)
+	return sum / float64(len(near))
+}
+
+// neighbour is one selected prototype: its distance and index.
+type neighbour struct {
+	dist float64
+	idx  int
+}
+
+// maxStackK is the neighbour count whose selection buffer lives on the
+// stack; larger k (beyond the default KMax) allocates it.
+const maxStackK = 32
+
+// nearest selects the k nearest prototypes of z — among the benign ones
+// only when benignOnly — into buf, in ascending distance. It keeps a
+// sorted insertion buffer of at most k entries, so one pass over the
+// prototypes costs no sort and no per-distance allocation. Equal
+// distances keep the lower prototype index, and NaN distances order
+// first, as sort.Float64s orders them; the selection is therefore a
+// deterministic function of the model and z. Fewer than k candidates
+// yield them all.
+func (m *Model) nearest(z []float64, benignOnly bool, buf []neighbour) []neighbour {
+	k := m.k
+	if cap(buf) < k {
+		buf = make([]neighbour, 0, k)
+	}
+	buf = buf[:0]
+	for i, p := range m.protos {
+		if benignOnly && m.labels[i] != 0 {
+			continue
+		}
+		d := euclid(z, p)
+		if len(buf) == k {
+			if !distLess(d, buf[k-1].dist) {
+				continue
+			}
+			buf = buf[:k-1]
+		}
+		j := len(buf)
+		buf = append(buf, neighbour{})
+		for ; j > 0 && distLess(d, buf[j-1].dist); j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = neighbour{dist: d, idx: i}
+	}
+	return buf
+}
+
+// distLess is sort.Float64s's order: ascending, NaN first.
+func distLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 func euclid(a, b []float64) float64 {
@@ -535,26 +576,20 @@ type Decision struct {
 }
 
 // neighbours returns the mean distance to and the anomalous count among
-// the k nearest prototypes of a normalised vector. The prototype set is
-// small by construction, so a full scan plus sort is the whole cost.
+// the k nearest prototypes of a normalised vector, selected by nearest:
+// ties at the k-th distance go to the lower prototype index. Distances
+// are summed in ascending order.
 func (m *Model) neighbours(z []float64) (meanDist float64, votes int) {
-	dists := make([]float64, len(m.protos))
-	for i, p := range m.protos {
-		dists[i] = euclid(z, p)
-	}
-	idx := make([]int, len(dists))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return dists[idx[a]] < dists[idx[b]] })
+	var stack [maxStackK]neighbour
+	near := m.nearest(z, false, stack[:0])
 	var sum float64
-	for _, i := range idx[:m.k] {
-		sum += dists[i]
-		if m.labels[i] == 1 {
+	for _, nb := range near {
+		sum += nb.dist
+		if m.labels[nb.idx] == 1 {
 			votes++
 		}
 	}
-	return sum / float64(m.k), votes
+	return sum / float64(len(near)), votes
 }
 
 // Classify screens one raw feature vector. The window is
