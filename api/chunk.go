@@ -36,11 +36,7 @@ func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]Frame
 		frameSeconds = 0.05
 	}
 	rate := f.Audio.SampleRate
-	// Shared with stream.Replay: both must cut identical frames (rounded,
-	// not truncated) or the replay-identical guarantee breaks.
-	frameN := stream.FrameLen(frameSeconds, rate)
-	total := f.Audio.Samples()
-	duration := float64(total) / rate
+	duration := float64(f.Audio.Samples()) / rate
 	if n := len(f.Telemetry); n > 0 && f.Telemetry[n-1].Time > duration {
 		duration = f.Telemetry[n-1].Time
 	}
@@ -72,28 +68,19 @@ func ChunkFlight(f *dataset.Flight, frameSeconds, chunkSeconds float64) ([]Frame
 		return slices[i]
 	}
 
-	for o := 0; o < total; o += frameN {
-		end := o + frameN
-		if end > total {
-			end = total
-		}
-		samples := make([][]float64, len(f.Audio.Channels))
-		for m := range samples {
-			samples[m] = f.Audio.Channels[m][o:end]
-		}
+	// Cut exactly as stream.Replay does, so a chunked upload reproduces
+	// the replayed stream.
+	audio, imu, gps := stream.CutFlight(f, frameSeconds)
+	end := 0 // sample index one past the current frame
+	for _, fr := range audio {
+		end += len(fr.Samples[0])
 		r := at(float64(end) / rate)
-		r.Audio = append(r.Audio, AudioFrameFromStream(stream.AudioFrame{
-			Start: float64(o) / rate, Rate: rate, Samples: samples,
-		}))
+		r.Audio = append(r.Audio, AudioFrameFromStream(fr))
 	}
-	for _, s := range f.Telemetry {
-		r := at(s.Time)
-		r.IMU = append(r.IMU, IMUSampleFromStream(stream.IMUSample{
-			Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt,
-		}))
-		r.GPS = append(r.GPS, GPSSampleFromStream(stream.GPSSample{
-			Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel,
-		}))
+	for i := range imu {
+		r := at(imu[i].Time)
+		r.IMU = append(r.IMU, IMUSampleFromStream(imu[i]))
+		r.GPS = append(r.GPS, GPSSampleFromStream(gps[i]))
 	}
 	// Requests in slice order. Slices are consecutive time intervals and
 	// every event lands in the one holding its time (an audio frame's is

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -325,15 +326,7 @@ func runChaosProfile(base string, flight *dataset.Flight, p *chaosProfile, idx i
 	// are disabled — backoff is counted by the PRNG, not waited out.
 	client := httpretry.New(hc, 20, time.Millisecond, int64(idx)+1)
 	client.Sleep = noSleep
-	// Status polls bypass the fault schedule: their count depends on
-	// engine drain timing, and nondeterministic poll traffic would drag
-	// the transport's PRNG — and its injected counts — along with it.
-	// Faults hit the data path (create + frames + report), where they
-	// prove something.
-	poll := httpretry.New(http.DefaultClient, 20, time.Millisecond, int64(idx)+101)
-	poll.Sleep = noSleep
-
-	outcome, err := driveChaosSession(client, poll, base, flight, label, chunkSec, p)
+	outcome, err := driveChaosSession(client, base, flight, label, chunkSec, p)
 	if err != nil {
 		res.failf("%s: %v", label, err)
 		return res
@@ -436,22 +429,18 @@ type sessionOutcome struct {
 }
 
 // driveChaosSession streams the flight through one chaos session and
-// waits for a terminal state. client (possibly riding a chaos transport)
-// carries the data path; poll is a clean client for status waiting.
-func driveChaosSession(client, poll *httpretry.Client, base string, flight *dataset.Flight, label string, chunkSec float64, p *chaosProfile) (sessionOutcome, error) {
+// reads its terminal state from the report, which the server holds until
+// the engine drains. Only a session that died gets one status read, for
+// its recorded cause.
+func driveChaosSession(client *httpretry.Client, base string, flight *dataset.Flight, label string, chunkSec float64, p *chaosProfile) (sessionOutcome, error) {
 	var out sessionOutcome
-	var created api.SessionResponse
-	body, err := json.Marshal(api.SessionRequest{
+	sess, err := client.OpenSession(base, api.SessionRequest{
 		Flight:       label,
 		SampleRateHz: flight.Audio.SampleRate,
 	})
 	if err != nil {
 		return out, err
 	}
-	if err := client.Do("POST", base+"/v1/sessions", body, &created); err != nil {
-		return out, err
-	}
-	sessURL := base + "/v1/sessions/" + created.ID
 
 	reqs, err := api.ChunkFlight(flight, 0.05, chunkSec)
 	if err != nil {
@@ -461,12 +450,7 @@ func driveChaosSession(client, poll *httpretry.Client, base string, flight *data
 		out.offered += int64(len(reqs[i].Audio) + len(reqs[i].IMU) + len(reqs[i].GPS))
 	}
 	for i, r := range reqs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return out, err
-		}
-		var resp api.FramesResponse
-		if err := client.Do("POST", sessURL+"/frames", raw, &resp); err != nil {
+		if _, err := sess.Post(r); err != nil {
 			if p.expectFailed {
 				break // the poisoned engine died under us — expected
 			}
@@ -474,35 +458,23 @@ func driveChaosSession(client, poll *httpretry.Client, base string, flight *data
 		}
 	}
 
-	// Wait for the terminal state (done or failed); polls are not
-	// printed, so their count cannot break output determinism.
-	var status api.SessionStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if err := poll.Do("GET", sessURL+"/status", nil, &status); err != nil {
+	report, err := sess.Report()
+	var se *httpretry.StatusError
+	if errors.As(err, &se) && se.Code == api.CodeSessionFailed {
+		status, err := sess.Status()
+		if err != nil {
 			return out, err
 		}
-		if status.State == api.SessionDone || status.State == api.SessionFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			return out, fmt.Errorf("session %s stuck in state %q", created.ID, status.State)
-		}
-		time.Sleep(20 * time.Millisecond)
+		out.state, out.failCause = status.State, status.FailCause
+		return out, nil
 	}
-	out.state = status.State
-	out.failCause = status.FailCause
-	if status.State == api.SessionDone {
-		var report api.Report
-		if err := client.Do("GET", sessURL+"/report", nil, &report); err != nil {
-			return out, err
-		}
-		report.Flight = "" // per-profile label; the comparison is on the analysis
-		if out.report, err = json.Marshal(report); err != nil {
-			return out, err
-		}
+	if err != nil {
+		return out, err
 	}
-	return out, nil
+	out.state = api.SessionDone
+	report.Flight = "" // per-profile label; the comparison is on the analysis
+	out.report, err = json.Marshal(report)
+	return out, err
 }
 
 // degradationReasons names the injected fault families, in stable order

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -88,8 +87,8 @@ func pushBatch(client *httpretry.Client, base, path string) (api.Report, error) 
 	if err != nil {
 		return api.Report{}, err
 	}
-	var out api.FlightResponse
-	if err := client.Do("POST", base+"/v1/flights", raw, &out); err != nil {
+	out, err := client.PostFlight(base, raw)
+	if err != nil {
 		return api.Report{}, err
 	}
 	fmt.Fprintf(os.Stderr, "batch analysis took %.2f s server-side\n", out.ElapsedSeconds)
@@ -108,18 +107,14 @@ func flightDuration(f *dataset.Flight) float64 {
 // pushSession streams the flight through a session: create, feed
 // sequence-numbered frame batches, read the final report.
 func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, frameSec, chunkSec float64, pace time.Duration) (api.Report, error) {
-	var created api.SessionResponse
-	body, err := json.Marshal(api.SessionRequest{
+	sess, err := client.OpenSession(base, api.SessionRequest{
 		Flight:       flight.Name,
 		SampleRateHz: flight.Audio.SampleRate,
 	})
 	if err != nil {
 		return api.Report{}, err
 	}
-	if err := client.Do("POST", base+"/v1/sessions", body, &created); err != nil {
-		return api.Report{}, err
-	}
-	fmt.Fprintf(os.Stderr, "session %s open\n", created.ID)
+	fmt.Fprintf(os.Stderr, "session %s open\n", sess.ID)
 
 	if chunkSec <= 0 {
 		// "Single request" is spelled as a chunk covering the whole flight;
@@ -130,18 +125,13 @@ func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, 
 	if err != nil {
 		return api.Report{}, err
 	}
-	sessURL := base + "/v1/sessions/" + created.ID
 	total, dups := 0, 0
 	for i, r := range reqs {
 		if pace > 0 && i > 0 {
 			time.Sleep(pace)
 		}
-		raw, err := json.Marshal(r)
+		resp, err := sess.Post(r)
 		if err != nil {
-			return api.Report{}, err
-		}
-		var resp api.FramesResponse
-		if err := client.Do("POST", sessURL+"/frames", raw, &resp); err != nil {
 			return api.Report{}, fmt.Errorf("frames %d/%d: %w", i+1, len(reqs), err)
 		}
 		total += resp.Accepted
@@ -153,9 +143,5 @@ func pushSession(client *httpretry.Client, base string, flight *dataset.Flight, 
 		fmt.Fprintf(os.Stderr, "%d chunk(s) acknowledged as duplicates (idempotent resend)\n", dups)
 	}
 	fmt.Fprintf(os.Stderr, "streamed %d messages in %d requests; waiting for verdict\n", total, len(reqs))
-	var report api.Report
-	if err := client.Do("GET", sessURL+"/report", nil, &report); err != nil {
-		return api.Report{}, err
-	}
-	return report, nil
+	return sess.Report()
 }

@@ -290,6 +290,11 @@ func (g *Gateway) logf(format string, a ...any) { g.cfg.Logf(format, a...) }
 
 func (g *Gateway) base(replica string) string { return g.replicas[replica].BaseURL }
 
+// backend addresses rt's session on the replica currently holding it.
+func (g *Gateway) backend(rt *route) *httpretry.Session {
+	return g.client.SessionAt(g.base(rt.replica), rt.backendID)
+}
+
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
@@ -430,8 +435,7 @@ func (g *Gateway) rebalance(name string) {
 			rt.mu.Unlock()
 			continue
 		}
-		var st api.SessionStatus
-		if err := g.client.Do("GET", g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+"/status", nil, &st); err == nil &&
+		if st, err := g.backend(rt).Status(); err == nil &&
 			(st.State == api.SessionDone || st.State == api.SessionFailed) {
 			rebalanceSkipped.Inc()
 			rt.mu.Unlock()
@@ -613,21 +617,12 @@ func (g *Gateway) failoverLocked(rt *route) error {
 // holds rt.mu.
 func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal) error {
 	from := rt.replica
-	body, err := json.Marshal(exp.Request)
+	sess, err := g.client.OpenSession(g.base(target), exp.Request)
 	if err != nil {
-		return err
-	}
-	var created api.SessionResponse
-	if err := g.client.Do("POST", g.base(target)+"/"+api.Version+"/sessions", body, &created); err != nil {
 		return fmt.Errorf("fleet: successor %s rejected session: %w", target, err)
 	}
 	for _, c := range exp.Chunks {
-		raw, err := api.EncodeChunk(c)
-		if err != nil {
-			return err
-		}
-		var fr api.FramesResponse
-		if err := g.client.Do("POST", g.base(target)+"/"+api.Version+"/sessions/"+created.ID+"/frames", raw, &fr); err != nil {
+		if _, err := sess.Post(c); err != nil {
 			return fmt.Errorf("fleet: replay chunk %d onto %s: %w", c.Seq, target, err)
 		}
 		failoverChunks.Inc()
@@ -639,7 +634,7 @@ func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal
 	// lock the migrated session against a client mid-upload. The client
 	// finishes the stream, or the successor's janitor re-times it out.
 	g.ring.Pin(rt.gwID, target)
-	rt.replica, rt.backendID = target, created.ID
+	rt.replica, rt.backendID = target, sess.ID
 	if rt.req.Flight == "" && rt.req.SampleRateHz == 0 {
 		rt.req = exp.Request
 	}
@@ -722,14 +717,14 @@ func (g *Gateway) Placement(gwID string) (replica string, ok bool) {
 // forward sends one request for rt's session, failing over (once) when
 // the replica itself is the problem. Caller holds rt.mu.
 func (g *Gateway) forwardLocked(rt *route, method, suffix string, body []byte, out any) error {
-	err := g.client.Do(method, g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+suffix, body, out)
+	err := g.backend(rt).Do(method, suffix, body, out)
 	if err == nil || !failoverWorthy(err) {
 		return err
 	}
 	if ferr := g.failoverLocked(rt); ferr != nil {
 		return fmt.Errorf("%w (failover: %v)", err, ferr)
 	}
-	return g.client.Do(method, g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+suffix, body, out)
+	return g.backend(rt).Do(method, suffix, body, out)
 }
 
 // --- handlers ---
@@ -779,8 +774,7 @@ func (g *Gateway) handleFlights(w http.ResponseWriter, r *http.Request) {
 	}
 	var lastErr error
 	for _, name := range g.healthyOrder() {
-		var out api.FlightResponse
-		err := g.client.Do("POST", g.base(name)+"/"+api.Version+"/flights", buf.Bytes(), &out)
+		out, err := g.client.PostFlight(g.base(name), buf.Bytes())
 		if err == nil {
 			routedTo(name).Inc()
 			g.writeJSON(w, http.StatusOK, out)
@@ -822,11 +816,6 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusServiceUnavailable, api.CodeUpstream, "gateway: no healthy replicas")
 		return
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
 	// Preference order: ring owner first, then its successors. A replica
 	// that refuses with an API-level answer (429 capacity, 422) speaks
 	// for the fleet — surface it; only replica-level failures advance.
@@ -838,11 +827,10 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		tried[name] = true
-		var created api.SessionResponse
-		err := g.client.Do("POST", g.base(name)+"/"+api.Version+"/sessions", body, &created)
+		sess, err := g.client.OpenSession(g.base(name), req)
 		if err == nil {
 			rt := &route{
-				gwID: gwID, replica: name, backendID: created.ID,
+				gwID: gwID, replica: name, backendID: sess.ID,
 				req:       req,
 				followers: g.pickFollowers(gwID, name),
 				repAcked:  make(map[string]int),
@@ -859,11 +847,11 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			}
 			sessionsRouted.Inc()
 			routedTo(name).Inc()
-			g.logf("session %s -> %s/%s (flight %q)", gwID, name, created.ID, req.Flight)
+			g.logf("session %s -> %s/%s (flight %q)", gwID, name, sess.ID, req.Flight)
 			g.writeJSON(w, http.StatusCreated, api.SessionResponse{
-				SchemaVersion: created.SchemaVersion,
+				SchemaVersion: api.Version,
 				ID:            gwID,
-				State:         created.State,
+				State:         sess.State,
 			})
 			return
 		}
@@ -1079,8 +1067,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 				rt.mu.Unlock()
 				continue
 			}
-			var st api.SessionStatus
-			err := g.client.Do("GET", g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+"/status", nil, &st)
+			st, err := g.backend(rt).Status()
 			rt.mu.Unlock()
 			if err == nil && st.State != api.SessionDone && st.State != api.SessionFailed {
 				pending++

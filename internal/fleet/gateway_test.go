@@ -161,7 +161,7 @@ func reportBytes(t *testing.T, h http.Handler, f *dataset.Flight, nBatches int) 
 	for _, r := range reqs {
 		fr := decode[api.FramesResponse](t, hdo(t, h, "POST", base+"/frames", r), http.StatusOK)
 		if fr.Shed != 0 {
-			t.Fatalf("bus shed %d messages; equivalence void", fr.Shed)
+			t.Fatalf("frames ack reports %d messages shed; equivalence void", fr.Shed)
 		}
 	}
 	w := hdo(t, h, "GET", base+"/report", nil)

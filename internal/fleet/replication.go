@@ -65,9 +65,7 @@ func appendBody(rt *route, seq int, chunk api.FramesRequest) ([]byte, error) {
 // appendFollower sends one JournalAppend body to one follower.
 func (g *Gateway) appendFollower(rt *route, follower string, body []byte) error {
 	var resp api.JournalAppendResponse
-	return g.repClient.Do("POST",
-		g.base(follower)+"/"+api.Version+"/sessions/"+rt.gwID+"/journal/append",
-		body, &resp)
+	return g.repClient.SessionAt(g.base(follower), rt.gwID).Do("POST", "/journal/append", body, &resp)
 }
 
 // replicateLocked streams one newly owner-acknowledged chunk to the
@@ -220,7 +218,7 @@ func (t *lagTracker) move(from, to int) {
 // liveExport fetches the session's journal from its current owner.
 func (g *Gateway) liveExport(rt *route) (api.SessionJournal, error) {
 	var exp api.SessionJournal
-	err := g.client.Do("GET", g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+"/journal", nil, &exp)
+	err := g.backend(rt).Do("GET", "/journal", nil, &exp)
 	return exp, err
 }
 
@@ -240,7 +238,7 @@ func (g *Gateway) followerExport(rt *route) (api.SessionJournal, error) {
 			continue
 		}
 		var exp api.SessionJournal
-		if err := g.client.Do("GET", g.base(f)+"/"+api.Version+"/sessions/"+rt.gwID+"/journal", nil, &exp); err != nil {
+		if err := g.client.SessionAt(g.base(f), rt.gwID).Do("GET", "/journal", nil, &exp); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", f, err))
 			continue
 		}

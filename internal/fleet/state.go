@@ -162,11 +162,10 @@ func (g *Gateway) verifyRestored() {
 	for _, rt := range rts {
 		rt.mu.Lock()
 		if !rt.parked {
-			var stt api.SessionStatus
-			err := g.client.Do("GET", g.base(rt.replica)+"/"+api.Version+"/sessions/"+rt.backendID+"/status", nil, &stt)
+			st, err := g.backend(rt).Status()
 			switch {
 			case err == nil:
-				rt.lastSeq = stt.LastSeq
+				rt.lastSeq = st.LastSeq
 			case failoverWorthy(err):
 				if ferr := g.failoverLocked(rt); ferr != nil {
 					g.parkLocked(rt, ferr)

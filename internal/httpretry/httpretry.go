@@ -1,10 +1,11 @@
-// Package httpretry is the fault-tolerant JSON/HTTP client shared by
-// every CLI-side path that talks to the RCA service (push, chaos, and
-// the sweep runner): requests are retried with exponential backoff and
+// Package httpretry is the fault-tolerant /v1 client shared by every
+// path that talks to the RCA service (push, the chaos soak, the sweep
+// runner and the fleet gateway). Session and PostFlight spell the /v1
+// routes. Underneath, Client.Do retries with exponential backoff and
 // seeded jitter on transport errors and on retryable statuses (429 and
 // the gateway-ish 502/503/504), a server-supplied Retry-After overrides
-// the computed backoff, and bodies are held as []byte so every resend is
-// byte-identical. A plain 500 is never retried — the server uses it for
+// the computed backoff, and bodies are held as []byte so every resend
+// is byte-identical. A plain 500 is never retried — the server uses it for
 // permanent outcomes (session_failed), where a retry can only waste the
 // budget.
 //

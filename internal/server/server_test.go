@@ -252,7 +252,7 @@ func feedSession(s *Server, base string, f *dataset.Flight, nBatches int) (api.R
 			return api.Report{}, err
 		}
 		if resp.Shed != 0 {
-			return api.Report{}, fmt.Errorf("session bus shed %d messages; verdict no longer batch-equivalent", resp.Shed)
+			return api.Report{}, fmt.Errorf("frames ack reports %d messages shed; verdict no longer batch-equivalent", resp.Shed)
 		}
 	}
 	w := do(nil, s, "GET", base+"/report", nil)
@@ -330,12 +330,10 @@ func TestSessionMatchesBatch(t *testing.T) {
 }
 
 // TestWholeFlightOneChunk posts a whole attacked flight as one frames
-// request, cut into one-sample audio frames (80k of them), with the
-// session's buffer unset. The audio topic alone carries ten times the
-// 8192-message default depth of a per-topic mavbus subscription, the
-// burst a bus in front of the engine would shed. Nothing may be
-// dropped: the ack reports shed 0 and every message accepted, and the
-// verdict is the batch one.
+// request, cut into one-sample audio frames (80k of them). A session
+// queues whole chunks for its engine, so a burst of any size is taken
+// in full. Nothing may be dropped: the ack reports shed 0 and every
+// message accepted, and the verdict is the batch one.
 func TestWholeFlightOneChunk(t *testing.T) {
 	fx := getFixture(t)
 	s := newTestServer(t, Config{})

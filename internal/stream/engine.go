@@ -210,13 +210,13 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 // called before publishing begins and before Run.
 func (e *Engine) Attach(bus *mavbus.Bus) error {
 	var err error
-	if e.subAudio, err = bus.Subscribe(e.cfg.AudioTopic, e.cfg.Buffer); err != nil {
+	if e.subAudio, err = bus.Subscribe(TopicAudio, e.cfg.Buffer); err != nil {
 		return err
 	}
-	if e.subIMU, err = bus.Subscribe(e.cfg.IMUTopic, e.cfg.Buffer); err != nil {
+	if e.subIMU, err = bus.Subscribe(TopicIMU, e.cfg.Buffer); err != nil {
 		return err
 	}
-	if e.subGPS, err = bus.Subscribe(e.cfg.GPSTopic, e.cfg.Buffer); err != nil {
+	if e.subGPS, err = bus.Subscribe(TopicGPS, e.cfg.Buffer); err != nil {
 		return err
 	}
 	return nil
@@ -294,15 +294,15 @@ func (e *Engine) Ingest(m mavbus.Message) error {
 		panic(fmt.Sprintf("stream: poison pill on %q at t=%.3f", m.Topic, m.Time))
 	}
 	switch m.Topic {
-	case e.cfg.AudioTopic:
+	case TopicAudio:
 		if f, ok := m.Payload.(AudioFrame); ok {
 			e.onAudio(f)
 		}
-	case e.cfg.IMUTopic:
+	case TopicIMU:
 		if s, ok := m.Payload.(IMUSample); ok {
 			e.onIMU(s)
 		}
-	case e.cfg.GPSTopic:
+	case TopicGPS:
 		if s, ok := m.Payload.(GPSSample); ok {
 			e.onGPS(s)
 		}

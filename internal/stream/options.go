@@ -7,16 +7,6 @@ import soundboost "soundboost/internal/core"
 // documented Config defaults fill whatever no option sets.
 type Option func(*Config)
 
-// WithTopics overrides the bus topic names the engine subscribes to.
-// Empty strings keep the defaults (TopicAudio, TopicIMU, TopicGPS).
-func WithTopics(audio, imu, gps string) Option {
-	return func(c *Config) {
-		c.AudioTopic = audio
-		c.IMUTopic = imu
-		c.GPSTopic = gps
-	}
-}
-
 // WithBuffer sets the per-subscription channel depth. The bus sheds the
 // oldest message when a buffer overflows, so size this to the burstiness
 // of the link, not the flight length (default 1024).

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"soundboost/internal/acoustics"
 	"soundboost/internal/chaos"
 	"soundboost/internal/dataset"
 	"soundboost/internal/mavbus"
@@ -18,15 +17,42 @@ import (
 // matters — truncation drops a sample per frame whenever the product
 // lands just under an integer in float64 (0.29 s at 100 Hz is
 // 28.999999999999996), which skews every frame boundary after the
-// first. Replay and api.ChunkFlight both cut frames with it, keeping
-// the replay-identical guarantee: a chunked upload reproduces the
-// replayed stream exactly.
+// first.
 func FrameLen(frameSeconds, rate float64) int {
 	n := int(math.Round(frameSeconds * rate))
 	if n < 1 {
 		n = 1
 	}
 	return n
+}
+
+// CutFlight splits a recorded flight into the streams the engine
+// consumes: audio frames of FrameLen(frameSeconds, rate) samples per
+// channel (the last one shorter), each stamped with its first sample's
+// time, and one IMU plus one GPS sample per telemetry row. Frames share
+// the recording's sample arrays. Replay and api.ChunkFlight both cut
+// here, which keeps the replay-identical guarantee: a chunked upload
+// reproduces the replayed stream exactly.
+func CutFlight(f *dataset.Flight, frameSeconds float64) (audio []AudioFrame, imu []IMUSample, gps []GPSSample) {
+	rate := f.Audio.SampleRate
+	frameN := FrameLen(frameSeconds, rate)
+	total := f.Audio.Samples()
+	audio = make([]AudioFrame, 0, (total+frameN-1)/frameN)
+	for o := 0; o < total; o += frameN {
+		end := min(o+frameN, total)
+		samples := make([][]float64, len(f.Audio.Channels))
+		for m := range samples {
+			samples[m] = f.Audio.Channels[m][o:end]
+		}
+		audio = append(audio, AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples})
+	}
+	imu = make([]IMUSample, len(f.Telemetry))
+	gps = make([]GPSSample, len(f.Telemetry))
+	for i, s := range f.Telemetry {
+		imu[i] = IMUSample{Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt}
+		gps[i] = GPSSample{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel}
+	}
+	return audio, imu, gps
 }
 
 // ReplayConfig tunes dataset replay onto a bus.
@@ -47,26 +73,12 @@ type ReplayConfig struct {
 	AudioDropRate float64
 	// Seed drives the fault injection (deterministic for a given seed).
 	Seed int64
-	// Chaos, when set, is the full fault schedule to replay through —
-	// corruption, freeze, skew, reordering, everything the chaos package
-	// offers. DropRate/AudioDropRate are folded into it as per-topic drop
-	// rates (explicit PerTopic entries in Chaos win), and a zero
-	// Chaos.Seed inherits Seed.
-	Chaos *chaos.Config
 }
 
-// injector builds the replay's fault schedule: the shared chaos types,
-// seeded from the config, with the legacy drop-rate knobs folded in as
-// per-topic drop rates.
+// injector builds the replay's fault schedule: the drop rates as
+// per-topic chaos drop rates, seeded from the config.
 func (c ReplayConfig) injector() *chaos.Injector {
-	var ccfg chaos.Config
-	if c.Chaos != nil {
-		ccfg = *c.Chaos
-	}
-	if ccfg.Seed == 0 {
-		ccfg.Seed = c.Seed
-	}
-	perTopic := make(map[string]chaos.Rates, len(ccfg.PerTopic)+3)
+	perTopic := make(map[string]chaos.Rates, 3)
 	if c.AudioDropRate > 0 {
 		perTopic[TopicAudio] = chaos.Rates{Drop: c.AudioDropRate}
 	}
@@ -74,11 +86,7 @@ func (c ReplayConfig) injector() *chaos.Injector {
 		perTopic[TopicIMU] = chaos.Rates{Drop: c.DropRate}
 		perTopic[TopicGPS] = chaos.Rates{Drop: c.DropRate}
 	}
-	for t, r := range ccfg.PerTopic {
-		perTopic[t] = r
-	}
-	ccfg.PerTopic = perTopic
-	return chaos.NewInjector(ccfg, CorruptPayload)
+	return chaos.NewInjector(chaos.Config{Seed: c.Seed, PerTopic: perTopic}, CorruptPayload)
 }
 
 func (c ReplayConfig) withDefaults() ReplayConfig {
@@ -125,25 +133,7 @@ func Replay(ctx context.Context, bus *mavbus.Bus, f *dataset.Flight, cfg ReplayC
 		return fmt.Errorf("stream: nothing to replay")
 	}
 	cfg = cfg.withDefaults()
-	rate := f.Audio.SampleRate
-	frameN := FrameLen(cfg.FrameSeconds, rate)
-
-	total := f.Audio.Samples()
-	var audio []AudioFrame
-	for o := 0; o < total; o += frameN {
-		end := min(o+frameN, total)
-		samples := make([][]float64, acoustics.NumMics)
-		for m := range samples {
-			samples[m] = f.Audio.Channels[m][o:end]
-		}
-		audio = append(audio, AudioFrame{Start: float64(o) / rate, Rate: rate, Samples: samples})
-	}
-	imu := make([]IMUSample, len(f.Telemetry))
-	gps := make([]GPSSample, len(f.Telemetry))
-	for i, s := range f.Telemetry {
-		imu[i] = IMUSample{Time: s.Time, Accel: s.IMUAccel, Gyro: s.IMUGyro, Att: s.EstAtt}
-		gps[i] = GPSSample{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel}
-	}
+	audio, imu, gps := CutFlight(f, cfg.FrameSeconds)
 
 	inj := cfg.injector()
 	pub := inj.Publisher(bus.Publish)

@@ -73,11 +73,6 @@ type GPSSample struct {
 // Config tunes the streaming engine. The zero value selects the
 // defaults noted on each field.
 type Config struct {
-	// AudioTopic, IMUTopic, GPSTopic name the bus topics to subscribe
-	// to (defaults: TopicAudio, TopicIMU, TopicGPS).
-	AudioTopic string
-	IMUTopic   string
-	GPSTopic   string
 	// Buffer is the per-subscription channel depth (default 1024). The
 	// bus sheds the oldest message when a buffer overflows, so size this
 	// to the burstiness of the link, not the flight length.
@@ -107,15 +102,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.AudioTopic == "" {
-		c.AudioTopic = TopicAudio
-	}
-	if c.IMUTopic == "" {
-		c.IMUTopic = TopicIMU
-	}
-	if c.GPSTopic == "" {
-		c.GPSTopic = TopicGPS
-	}
 	if c.Buffer <= 0 {
 		c.Buffer = 1024
 	}

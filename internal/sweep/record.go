@@ -108,16 +108,17 @@ type Record struct {
 	Correct bool `json:"correct"`
 	// Chunks counts the frames requests the trial pushed.
 	Chunks int `json:"chunks"`
-	// Shed is the session status's shed count: always 0, since the
-	// server never drops input. Kept so the record schema is unchanged.
+	// Shed is always 0: the server never drops input. Kept so the
+	// record schema is unchanged.
 	Shed int `json:"shed"`
-	// Retries counts data-path HTTP retries (0 against a healthy
+	// Retries counts the trial's HTTP retries (0 against a healthy
 	// server; nonzero values mean wall-clock luck entered the sweep).
 	Retries int64 `json:"retries"`
-	// PhaseSeconds holds wall-clock phase timings ("push", "drain",
-	// "report"), recorded only when Config.Timings is set — wall time
-	// is nondeterministic, so it is off by default to keep same-seed
-	// sweeps byte-identical.
+	// PhaseSeconds holds wall-clock phase timings: "push", then
+	// "report", which includes the session's drain (GET .../report
+	// waits it out). Recorded only when Config.Timings is set — wall
+	// time is nondeterministic, so it is off by default to keep
+	// same-seed sweeps byte-identical.
 	PhaseSeconds map[string]float64 `json:"phase_seconds,omitempty"`
 }
 

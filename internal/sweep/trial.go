@@ -1,7 +1,7 @@
 package sweep
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,10 +11,10 @@ import (
 )
 
 // runTrial drives one grid cell's flight through a live server over
-// real HTTP: create a session, push the chunked frame stream, wait for
-// the terminal state, fetch the report, and fold everything into the
-// trial's record. Sessions are labelled "sweep/trial-NNNN" so the
-// server's per-group metrics attribute them to the sweep workload.
+// real HTTP: create a session, push the chunked frame stream, read the
+// report, and fold everything into the trial's record. Sessions are
+// labelled "sweep/trial-NNNN" so the server's per-group metrics
+// attribute them to the sweep workload.
 func (c *Config) runTrial(base string, idx int, p Params, f *dataset.Flight) (Record, error) {
 	rec := Record{
 		SchemaVersion: SchemaVersion,
@@ -29,13 +29,9 @@ func (c *Config) runTrial(base string, idx int, p Params, f *dataset.Flight) (Re
 		},
 	}
 
-	// Data path and status polling use separate retry clients (the
-	// chaos soak's split): poll counts depend on engine drain timing,
-	// and must not contaminate the data-path retry count the record
-	// reports. Seeds derive from the master seed and trial index, so
-	// backoff draws are reproducible even when retries do happen.
+	// The seed derives from the master seed and trial index, so backoff
+	// draws are reproducible even when retries do happen.
 	client := httpretry.New(nil, 8, 100*time.Millisecond, c.Seed+int64(idx)*2+1)
-	poll := httpretry.New(nil, 8, 100*time.Millisecond, c.Seed+int64(idx)*2+2)
 
 	reqs, err := api.ChunkFlight(f, p.FrameSeconds, p.ChunkSeconds)
 	if err != nil {
@@ -43,56 +39,33 @@ func (c *Config) runTrial(base string, idx int, p Params, f *dataset.Flight) (Re
 	}
 	rec.Chunks = len(reqs)
 
-	var created api.SessionResponse
-	body, err := json.Marshal(api.SessionRequest{
+	sess, err := client.OpenSession(base, api.SessionRequest{
 		Flight:       fmt.Sprintf("sweep/trial-%04d", idx),
 		SampleRateHz: f.Audio.SampleRate,
 	})
 	if err != nil {
-		return rec, err
-	}
-	if err := client.Do("POST", base+"/v1/sessions", body, &created); err != nil {
 		return rec, fmt.Errorf("sweep: trial %d: create session: %w", idx, err)
 	}
-	sessURL := base + "/v1/sessions/" + created.ID
 
 	phase := phaseClock(c.Timings)
 	for i, r := range reqs {
-		raw, err := json.Marshal(r)
-		if err != nil {
-			return rec, err
-		}
-		var resp api.FramesResponse
-		if err := client.Do("POST", sessURL+"/frames", raw, &resp); err != nil {
+		if _, err := sess.Post(r); err != nil {
 			return rec, fmt.Errorf("sweep: trial %d: frames %d/%d: %w", idx, i+1, len(reqs), err)
 		}
 	}
 	phase.mark("push")
 
-	// Wait for the terminal state; the last chunk carried Close, so the
-	// session drains to done (or failed) on its own.
-	var status api.SessionStatus
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		if err := poll.Do("GET", sessURL+"/status", nil, &status); err != nil {
-			return rec, fmt.Errorf("sweep: trial %d: status: %w", idx, err)
+	// The last chunk carried Close, so the server holds the report until
+	// the session drains; a session that died answers session_failed,
+	// and one status read fetches its cause.
+	report, err := sess.Report()
+	if err != nil {
+		var se *httpretry.StatusError
+		if errors.As(err, &se) && se.Code == api.CodeSessionFailed {
+			if st, serr := sess.Status(); serr == nil {
+				return rec, fmt.Errorf("sweep: trial %d: session failed: %s", idx, st.FailCause)
+			}
 		}
-		if status.State == api.SessionDone || status.State == api.SessionFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			return rec, fmt.Errorf("sweep: trial %d: session %s stuck in state %q", idx, created.ID, status.State)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	phase.mark("drain")
-	if status.State == api.SessionFailed {
-		return rec, fmt.Errorf("sweep: trial %d: session failed: %s", idx, status.FailCause)
-	}
-	rec.Shed = status.Shed
-
-	var report api.Report
-	if err := client.Do("GET", sessURL+"/report", nil, &report); err != nil {
 		return rec, fmt.Errorf("sweep: trial %d: report: %w", idx, err)
 	}
 	phase.mark("report")
