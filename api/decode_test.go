@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -77,20 +78,27 @@ func chunkBodies(t testing.TB) [][]byte {
 
 // checkFrames asserts DecodeStrict agrees with referenceDecode on body:
 // same acceptance, same error text, the same values bit for bit, and
-// wire bytes (when kept) that are the body's value itself.
-func checkFrames(t *testing.T, body []byte) FramesRequest {
+// wire bytes (when kept) that are the body's value itself. It returns
+// what DecodeStrict returned.
+func checkFrames(t *testing.T, body []byte) (FramesRequest, error) {
 	t.Helper()
 	var got, want FramesRequest
 	gotErr := DecodeStrict(bytes.NewReader(body), &got)
-	wantErr := referenceDecode(body, &want)
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("body %.200q: DecodeStrict err %v, encoding/json err %v", body, gotErr, wantErr)
-	}
+	sameErr(t, body, gotErr, referenceDecode(body, &want))
 	if got.wire != nil && !bytes.Equal(got.wire, bytes.Trim(body, " \t\r\n")) {
 		t.Fatalf("body %.200q: wire %.200q is not the body's value", body, got.wire)
 	}
 	sameFrames(t, body, got, want)
-	return got
+	return got, gotErr
+}
+
+// sameErr asserts two decodes of body agree on acceptance and error
+// text.
+func sameErr(t *testing.T, body []byte, got, want error) {
+	t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Fatalf("body %.200q: err %v, want %v", body, got, want)
+	}
 }
 
 // sameFrames compares decoded requests ignoring the wire bytes, and
@@ -123,26 +131,32 @@ func FuzzDecodeJournalAppend(f *testing.F) {
 		f.Add(spliceAppend(3, b))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var got, want JournalAppend
-		gotErr := DecodeStrict(bytes.NewReader(body), &got)
-		wantErr := referenceDecode(body, &want)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("body %.200q: DecodeStrict err %v, encoding/json err %v", body, gotErr, wantErr)
-		}
-		if got.Chunk.wire != nil {
-			// The kept chunk bytes decode, on their own, to the same chunk.
-			var alone FramesRequest
-			if err := referenceDecode(got.Chunk.wire, &alone); err != nil {
-				t.Fatalf("body %.200q: chunk wire %.200q: %v", body, got.Chunk.wire, err)
-			}
-			sameFrames(t, body, got.Chunk, alone)
-		}
-		sameFrames(t, body, got.Chunk, want.Chunk)
-		got.Chunk, want.Chunk = FramesRequest{}, FramesRequest{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("body %.200q: decoded %+v, encoding/json %+v", body, got, want)
-		}
+		checkJournalAppend(t, body)
 	})
+}
+
+// checkJournalAppend is checkFrames for a JournalAppend body; a chunk
+// whose bytes were kept must decode, on its own, to the same chunk.
+func checkJournalAppend(t *testing.T, body []byte) (JournalAppend, error) {
+	t.Helper()
+	var got, want JournalAppend
+	gotErr := DecodeStrict(bytes.NewReader(body), &got)
+	sameErr(t, body, gotErr, referenceDecode(body, &want))
+	if got.Chunk.wire != nil {
+		var alone FramesRequest
+		if err := referenceDecode(got.Chunk.wire, &alone); err != nil {
+			t.Fatalf("body %.200q: chunk wire %.200q: %v", body, got.Chunk.wire, err)
+		}
+		sameFrames(t, body, got.Chunk, alone)
+	}
+	sameFrames(t, body, got.Chunk, want.Chunk)
+	chunk := got.Chunk
+	got.Chunk, want.Chunk = FramesRequest{}, FramesRequest{}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %.200q: decoded %+v, encoding/json %+v", body, got, want)
+	}
+	got.Chunk = chunk
+	return got, gotErr
 }
 
 // spliceAppend is a JournalAppend body around a chunk body.
@@ -161,7 +175,7 @@ func TestDecodeFramesFastPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, body := range [][]byte{compact, pretty.Bytes()} {
-			got := checkFrames(t, body)
+			got, _ := checkFrames(t, body)
 			wire, err := EncodeChunk(got)
 			if err != nil {
 				t.Fatal(err)
@@ -176,28 +190,32 @@ func TestDecodeFramesFastPath(t *testing.T) {
 // TestDecodeFramesFallback runs the inputs outside the canonical
 // encoding — each must reach encoding/json and get its answer.
 func TestDecodeFramesFallback(t *testing.T) {
-	for _, body := range []string{
-		`{}`, `null`, ``, ` `, `[]`, `{"seq":1}garbage`, `{"seq":1} {}`, `{"seq":1}}`,
-		`{"seq":null,"audio":null,"imu":null,"gps":null,"close":null}`,
-		`{"imu":[{"time_seconds":1,"accel":null,"gyro":{"x":1},"att":{"w":1}}]}`,
-		`{"audio":[{"samples":null}]}`, `{"audio":[{"samples":[null]}]}`, `{"audio":[null]}`,
-		`{"seq":1,"seq":2}`, `{"SEQ":3}`, `{"seq":1,"SEQ":2}`, `{"seq":1}`, `{"seq":1,"bogus":2}`,
-		`{"seq":01}`, `{"seq":1.0}`, `{"seq":1e2}`, `{"seq":-0}`, `{"seq":99999999999999999999}`,
-		`{"seq":"1"}`, `{"close":"true"}`, `{"close":tru}`, `{"close":1}`,
-		`{"audio":[{"start_seconds":1e999,"rate_hz":1,"samples":[[0]]}]}`,
-		`{"audio":[{"start_seconds":-0,"rate_hz":-0.0,"samples":[[-0,1E-400,.5]]}]}`,
-		`{"audio":[{"start_seconds":-,"samples":[]}]}`, `{"audio":[{"samples":[[1,]]}]}`,
-		`{"audio":[],"imu":[],"gps":[]}`, `{"audio":[{"samples":[]}]}`, `{"audio":[{"samples":[[]]}]}`,
-		`{"gps":[{"pos":{"x":1,"x":2}}]}`, `{"seq":1,}`, `{,}`, `{"seq"1}`,
-		"\ufeff{}", "{\"seq\":\t1\r\n}", `{"audio":[{"rate_hz":16000,"samples":[[1.5e3,-2.25E-2]]}]} `,
-	} {
+	for _, body := range fallbackBodies {
 		checkFrames(t, []byte(body))
 	}
 }
 
+// fallbackBodies are frames bodies outside the canonical encoding, and
+// malformed ones.
+var fallbackBodies = []string{
+	`{}`, `null`, ``, ` `, `[]`, `{"seq":1}garbage`, `{"seq":1} {}`, `{"seq":1}}`,
+	`{"seq":null,"audio":null,"imu":null,"gps":null,"close":null}`,
+	`{"imu":[{"time_seconds":1,"accel":null,"gyro":{"x":1},"att":{"w":1}}]}`,
+	`{"audio":[{"samples":null}]}`, `{"audio":[{"samples":[null]}]}`, `{"audio":[null]}`,
+	`{"seq":1,"seq":2}`, `{"SEQ":3}`, `{"seq":1,"SEQ":2}`, `{"seq":1}`, `{"seq":1,"bogus":2}`,
+	`{"seq":01}`, `{"seq":1.0}`, `{"seq":1e2}`, `{"seq":-0}`, `{"seq":99999999999999999999}`,
+	`{"seq":"1"}`, `{"close":"true"}`, `{"close":tru}`, `{"close":1}`,
+	`{"audio":[{"start_seconds":1e999,"rate_hz":1,"samples":[[0]]}]}`,
+	`{"audio":[{"start_seconds":-0,"rate_hz":-0.0,"samples":[[-0,1E-400,.5]]}]}`,
+	`{"audio":[{"start_seconds":-,"samples":[]}]}`, `{"audio":[{"samples":[[1,]]}]}`,
+	`{"audio":[],"imu":[],"gps":[]}`, `{"audio":[{"samples":[]}]}`, `{"audio":[{"samples":[[]]}]}`,
+	`{"gps":[{"pos":{"x":1,"x":2}}]}`, `{"seq":1,}`, `{,}`, `{"seq"1}`,
+	"\ufeff{}", "{\"seq\":\t1\r\n}", `{"audio":[{"rate_hz":16000,"samples":[[1.5e3,-2.25E-2]]}]} `,
+}
+
 // TestDecodeJournalAppendSplice pins the replication body: a spliced
 // client chunk decodes to the same append as the re-encoded one, and
-// with no kept bytes EncodeJournalAppend is json.Marshal exactly.
+// for a chunk built in code EncodeJournalAppend is json.Marshal exactly.
 func TestDecodeJournalAppendSplice(t *testing.T) {
 	reqs, err := ChunkFlight(varyingFlight(), 0.05, 0.25)
 	if err != nil {
@@ -209,7 +227,11 @@ func TestDecodeJournalAppendSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encoded, err := EncodeJournalAppend(a)
+	checked := CheckedAppend{SchemaVersion: a.SchemaVersion, Seq: a.Seq, Request: a.Request}
+	if checked.Chunk, err = CheckChunk(a.Chunk); err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := EncodeJournalAppend(checked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +239,15 @@ func TestDecodeJournalAppendSplice(t *testing.T) {
 		t.Fatalf("EncodeJournalAppend differs from json.Marshal:\n%s\n%s", encoded, marshalled)
 	}
 
-	// A chunk decoded from a pretty-printed client body is spliced in as
+	// A chunk checked in a pretty-printed client body is spliced in as
 	// sent, and the follower decodes the same append.
 	compact, _ := json.Marshal(reqs[1])
 	var pretty bytes.Buffer
 	_ = json.Indent(&pretty, compact, "", "\t")
-	var chunk FramesRequest
-	if err := DecodeStrict(bytes.NewReader(pretty.Bytes()), &chunk); err != nil {
+	if err := DecodeStrict(bytes.NewReader(pretty.Bytes()), &checked.Chunk); err != nil {
 		t.Fatal(err)
 	}
-	a.Chunk = chunk
-	spliced, err := EncodeJournalAppend(a)
+	spliced, err := EncodeJournalAppend(checked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +272,9 @@ func TestDecodeJournalAppendSplice(t *testing.T) {
 }
 
 // TestDecodeStrictReadError pins that a body cut short by its reader
-// reports what encoding/json reported: the read error for a valid
-// prefix (the server's 413), a syntax error found before it.
+// reports what encoding/json reported, into a full or a checked target:
+// the read error for a valid prefix (the server's 413), a syntax error
+// found before it.
 func TestDecodeStrictReadError(t *testing.T) {
 	tooLarge := errors.New("http: request body too large")
 	for _, tc := range []struct{ prefix, want string }{
@@ -261,13 +282,14 @@ func TestDecodeStrictReadError(t *testing.T) {
 		{`{"seq":x`, "api: decode: invalid character 'x' looking for beginning of value"},
 		{`{"seq":1}`, "api: decode: trailing data after JSON body"},
 	} {
-		var req FramesRequest
-		err := DecodeStrict(io.MultiReader(strings.NewReader(tc.prefix), errReader{tooLarge}), &req)
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("prefix %q: err %v, want %q", tc.prefix, err, tc.want)
-		}
-		if strings.Contains(tc.want, "too large") && !errors.Is(err, tooLarge) {
-			t.Errorf("prefix %q: read error not wrapped: %v", tc.prefix, err)
+		for _, target := range []any{new(FramesRequest), new(CheckedChunk)} {
+			err := DecodeStrict(io.MultiReader(strings.NewReader(tc.prefix), errReader{tooLarge}), target)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("prefix %q into %T: err %v, want %q", tc.prefix, target, err, tc.want)
+			}
+			if strings.Contains(tc.want, "too large") && !errors.Is(err, tooLarge) {
+				t.Errorf("prefix %q into %T: read error not wrapped: %v", tc.prefix, target, err)
+			}
 		}
 	}
 }
@@ -285,4 +307,42 @@ func TestDecodeStrictNonZeroTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFrames(t, body, got, want)
+}
+
+// BenchmarkDecodeChunk decodes one 0.5 s four-microphone 16 kHz chunk,
+// the served path's unit of work, in full and in check mode.
+func BenchmarkDecodeChunk(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rec := &acoustics.Recording{SampleRate: 16000}
+	for m := range rec.Channels {
+		rec.Channels[m] = make([]float64, 8000)
+		for i := range rec.Channels[m] {
+			rec.Channels[m][i] = rng.NormFloat64() * 0.1
+		}
+	}
+	reqs, err := ChunkFlight(&dataset.Flight{Name: "bench", Audio: rec}, 0, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(reqs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name   string
+		target func() any
+	}{
+		{"full", func() any { return new(FramesRequest) }},
+		{"check", func() any { return new(CheckedChunk) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := DecodeStrict(bytes.NewReader(body), mode.target()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -879,14 +879,10 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
-	var req api.FramesRequest
-	if err := api.DecodeRequest(r, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	// The owner gets the client's bytes, not a re-encoding.
-	body, err := api.EncodeChunk(req)
-	if err != nil {
+	// The gateway reads no sample: it checks the chunk, and the owner
+	// (which decodes it) and the followers get the client's bytes.
+	var chunk api.CheckedChunk
+	if err := api.DecodeRequest(r, &chunk); err != nil {
 		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
@@ -896,17 +892,17 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var out api.FramesResponse
-	if err := g.forwardLocked(rt, "POST", "/frames", body, &out); err != nil {
+	if err := g.forwardLocked(rt, "POST", "/frames", chunk.Bytes(), &out); err != nil {
 		g.writeUpstreamError(w, err)
 		return
 	}
-	if req.Seq > rt.lastSeq {
-		rt.lastSeq = req.Seq
+	if chunk.Seq > rt.lastSeq {
+		rt.lastSeq = chunk.Seq
 	}
 	// Stream the accepted chunk to the session's followers before the
 	// client's ack: once the 200 lands, the chunk survives losing the
 	// owner and its disk (best-effort per follower — see replication.go).
-	g.replicateLocked(rt, req, out.Duplicate)
+	g.replicateLocked(rt, chunk, out.Duplicate)
 	g.writeJSON(w, http.StatusOK, out)
 }
 

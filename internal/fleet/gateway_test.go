@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"soundboost/api"
 	"soundboost/internal/chaos"
 	"soundboost/internal/dataset"
+	"soundboost/internal/obs"
 	"soundboost/internal/server"
 	"soundboost/internal/testfix"
 )
@@ -228,6 +231,100 @@ func TestFleetVerdictEquivalence(t *testing.T) {
 	if h.Status != "ok" || h.SessionCap == 0 {
 		t.Errorf("fleet healthz = %+v, want ok with aggregated capacity", h)
 	}
+}
+
+// TestGatewayChecksChunks pins the gateway's check-only decode of a
+// chunk. A body the full decode rejects gets the full decode's 400, code
+// and message at the gateway, and the owner never sees it. A body only
+// encoding/json accepts reaches the owner and the follower as its
+// json.Marshal re-encoding: one line, the same in both journals.
+func TestGatewayChecksChunks(t *testing.T) {
+	withObs(t)
+	fx := testfix.Get(t)
+	flight := fx.Calib[0]
+	g, reps := startFleet(t, 3, Config{})
+	reqs, err := testfix.Frames(flight, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, gwID := openVia(t, g, flight)
+	var sent []string
+	for i, r := range reqs[:2] {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, string(b))
+		if want := fmt.Sprintf(`{"seq":%d,`, i+1); !strings.HasPrefix(sent[i], want) {
+			t.Fatalf("chunk %d does not open with %s: %.40s", i+1, want, sent[i])
+		}
+	}
+
+	// Every server's rejections count in one process-wide counter.
+	replicaErrors := obs.Default.Counter("server.http.errors")
+	before := replicaErrors.Value()
+	for _, body := range []string{
+		`{"seq":1,"audio":[{"start_seconds":0,"rate_hz":16000,"samples":[[0,1e999]]}]}`,
+		`{"seq":1,"bogus":2}`,
+		sent[0] + "garbage",
+	} {
+		var full api.FramesRequest
+		wantErr := api.DecodeStrict(strings.NewReader(body), &full)
+		if wantErr == nil {
+			t.Fatalf("the full decode accepted %.80s", body)
+		}
+		e := decode[api.Error](t, hdo(t, g, "POST", base+"/frames", []byte(body)), http.StatusBadRequest)
+		if e.Code != api.CodeBadRequest || e.Error != wantErr.Error() {
+			t.Errorf("body %.80s: %+v, want code %q error %q", body, e, api.CodeBadRequest, wantErr)
+		}
+	}
+	if n := replicaErrors.Value() - before; n != 0 {
+		t.Fatalf("replicas answered %d errors: a chunk the gateway rejects reached one", n)
+	}
+
+	// A case-folded and an escaped "seq" take encoding/json's path.
+	folded := []string{`{"SEQ":1,` + sent[0][len(`{"seq":1,`):], `{"\u0073eq":2,` + sent[1][len(`{"seq":2,`):]}
+	var want []string
+	for _, body := range folded {
+		if fr := decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", []byte(body)), http.StatusOK); fr.Duplicate {
+			t.Fatalf("first post of %.40s acknowledged as a duplicate", body)
+		}
+		var full api.FramesRequest
+		if err := api.DecodeStrict(strings.NewReader(body), &full); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(full)
+		want = append(want, string(b)+"\n")
+	}
+
+	rt, ok := g.lookupRoute(gwID)
+	if !ok {
+		t.Fatalf("no route for %s", gwID)
+	}
+	rt.mu.Lock()
+	owner, backendID, followers := rt.replica, rt.backendID, rt.followers
+	rt.mu.Unlock()
+	if len(followers) != 1 {
+		t.Fatalf("followers %v, want one (Replication 2)", followers)
+	}
+	dirs := map[string]string{}
+	for _, r := range reps {
+		dirs[r.name] = r.journalDir
+	}
+	for _, path := range []string{
+		filepath.Join(dirs[owner], backendID+".chunks.jsonl"),
+		filepath.Join(dirs[followers[0]], "followers", gwID+".chunks.jsonl"),
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(raw), "\n")
+		if len(lines) != 3 || lines[2] != "" || lines[0] != want[0] || lines[1] != want[1] {
+			t.Errorf("%s holds %.200q, want %.200q", path, raw, want)
+		}
+	}
+	hdo(t, g, "POST", base+"/frames", api.FramesRequest{Close: true})
 }
 
 // TestFleetMidFlightKillFailover is the handoff gate (ISSUE satellite):

@@ -51,10 +51,10 @@ func (g *Gateway) pickFollowers(gwID, owner string) []string {
 }
 
 // appendBody is the JournalAppend body replicating chunk as the
-// session's seq-th append. A chunk the gateway decoded from its client
-// is spliced in as the client sent it, never re-encoded.
-func appendBody(rt *route, seq int, chunk api.FramesRequest) ([]byte, error) {
-	return api.EncodeJournalAppend(api.JournalAppend{
+// session's seq-th append. A chunk the gateway checked in its client's
+// body is spliced in as the client sent it, never re-encoded.
+func appendBody(rt *route, seq int, chunk api.CheckedChunk) ([]byte, error) {
+	return api.EncodeJournalAppend(api.CheckedAppend{
 		SchemaVersion: api.Version,
 		Seq:           seq,
 		Request:       rt.req,
@@ -72,7 +72,7 @@ func (g *Gateway) appendFollower(rt *route, follower string, body []byte) error 
 // session's followers. Caller holds rt.mu; duplicate is the owner's
 // verdict on the chunk (an absorbed resend carries nothing new — unless
 // a reseed is pending, in which case the full export covers it).
-func (g *Gateway) replicateLocked(rt *route, chunk api.FramesRequest, duplicate bool) {
+func (g *Gateway) replicateLocked(rt *route, chunk api.CheckedChunk, duplicate bool) {
 	if g.cfg.Replication <= 1 {
 		return
 	}
@@ -144,7 +144,11 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 		}
 		seeded := true
 		for i, c := range exp.Chunks {
-			body, err := appendBody(rt, i+1, c)
+			chunk, err := api.CheckChunk(c)
+			var body []byte
+			if err == nil {
+				body, err = appendBody(rt, i+1, chunk)
+			}
 			if err == nil {
 				err = g.appendFollower(rt, f, body)
 			}

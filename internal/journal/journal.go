@@ -311,6 +311,22 @@ func (sj *Session) AppendChunk(req api.FramesRequest) error {
 	if err != nil {
 		return err
 	}
+	return sj.appendLine(body)
+}
+
+// AppendChecked is AppendChunk for a chunk checked but not decoded:
+// the line is c.Bytes(), the bytes AppendChunk writes for the same body
+// decoded in full.
+func (sj *Session) AppendChecked(c api.CheckedChunk) error {
+	body := c.Bytes()
+	if body == nil {
+		return fmt.Errorf("journal: checked chunk holds no bytes")
+	}
+	return sj.appendLine(body)
+}
+
+// appendLine durably logs one chunk body as one line.
+func (sj *Session) appendLine(body []byte) error {
 	// One write per line, so a crash tears at most the final line.
 	bp := lineBufs.Get().(*[]byte)
 	defer lineBufs.Put(bp)

@@ -99,7 +99,9 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 			faults.ErrSessionOpen, id))
 		return
 	}
-	var req api.JournalAppend
+	// The follower reads no sample: it checks the chunk and journals
+	// its bytes.
+	var req api.CheckedAppend
 	if err := api.DecodeRequest(r, &req); err != nil {
 		s.writeBadRequest(w, err)
 		return
@@ -151,7 +153,7 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		fc.sj, fc.closed = sj, false
 	}
 	// The chunk's own bytes within this body are what gets journaled.
-	if err := fc.sj.AppendChunk(req.Chunk); err != nil {
+	if err := fc.sj.AppendChecked(req.Chunk); err != nil {
 		s.writeError(w, fmt.Errorf("server: follower append: %w", err))
 		return
 	}

@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +94,52 @@ func TestFollowerAppendExport(t *testing.T) {
 
 	// An id with neither a session nor a copy is still a 404.
 	errCode(t, do(t, s, "GET", "/v1/sessions/g-99999999/journal", nil), http.StatusNotFound, api.CodeNotFound)
+}
+
+// TestFollowerAppendChecksChunk pins the follower's check-only decode of
+// a replicated chunk. An append whose chunk the full decode rejects gets
+// the full decode's 400, code and message, and nothing lands in the
+// follower journal. An append whose chunk only encoding/json accepts is
+// journaled as the chunk's json.Marshal re-encoding.
+func TestFollowerAppendChecksChunk(t *testing.T) {
+	s := newTestServer(t, Config{JournalDir: t.TempDir(), Logf: t.Logf})
+	const id = "g-00000001"
+	envelope := func(chunk string) string {
+		return `{"schema_version":"v1","seq":1,"request":{"flight":"f","sample_rate_hz":16000},"chunk":` + chunk + `}`
+	}
+
+	bad := envelope(`{"seq":1,"audio":[{"start_seconds":0,"rate_hz":16000,"samples":[[0,1e999]]}]}`)
+	var full api.JournalAppend
+	wantErr := api.DecodeStrict(strings.NewReader(bad), &full)
+	if wantErr == nil {
+		t.Fatal("the full decode accepted a 1e999 sample")
+	}
+	e := decode[api.Error](t, do(t, s, "POST", "/v1/sessions/"+id+"/journal/append", bad), http.StatusBadRequest)
+	if e.Code != api.CodeBadRequest || e.Error != wantErr.Error() {
+		t.Fatalf("rejected append: %+v, want code %q error %q", e, api.CodeBadRequest, wantErr)
+	}
+	for _, path := range []string{s.followers.MetaPath(id), s.followers.ChunksPath(id)} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("a rejected append left %s (stat err %v)", path, err)
+		}
+	}
+
+	folded := envelope(`{"SEQ":1,"audio":[{"start_seconds":0,"rate_hz":16000,"samples":[[0,0.5]]}]}`)
+	if resp := decode[api.JournalAppendResponse](t, do(t, s, "POST", "/v1/sessions/"+id+"/journal/append", folded), http.StatusOK); resp.LastSeq != 1 {
+		t.Fatalf("append after a rejected one: %+v, want last seq 1", resp)
+	}
+	full = api.JournalAppend{}
+	if err := api.DecodeStrict(strings.NewReader(folded), &full); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(full.Chunk)
+	got, err := os.ReadFile(s.followers.ChunksPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want)+"\n" {
+		t.Fatalf("journaled %q, want %q", got, want)
+	}
 }
 
 // TestFollowerAppendRequiresJournal pins the 409 on replicas running

@@ -62,11 +62,12 @@ go test -race -count=1 ./...
 
 echo "== fuzz (10s per target) =="
 # The native fuzz targets: the strict chunk decoder against encoding/json
-# (frames bodies and replication appends), the client chunker's
-# encode/decode/reassembly round trip, the journal scanner's
-# torn-tail/corruption contract and the follower append's
-# seq/duplicate/gap contract. Seed corpora live in testdata/fuzz.
-for target in ./api:FuzzDecodeFrames ./api:FuzzDecodeJournalAppend ./api:FuzzChunkFlight \
+# (frames bodies and replication appends), its check mode against its
+# full decode, the client chunker's encode/decode/reassembly round trip,
+# the journal scanner's torn-tail/corruption contract and the follower
+# append's seq/duplicate/gap contract. Seed corpora live in testdata/fuzz.
+for target in ./api:FuzzDecodeFrames ./api:FuzzDecodeJournalAppend \
+    ./api:FuzzCheckFrames ./api:FuzzCheckJournalAppend ./api:FuzzChunkFlight \
     ./internal/journal:FuzzReadChunkLog ./internal/server:FuzzFollowerAppend; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "${target%%:*}"
 done
