@@ -43,7 +43,9 @@ verify-short:
 
 # live-smoke exercises the streaming pipeline end to end with the CLI:
 # flightgen corpus -> train -> calibrate -> `soundboost live` replay of a
-# benign and an attacked flight over the mavbus (reduced-rate, ~seconds).
+# benign and an attacked flight over the mavbus, plus an unpaced replay
+# of a 90 s hover whose report must diff clean against `soundboost rca`
+# (the bus never drops). Reduced-rate, well under a minute.
 live-smoke:
 	sh scripts/live_smoke.sh
 

@@ -387,9 +387,10 @@ func runRCA(args []string) error {
 
 // runLive replays a recorded flight onto an in-process mavbus as the
 // audio/IMU/GPS streams a companion computer would see, and runs the
-// online engine over them. The verdict on a clean replay is identical to
-// `soundboost rca` over the same file; -drop/-audio-drop inject loss to
-// exercise the degraded paths.
+// online engine over them. The bus never drops, so without -drop or
+// -audio-drop the verdict is identical to `soundboost rca` over the same
+// file at any -speed; those flags inject loss to exercise the degraded
+// paths.
 func runLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ContinueOnError)
 	var (
@@ -399,7 +400,6 @@ func runLive(args []string) error {
 		dropRate   = fs.Float64("drop", 0, "telemetry (IMU/GPS) message drop probability")
 		audioDrop  = fs.Float64("audio-drop", 0, "audio frame drop probability")
 		seed       = fs.Int64("seed", 1, "drop-injection seed")
-		buffer     = fs.Int("buffer", 4096, "per-topic subscription buffer depth")
 	)
 	af := addAnalyzerFlags(fs)
 	rt := addRuntimeFlags(fs)
@@ -422,9 +422,7 @@ func runLive(args []string) error {
 	}
 
 	bus := mavbus.NewBus(0)
-	eng, err := stream.New(analyzer, flight.Audio.SampleRate,
-		stream.WithBuffer(*buffer),
-		stream.WithFlightName(flight.Name))
+	eng, err := stream.New(analyzer, flight.Audio.SampleRate, stream.WithFlightName(flight.Name))
 	if err != nil {
 		return err
 	}
@@ -453,8 +451,7 @@ func runLive(args []string) error {
 		return err
 	}
 	st := eng.Status()
-	fmt.Printf("stream: %d windows processed, %d skipped, %d bus messages shed\n",
-		st.Windows, st.Skipped, bus.Dropped())
+	fmt.Printf("stream: %d windows processed, %d skipped\n", st.Windows, st.Skipped)
 	fmt.Print(report.String())
 	if flight.Scenario.IsAttack() {
 		fmt.Printf("  (ground truth: %s during [%.1f, %.1f))\n",

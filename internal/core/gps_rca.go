@@ -112,7 +112,7 @@ func NewGPSDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg G
 // ablations) cost one observation pass instead of N. Detector i is
 // identical to NewGPSDetector(model, benignFlights, cfgs[i]).
 func NewGPSDetectors(model *AcousticModel, benignFlights []*dataset.Flight, cfgs ...GPSDetectorConfig) ([]*GPSDetector, error) {
-	obs, err := observeFlights(0, model, benignFlights)
+	obs, err := observeFlights(model, benignFlights)
 	if err != nil {
 		return nil, err
 	}

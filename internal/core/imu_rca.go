@@ -64,7 +64,7 @@ type IMUDetector struct {
 // benign per-period KS-statistic ceiling from benign flights. The benign
 // set should span the mission diversity expected at analysis time.
 func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg IMUDetectorConfig) (*IMUDetector, error) {
-	obs, err := observeFlights(0, model, benignFlights)
+	obs, err := observeFlights(model, benignFlights)
 	if err != nil {
 		return nil, err
 	}

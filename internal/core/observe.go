@@ -52,10 +52,10 @@ func observeFlight(model *AcousticModel, f *dataset.Flight) ([]windowObs, error)
 	return out, nil
 }
 
-// observeFlights runs observeFlight over each flight on the worker pool
-// (workers <= 0 selects the process default).
-func observeFlights(workers int, model *AcousticModel, flights []*dataset.Flight) ([][]windowObs, error) {
-	return parallel.MapErr(workers, len(flights), func(i int) ([]windowObs, error) {
+// observeFlights runs observeFlight over each flight on the process's
+// default worker pool.
+func observeFlights(model *AcousticModel, flights []*dataset.Flight) ([][]windowObs, error) {
+	return parallel.MapErr(0, len(flights), func(i int) ([]windowObs, error) {
 		return observeFlight(model, flights[i])
 	})
 }

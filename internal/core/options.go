@@ -13,8 +13,6 @@ import (
 type AnalyzerOption func(*analyzerOptions)
 
 type analyzerOptions struct {
-	workers      int
-	imuCfg       IMUDetectorConfig
 	gpsCfgs      map[kalman.Mode]GPSDetectorConfig
 	triage       *triage.Model
 	precision    Precision
@@ -23,23 +21,11 @@ type analyzerOptions struct {
 
 func defaultAnalyzerOptions() analyzerOptions {
 	return analyzerOptions{
-		imuCfg: DefaultIMUDetectorConfig(),
 		gpsCfgs: map[kalman.Mode]GPSDetectorConfig{
 			kalman.ModeAudioOnly: DefaultGPSDetectorConfig(kalman.ModeAudioOnly),
 			kalman.ModeAudioIMU:  DefaultGPSDetectorConfig(kalman.ModeAudioIMU),
 		},
 	}
-}
-
-// WithWorkers sets the worker count for the calibration fan-out
-// (0 = the process-wide default from parallel.SetDefaultWorkers).
-func WithWorkers(n int) AnalyzerOption {
-	return func(o *analyzerOptions) { o.workers = n }
-}
-
-// WithIMUConfig overrides the stage-1 IMU detector configuration.
-func WithIMUConfig(cfg IMUDetectorConfig) AnalyzerOption {
-	return func(o *analyzerOptions) { o.imuCfg = cfg }
 }
 
 // WithKFVariant overrides the GPS detector configuration for the KF

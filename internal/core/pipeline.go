@@ -96,7 +96,7 @@ type Analyzer struct {
 // NewAnalyzer calibrates all detectors from benign flights. Each flight
 // gets one window pass on the worker pool, shared by the three
 // calibrations.
-// Functional options (WithWorkers, WithIMUConfig, WithKFVariant)
+// Functional options (WithKFVariant, WithTriage, WithPrecision)
 // customize the calibration; with none the defaults reproduce the
 // historical two-argument behaviour, so existing call sites compile and
 // behave unchanged.
@@ -121,11 +121,11 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 	span := analyzerCalibTimer.Start()
 	defer span.Stop()
 	// One window pass per benign flight feeds all three calibrations.
-	benignObs, err := observeFlights(o.workers, model, benignFlights)
+	benignObs, err := observeFlights(model, benignFlights)
 	if err != nil {
 		return nil, err
 	}
-	imu, err := calibrateIMU(model, benignObs, o.imuCfg)
+	imu, err := calibrateIMU(model, benignObs, DefaultIMUDetectorConfig())
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: IMU detector: %w", err)
 	}

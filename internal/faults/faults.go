@@ -22,16 +22,15 @@ var (
 	// attribute a cause to. HTTP: 422 Unprocessable Entity.
 	ErrNoFlight = errors.New("soundboost: nil or empty flight")
 
-	// ErrBusClosed is returned when publishing to or subscribing on a
-	// closed mavbus, which only the in-process live replay (`soundboost
-	// live`) uses. The server has no bus and never returns it: frames
-	// posted to a closed session get ErrSessionClosed.
+	// ErrBusClosed is returned when publishing to a closed mavbus,
+	// which only the in-process live replay (`soundboost live`) uses.
+	// The server has no bus and never returns it: frames posted to a
+	// closed session get ErrSessionClosed.
 	ErrBusClosed = errors.New("mavbus: bus closed")
 
 	// ErrEngineDetached is returned by stream.Engine.Run when the engine
-	// was never attached to a bus, so there are no subscriptions to
-	// consume. HTTP: 500 (an internal wiring invariant, never a client
-	// fault).
+	// was never attached to a bus, so there is nothing to read. HTTP:
+	// 500 (an internal wiring invariant, never a client fault).
 	ErrEngineDetached = errors.New("stream: engine not attached to a bus")
 
 	// ErrSessionNotFound is returned for session ids that do not exist,

@@ -2,315 +2,229 @@ package mavbus
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"soundboost/internal/leakcheck"
 )
 
-func TestPublishSubscribe(t *testing.T) {
-	b := NewBus(10)
-	defer b.Close()
-	sub, err := b.Subscribe("imu", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(Message{Topic: "imu", Time: 1, Payload: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-sub.C:
-		if m.Time != 1 || m.Payload != "a" {
-			t.Errorf("got %+v", m)
+// waitBlocked waits until n goroutines sit in a Publish blocked on a
+// full bus.
+func waitBlocked(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		blocked := 0
+		for _, g := range leakcheck.Snapshot() {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "mavbus.(*Bus).Publish") {
+				blocked++
+			}
 		}
-	case <-time.After(time.Second):
-		t.Fatal("no message delivered")
+		if blocked >= n {
+			return
+		}
 	}
+	t.Fatalf("fewer than %d Publish calls blocked on the full bus", n)
 }
 
-func TestTopicIsolation(t *testing.T) {
-	b := NewBus(10)
-	defer b.Close()
-	imu, err := b.Subscribe("imu", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(Message{Topic: "gps", Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-imu.C:
-		t.Errorf("imu subscriber got gps message %+v", m)
-	default:
-	}
-}
-
-func TestDropOldestBackpressure(t *testing.T) {
-	b := NewBus(0)
-	defer b.Close()
-	sub, err := b.Subscribe("imu", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
+func fill(t *testing.T, b *Bus) {
+	t.Helper()
+	for i := 0; i < depth; i++ {
 		if err := b.Publish(Message{Topic: "imu", Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Buffer of 2: the two newest messages (3, 4) must survive.
-	m1 := <-sub.C
-	m2 := <-sub.C
-	if m1.Time != 3 || m2.Time != 4 {
-		t.Errorf("surviving messages %v, %v; want 3, 4", m1.Time, m2.Time)
+}
+
+func TestPublishSubscribe(t *testing.T) {
+	b := NewBus(10)
+	defer b.Close()
+	if err := b.Publish(Message{Topic: "imu", Time: 1, Payload: "a"}); err != nil {
+		t.Fatal(err)
 	}
-	if b.Dropped() == 0 {
-		t.Error("Dropped() = 0 after overflow")
+	got := b.Take(nil)
+	if len(got) != 1 || got[0].Time != 1 || got[0].Payload != "a" {
+		t.Errorf("Take = %+v, want the one published message", got)
 	}
 }
 
-func TestReplayBuffer(t *testing.T) {
-	b := NewBus(3)
-	defer b.Close()
-	for i := 0; i < 5; i++ {
-		if err := b.Publish(Message{Topic: "gps", Time: float64(i)}); err != nil {
+// TestFIFOAcrossTopics: topics do not partition the stream; messages
+// come out in publication order whatever their topic.
+func TestFIFOAcrossTopics(t *testing.T) {
+	b := NewBus(0)
+	topics := []string{"audio-frame", "imu", "gps"}
+	for i := 0; i < 30; i++ {
+		if err := b.Publish(Message{Topic: topics[i%3], Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := b.Replay("gps")
-	if len(r) != 3 {
-		t.Fatalf("replay length %d, want 3", len(r))
+	b.Close()
+	got := b.Take(nil)
+	if len(got) != 30 {
+		t.Fatalf("took %d messages, want 30", len(got))
 	}
-	for i, m := range r {
-		if m.Time != float64(i+2) {
-			t.Errorf("replay[%d].Time = %v, want %v", i, m.Time, i+2)
+	for i, m := range got {
+		if m.Time != float64(i) || m.Topic != topics[i%3] {
+			t.Fatalf("message %d = %+v, want time %d on %q", i, m, i, topics[i%3])
 		}
 	}
-	if got := b.Replay("nonexistent"); len(got) != 0 {
-		t.Errorf("unknown topic replay = %v", got)
+	if rest := b.Take(got); len(rest) != 0 {
+		t.Errorf("closed, drained bus returned %d more messages", len(rest))
 	}
 }
 
-func TestCancelSubscription(t *testing.T) {
+// TestPublishBlocksWhenFull: a full bus holds the producer back instead
+// of shedding, and the oldest message is still the first out.
+func TestPublishBlocksWhenFull(t *testing.T) {
 	b := NewBus(0)
 	defer b.Close()
-	sub, err := b.Subscribe("imu", 1)
-	if err != nil {
-		t.Fatal(err)
+	fill(t, b)
+	done := make(chan error, 1)
+	go func() { done <- b.Publish(Message{Topic: "gps", Time: depth}) }()
+	waitBlocked(t, 1)
+	got := b.Take(nil)
+	if len(got) != depth || got[0].Time != 0 {
+		t.Fatalf("took %d messages starting at %v, want %d starting at 0", len(got), got[0].Time, depth)
 	}
-	sub.Cancel()
-	if _, ok := <-sub.C; ok {
-		t.Error("channel not closed after Cancel")
+	if err := <-done; err != nil {
+		t.Fatalf("blocked Publish = %v after room was made", err)
 	}
-	// Publishing after cancel must not panic.
-	if err := b.Publish(Message{Topic: "imu"}); err != nil {
-		t.Fatal(err)
+	if got = b.Take(got); len(got) != 1 || got[0].Time != depth {
+		t.Errorf("Take = %+v, want the once-blocked message", got)
 	}
-	// Double cancel is safe.
-	sub.Cancel()
 }
 
 func TestCloseBus(t *testing.T) {
 	b := NewBus(0)
-	sub, err := b.Subscribe("x", 1)
-	if err != nil {
+	if err := b.Publish(Message{Topic: "x", Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, ok := <-sub.C; ok {
-		t.Error("subscription channel open after Close")
-	}
-	if err := b.Publish(Message{Topic: "x"}); !errors.Is(err, ErrClosed) {
+	if err := b.Publish(Message{Topic: "x", Time: 2}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Publish after close = %v, want ErrClosed", err)
 	}
-	if _, err := b.Subscribe("x", 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("Subscribe after close = %v, want ErrClosed", err)
+	if got := b.Take(nil); len(got) != 1 || got[0].Time != 1 {
+		t.Errorf("Take after close = %+v, want the message published before it", got)
 	}
-	b.Close() // idempotent
+	if got := b.Take(nil); len(got) != 0 {
+		t.Errorf("drained closed bus returned %+v", got)
+	}
 }
 
-func TestConcurrentPublishers(t *testing.T) {
-	b := NewBus(1000)
-	defer b.Close()
-	sub, err := b.Subscribe("imu", 1000)
-	if err != nil {
-		t.Fatal(err)
+func TestCloseIdempotent(t *testing.T) {
+	b := NewBus(0)
+	b.Close()
+	b.Close()
+	if err := b.Publish(Message{}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Publish after double close = %v, want ErrClosed", err)
 	}
-	const publishers = 8
-	const perPublisher = 100
+	if got := b.Take(nil); len(got) != 0 {
+		t.Errorf("Take on closed empty bus = %+v", got)
+	}
+}
+
+// TestConcurrentPublishers: every message a Publish accepted is taken
+// exactly once, and each publisher's messages keep their order.
+func TestConcurrentPublishers(t *testing.T) {
+	const publishers, each = 4, 3 * depth
+	b := NewBus(0)
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; i < perPublisher; i++ {
-				_ = b.Publish(Message{Topic: "imu", Time: float64(p*1000 + i)})
+			for i := 0; i < each; i++ {
+				if err := b.Publish(Message{Topic: "imu", Time: float64(p*each + i)}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(p)
 	}
-	wg.Wait()
-	if got := len(b.Replay("imu")); got != publishers*perPublisher {
-		t.Errorf("replay has %d messages, want %d", got, publishers*perPublisher)
-	}
-	received := 0
-	for {
-		select {
-		case <-sub.C:
-			received++
-		default:
-			if received != publishers*perPublisher {
-				t.Errorf("received %d, want %d", received, publishers*perPublisher)
+	go func() { wg.Wait(); b.Close() }()
+	next := make([]int, publishers)
+	total := 0
+	for batch := b.Take(nil); len(batch) > 0; batch = b.Take(batch) {
+		for _, m := range batch {
+			p, i := int(m.Time)/each, int(m.Time)%each
+			if i != next[p] {
+				t.Fatalf("publisher %d: got message %d, want %d", p, i, next[p])
 			}
-			return
+			next[p]++
+			total++
 		}
 	}
-}
-
-// TestDropAccountingExact checks the core backpressure invariant with a
-// racing consumer: every published message is either delivered, still
-// queued, or counted dropped — never double-counted, never lost silently.
-func TestDropAccountingExact(t *testing.T) {
-	const total = 5000
-	b := NewBus(0)
-	sub, err := b.Subscribe("imu", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	received := make(chan int)
-	go func() {
-		n := 0
-		for range sub.C {
-			n++
-		}
-		received <- n
-	}()
-	for i := 0; i < total; i++ {
-		if err := b.Publish(Message{Topic: "imu", Time: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Close()
-	got := <-received
-	if got+b.Dropped() != total {
-		t.Errorf("delivered %d + dropped %d = %d, want %d", got, b.Dropped(), got+b.Dropped(), total)
-	}
-	if b.DroppedTopic("imu") != b.Dropped() {
-		t.Errorf("per-topic dropped %d != total %d with a single topic", b.DroppedTopic("imu"), b.Dropped())
-	}
-	if b.DroppedTopic("gps") != 0 {
-		t.Errorf("untouched topic reports %d drops", b.DroppedTopic("gps"))
+	if total != publishers*each {
+		t.Errorf("took %d messages, want %d", total, publishers*each)
 	}
 }
 
-// TestDropAccountingPerTopic isolates counters across topics.
-func TestDropAccountingPerTopic(t *testing.T) {
-	b := NewBus(0)
-	defer b.Close()
-	if _, err := b.Subscribe("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Subscribe("b", 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		_ = b.Publish(Message{Topic: "a", Time: float64(i)})
-	}
-	_ = b.Publish(Message{Topic: "b", Time: 0})
-	if got := b.DroppedTopic("a"); got != 3 {
-		t.Errorf("topic a dropped = %d, want 3", got)
-	}
-	if got := b.DroppedTopic("b"); got != 0 {
-		t.Errorf("topic b dropped = %d, want 0", got)
-	}
-	if got := b.Dropped(); got != 3 {
-		t.Errorf("total dropped = %d, want 3", got)
-	}
-}
-
-// TestCancelAfterClose: both orders must be silent no-ops with the
-// channel closed exactly once and the topic map left clean.
-func TestCancelAfterClose(t *testing.T) {
-	b := NewBus(0)
-	sub, err := b.Subscribe("imu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	sub.Cancel() // must not panic, must not resurrect topic state
-	sub.Cancel()
-	b.Close()
-	if _, ok := <-sub.C; ok {
-		t.Error("channel open after Close+Cancel")
-	}
-
-	// Reverse order on a fresh bus.
-	b2 := NewBus(0)
-	sub2, err := b2.Subscribe("imu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub2.Cancel()
-	b2.Close()
-	sub2.Cancel()
-	if _, ok := <-sub2.C; ok {
-		t.Error("channel open after Cancel+Close")
-	}
-}
-
-// TestConcurrentPublishCancelClose hammers every mutating entry point at
-// once; run under -race it guards the locking discipline, and it must
-// terminate (the old sync.Once design could deadlock Close against a
-// concurrent Cancel).
-func TestConcurrentPublishCancelClose(t *testing.T) {
+// TestCloseReleasesBlockedPublish races Close against producers blocked
+// on a full bus: every one must return ErrClosed, and only the messages
+// queued before Close come out.
+func TestCloseReleasesBlockedPublish(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		b := NewBus(4)
-		var subs []*Subscription
-		for i := 0; i < 8; i++ {
-			s, err := b.Subscribe("imu", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs = append(subs, s)
-		}
-		var wg sync.WaitGroup
+		b := NewBus(0)
+		fill(t, b)
+		errs := make(chan error, 4)
 		for p := 0; p < 4; p++ {
+			go func() { errs <- b.Publish(Message{Topic: "gps", Time: -1}) }()
+		}
+		if round == 0 {
+			waitBlocked(t, 4)
+		}
+		b.Close()
+		for p := 0; p < 4; p++ {
+			if err := <-errs; !errors.Is(err, ErrClosed) {
+				t.Fatalf("blocked Publish = %v, want ErrClosed", err)
+			}
+		}
+		if got := b.Take(nil); len(got) != depth || got[depth-1].Time != depth-1 {
+			t.Fatalf("took %d messages after Close, want the %d queued before it", len(got), depth)
+		}
+	}
+}
+
+// TestDropAccountingExact closes the bus under concurrent publishers:
+// every Publish that returned nil is taken exactly once, every other
+// one returned ErrClosed, and nothing else comes out.
+func TestDropAccountingExact(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		b := NewBus(0)
+		var accepted, rejected [4]int
+		var wg sync.WaitGroup
+		for p := range accepted {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					_ = b.Publish(Message{Topic: "imu", Time: float64(p*1000 + i)})
+				for i := 0; i < depth; i++ {
+					switch err := b.Publish(Message{Topic: "imu", Time: float64(p)}); {
+					case err == nil:
+						accepted[p]++
+					case errors.Is(err, ErrClosed):
+						rejected[p]++
+					default:
+						t.Error(err)
+					}
 				}
 			}(p)
 		}
-		for _, s := range subs {
-			wg.Add(2)
-			go func(s *Subscription) {
-				defer wg.Done()
-				for range s.C {
+		var taken [4]int
+		for batch := b.Take(nil); len(batch) > 0; batch = b.Take(batch) {
+			for _, m := range batch {
+				p := int(m.Time)
+				taken[p]++
+				if p == 0 && taken[p] == depth/2 {
+					b.Close()
 				}
-			}(s)
-			go func(s *Subscription) {
-				defer wg.Done()
-				s.Cancel()
-			}(s)
+			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Close()
-		}()
 		wg.Wait()
-		b.Close()
-	}
-}
-
-func TestTopicsAndString(t *testing.T) {
-	b := NewBus(5)
-	defer b.Close()
-	_ = b.Publish(Message{Topic: "a"})
-	_ = b.Publish(Message{Topic: "b"})
-	if got := len(b.Topics()); got != 2 {
-		t.Errorf("Topics() has %d entries, want 2", got)
-	}
-	if s := b.String(); s == "" {
-		t.Error("empty String()")
+		for p := range accepted {
+			if taken[p] != accepted[p] || accepted[p]+rejected[p] != depth {
+				t.Fatalf("publisher %d: %d accepted, %d rejected, %d taken", p, accepted[p], rejected[p], taken[p])
+			}
+		}
 	}
 }

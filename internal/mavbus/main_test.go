@@ -6,6 +6,6 @@ import (
 	"soundboost/internal/leakcheck"
 )
 
-// TestMain fails the suite if any test leaks a goroutine — a subscriber
-// blocked on a channel nobody closes, a publisher stuck after Close.
+// TestMain fails the suite if any test leaks a goroutine — a reader
+// waiting on a bus nobody closes, a publisher stuck on a full one.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

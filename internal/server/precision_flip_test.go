@@ -9,7 +9,6 @@ import (
 	"soundboost/api"
 	soundboost "soundboost/internal/core"
 	"soundboost/internal/dataset"
-	"soundboost/internal/stream"
 )
 
 // runPrecisionSession drives a flight through the streaming endpoints
@@ -36,7 +35,7 @@ func runPrecisionSession(t *testing.T, s *Server, f *dataset.Flight, precision s
 // triage parity test uses, re-precisioning the analyzer to float32 must
 // not change a single root-cause verdict on any serving surface — the
 // batch path (Analyze, with and without the triage tier), the streaming
-// path (live engine opened with stream.WithPrecision), and the served
+// path (live engine over the float32 analyzer), and the served
 // path (HTTP sessions opened with the wire precision field). Run under
 // -race in CI alongside the triage flip test.
 func TestFloat32ZeroFlipAllPaths(t *testing.T) {
@@ -101,7 +100,7 @@ func TestFloat32ZeroFlipAllPaths(t *testing.T) {
 			fastpath++
 		}
 
-		stream32 := replayStream(t, an, f, true, stream.WithPrecision(soundboost.Float32))
+		stream32 := replayStream(t, full32, f)
 		if stream32.Cause != batch64.Cause {
 			t.Errorf("%s: float32 stream cause %q, float64 batch %q", f.Name, stream32.Cause, batch64.Cause)
 		}

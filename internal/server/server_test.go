@@ -370,16 +370,20 @@ func TestWholeFlightOneChunk(t *testing.T) {
 // TestSessionPrecision opens a float32 session, verifies the served
 // report records the mode it ran under (with its documented tolerance)
 // and still reaches the float64 batch verdict, and checks an unknown
-// precision is rejected with 422 at session open.
+// precision is rejected at session open with 422 and a fixed message.
 func TestSessionPrecision(t *testing.T) {
 	fx := getFixture(t)
 	s := newTestServer(t, Config{})
 	f := fx.calib[0]
 
-	errCode(t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
+	bad := decode[api.Error](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		SampleRateHz: f.Audio.SampleRate,
 		Precision:    "float16",
-	}), http.StatusUnprocessableEntity, api.CodeUnprocessable)
+	}), http.StatusUnprocessableEntity)
+	const wantMsg = `server: unprocessable payload: stream: soundboost: unknown precision "float16" (want "float64" or "float32")`
+	if bad.Code != api.CodeUnprocessable || bad.Error != wantMsg {
+		t.Errorf("float16 open = (%q, %q), want (%q, %q)", bad.Code, bad.Error, api.CodeUnprocessable, wantMsg)
+	}
 
 	created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
 		Flight:       f.Name,

