@@ -94,5 +94,5 @@ func (a *analyzerFlags) loadRaw() (*soundboost.Analyzer, error) {
 		defer af.Close()
 		return soundboost.LoadAnalyzer(af)
 	}
-	return buildAnalyzer(*a.modelPath, *a.calibDir)
+	return buildAnalyzer(*a.modelPath, *a.calibDir, "")
 }

@@ -268,15 +268,7 @@ func runCalibrate(args []string) error {
 	if err := rt.apply(); err != nil {
 		return err
 	}
-	var opts []soundboost.AnalyzerOption
-	if *precision != "" {
-		p, err := soundboost.ParsePrecision(*precision)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, soundboost.WithPrecision(p))
-	}
-	analyzer, err := buildAnalyzer(*modelPath, *calibDir, opts...)
+	analyzer, err := buildAnalyzer(*modelPath, *calibDir, *precision)
 	if err != nil {
 		return err
 	}
@@ -325,8 +317,10 @@ func runCalibrate(args []string) error {
 }
 
 // buildAnalyzer loads the model and calibrates detectors on a benign
-// flight directory.
-func buildAnalyzer(modelPath, calibDir string, opts ...soundboost.AnalyzerOption) (*soundboost.Analyzer, error) {
+// flight directory. A precision other than "" re-precisions the model
+// first, so the thresholds are fitted under the arithmetic the analyzer
+// runs.
+func buildAnalyzer(modelPath, calibDir, precision string) (*soundboost.Analyzer, error) {
 	mf, err := os.Open(modelPath)
 	if err != nil {
 		return nil, err
@@ -335,6 +329,15 @@ func buildAnalyzer(modelPath, calibDir string, opts ...soundboost.AnalyzerOption
 	model, err := soundboost.LoadModel(mf)
 	if err != nil {
 		return nil, err
+	}
+	if precision != "" {
+		p, err := soundboost.ParsePrecision(precision)
+		if err == nil {
+			model, err = model.WithPrecision(p)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	calib, err := loadFlightDir(calibDir)
 	if err != nil {
@@ -346,7 +349,7 @@ func buildAnalyzer(modelPath, calibDir string, opts ...soundboost.AnalyzerOption
 			benign = append(benign, f)
 		}
 	}
-	return soundboost.NewAnalyzer(model, benign, opts...)
+	return soundboost.NewAnalyzer(model, benign)
 }
 
 func runRCA(args []string) error {

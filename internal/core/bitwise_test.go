@@ -48,7 +48,11 @@ func TestBitwiseGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calib32, err := NewAnalyzer(fx.model, fx.calib, WithPrecision(Float32))
+	m32, err := fx.model.WithPrecision(Float32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib32, err := NewAnalyzer(m32, fx.calib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +93,8 @@ func TestBitwiseGolden(t *testing.T) {
 				fmt.Fprintf(&b, "%s window %d signature %v\n", prefix, i, ex.Features(t0, sig.WindowSeconds))
 			}
 			var dists []float64
-			err = forEachTriageWindow(fl.f, sig, a.Triage.Config().Features, func(w triageWindow) bool {
-				dists = append(dists, a.Triage.Classify(w.feat).Distance)
+			err = forEachTriageWindow(fl.f, sig, func(w triageWindow) bool {
+				dists = append(dists, a.ScreenWindow(w.audio, fl.f.Audio.SampleRate, w.imu, w.gps).Distance)
 				return true
 			})
 			if err != nil {

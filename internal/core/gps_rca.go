@@ -209,19 +209,26 @@ func (d *GPSDetector) Trace(f *dataset.Flight) (*GPSTrace, error) {
 	return trace, nil
 }
 
-// verdict drives one GPS monitor over a flight's window observations,
-// seeded from the flight's first GPS fix (pre-attack per the threat
-// model). A non-nil trace records every KF step.
+// verdict drives one GPS monitor over a flight's window observations.
+// A non-nil trace records every KF step.
 func (d *GPSDetector) verdict(f *dataset.Flight, obs []windowObs, trace *GPSTrace) (GPSVerdict, error) {
-	m := d.NewMonitor()
+	m := d.newMonitor()
 	m.trace = trace
-	if len(f.Telemetry) > 0 {
-		if err := m.Seed(f.Telemetry[0].GPSVel); err != nil {
-			return GPSVerdict{}, err
-		}
-		m.pos = f.Telemetry[0].GPSPos
+	if err := m.observe(f, obs, d.model.cfg.Signature.WindowSeconds); err != nil {
+		return GPSVerdict{}, err
 	}
-	win := d.model.cfg.Signature.WindowSeconds
+	return m.Verdict()
+}
+
+// observe feeds the monitor a flight's window observations, seeded from
+// the flight's first GPS fix (pre-attack per the threat model).
+func (g *gpsMonitor) observe(f *dataset.Flight, obs []windowObs, win float64) error {
+	if len(f.Telemetry) > 0 {
+		if err := g.Seed(f.Telemetry[0].GPSVel); err != nil {
+			return err
+		}
+		g.pos = f.Telemetry[0].GPSPos
+	}
 	for _, o := range obs {
 		if len(o.tel) == 0 {
 			continue
@@ -232,19 +239,19 @@ func (d *GPSDetector) verdict(f *dataset.Flight, obs []windowObs, trace *GPSTrac
 			gpsSum = gpsSum.Add(s.GPSVel)
 		}
 		n := 1 / float64(len(o.tel))
-		m.Add(NewGPSObs(o.idx, o.t0+win, o.tel[len(o.tel)/2].EstAtt, o.pred, imuSum.Scale(n), gpsSum.Scale(n)))
+		g.Add(newGPSObs(o.idx, o.t0+win, o.tel[len(o.tel)/2].EstAtt, o.pred, imuSum.Scale(n), gpsSum.Scale(n)))
 	}
-	if !m.seen {
-		return GPSVerdict{}, fmt.Errorf("soundboost: no usable windows for GPS RCA")
+	if !g.seen {
+		return fmt.Errorf("soundboost: no usable windows for GPS RCA")
 	}
-	return m.Verdict()
+	return nil
 }
 
-// GPSObs is one window's input to the GPS stage: the window index (which
+// gpsObs is one window's input to the GPS stage: the window index (which
 // exposes holes left by skipped windows), the window end time, the audio
 // and IMU acceleration in NED with gravity restored, and the window-mean
 // GPS velocity.
-type GPSObs struct {
+type gpsObs struct {
 	winIdx   int
 	t        float64
 	audioNED mathx.Vec3
@@ -252,14 +259,14 @@ type GPSObs struct {
 	gpsVel   mathx.Vec3
 }
 
-// NewGPSObs builds a window's observation from its body-frame audio
+// newGPSObs builds a window's observation from its body-frame audio
 // prediction, window-mean IMU specific force and GPS velocity, and the
 // mid-window attitude. The GPS mean, not a point fix, is the reference:
 // the fused estimate integrates window-mean accelerations, so the
 // reference must share its timebase or turns read as spurious error.
-func NewGPSObs(winIdx int, tEnd float64, att mathx.Quat, predBody, imuBody, gpsVel mathx.Vec3) GPSObs {
+func newGPSObs(winIdx int, tEnd float64, att mathx.Quat, predBody, imuBody, gpsVel mathx.Vec3) gpsObs {
 	gravity := mathx.Vec3{Z: sensors.Gravity}
-	return GPSObs{
+	return gpsObs{
 		winIdx:   winIdx,
 		t:        tEnd,
 		audioNED: att.Rotate(predBody).Add(gravity),
@@ -268,13 +275,14 @@ func NewGPSObs(winIdx int, tEnd float64, att mathx.Quat, predBody, imuBody, gpsV
 	}
 }
 
-// GPSMonitor is the GPS RCA stage as a window-by-window recursion, and
-// its only implementation: Detect, Trace, calibration and the streaming
-// engine all drive it. It buffers observations through the alignment
-// phase, estimates the constant acceleration biases against GPS velocity
-// deltas, replays the buffer through the KF, then keeps stepping the KF,
-// the bias EWMA and the running-mean error monitor live.
-type GPSMonitor struct {
+// gpsMonitor is the GPS RCA stage as a window-by-window recursion, and
+// its only implementation: Detect, Trace, calibration and Run (which
+// Analyze and the stream engine drive) all feed it. It buffers
+// observations through the alignment phase, estimates the constant
+// acceleration biases against GPS velocity deltas, replays the buffer
+// through the KF, then keeps stepping the KF, the bias EWMA and the
+// running-mean error monitor live.
+type gpsMonitor struct {
 	cfg       GPSDetectorConfig
 	threshold float64
 	hop       float64
@@ -282,7 +290,7 @@ type GPSMonitor struct {
 	est     *kalman.VelocityEstimator
 	monitor stats.RunningMean
 	aligned bool
-	buf     []GPSObs
+	buf     []gpsObs
 	alignN  int
 
 	audioBias  mathx.Vec3
@@ -306,10 +314,10 @@ type GPSMonitor struct {
 	err     error
 }
 
-// NewMonitor returns a fresh, unseeded monitor at the detector's
+// newMonitor returns a fresh, unseeded monitor at the detector's
 // calibrated threshold.
-func (d *GPSDetector) NewMonitor() *GPSMonitor {
-	return &GPSMonitor{
+func (d *GPSDetector) newMonitor() *gpsMonitor {
+	return &gpsMonitor{
 		cfg:       d.cfg,
 		threshold: d.threshold,
 		hop:       d.model.cfg.Signature.HopSeconds,
@@ -321,7 +329,7 @@ func (d *GPSDetector) NewMonitor() *GPSMonitor {
 // Seed starts the KF from the first GPS velocity fix; later calls are
 // no-ops. Observations added before the monitor is seeded are dropped:
 // there is nothing to fuse against.
-func (g *GPSMonitor) Seed(v0 mathx.Vec3) error {
+func (g *gpsMonitor) Seed(v0 mathx.Vec3) error {
 	if g.est != nil {
 		return nil
 	}
@@ -338,7 +346,7 @@ func (g *GPSMonitor) Seed(v0 mathx.Vec3) error {
 // partial alignment phase finishes with monitoring off) and a fresh
 // alignment phase begins on the next contiguous run, re-anchored at its
 // first GPS reading. The verdict accumulates across segments.
-func (g *GPSMonitor) Add(o GPSObs) {
+func (g *gpsMonitor) Add(o gpsObs) {
 	if g.err != nil {
 		return
 	}
@@ -369,7 +377,7 @@ func (g *GPSMonitor) Add(o GPSObs) {
 // finishAlign estimates the constant acceleration bias of each stream
 // against the GPS velocity delta over the buffered alignment phase, then
 // replays the buffer through the KF with the error monitor off.
-func (g *GPSMonitor) finishAlign() {
+func (g *gpsMonitor) finishAlign() {
 	g.aligned = true
 	g.alignN = len(g.buf)
 	if g.cfg.AlignSeconds > 0 && g.alignN > 1 {
@@ -389,7 +397,7 @@ func (g *GPSMonitor) finishAlign() {
 	g.buf = nil
 }
 
-func (g *GPSMonitor) step(o GPSObs) {
+func (g *gpsMonitor) step(o gpsObs) {
 	if g.est == nil || g.err != nil {
 		return
 	}
@@ -433,7 +441,7 @@ func (g *GPSMonitor) step(o GPSObs) {
 // re-enters alignment for the next contiguous run, re-anchoring the KF
 // at the new segment's first GPS reading. The running-mean monitor
 // restarts because its calibration only covers contiguous windows.
-func (g *GPSMonitor) restartSegment(o GPSObs) {
+func (g *gpsMonitor) restartSegment(o gpsObs) {
 	if !g.aligned {
 		g.finishAlign()
 	}
@@ -455,12 +463,12 @@ func (g *GPSMonitor) restartSegment(o GPSObs) {
 
 // Current returns the verdict so far, without closing a pending
 // alignment phase, and the current running-mean velocity error.
-func (g *GPSMonitor) Current() (GPSVerdict, float64) { return g.verdict, g.monitor.Mean() }
+func (g *gpsMonitor) Current() (GPSVerdict, float64) { return g.verdict, g.monitor.Mean() }
 
 // Verdict closes a sequence that ended inside its alignment phase (the
 // KF still steps, with monitoring off) and returns the accumulated
 // verdict and any KF error.
-func (g *GPSMonitor) Verdict() (GPSVerdict, error) {
+func (g *gpsMonitor) Verdict() (GPSVerdict, error) {
 	if !g.aligned {
 		g.finishAlign()
 	}

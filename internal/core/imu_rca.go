@@ -99,7 +99,7 @@ func calibrateIMU(model *AcousticModel, benignObs [][]windowObs, cfg IMUDetector
 
 	var ksStats, stds []float64
 	for _, ws := range perFlight {
-		m := d.NewMonitor()
+		m := d.newMonitor()
 		m.onPeriod = func(stat, std float64) {
 			ksStats = append(ksStats, stat)
 			stds = append(stds, std)
@@ -144,21 +144,20 @@ type IMUVerdict struct {
 
 // Detect runs the IMU RCA stage over a flight.
 func (d *IMUDetector) Detect(f *dataset.Flight) (IMUVerdict, error) {
-	v, _, err := d.detectFlight(f)
+	v, _, err := d.detectFlight(f, d.newMonitor())
 	return v, err
 }
 
-// detectFlight runs the flight's window pass and stage 1 over it, both
-// inside the IMU detect span, and returns the observations too so that
-// Analyze can hand them on to stage 2.
-func (d *IMUDetector) detectFlight(f *dataset.Flight) (IMUVerdict, []windowObs, error) {
+// detectFlight runs the flight's window pass and feeds stage 1 over it
+// into m, both inside the IMU detect span, and returns the observations
+// too so that Analyze can hand them on to stage 2.
+func (d *IMUDetector) detectFlight(f *dataset.Flight, m *imuMonitor) (IMUVerdict, []windowObs, error) {
 	span := imuDetectTimer.Start()
 	defer span.Stop()
 	obs, err := observeFlight(d.model, f)
 	if err != nil {
 		return IMUVerdict{}, nil, err
 	}
-	m := d.NewMonitor()
 	m.addAll(imuWindows(obs, d.cfg.Stream))
 	return m.Verdict(), obs, nil
 }
@@ -223,11 +222,12 @@ func imuWindows(obs []windowObs, stream int) []imuWindow {
 // freezes on the first samples rather than growing without bound.
 const maxRejectedVals = 1 << 20
 
-// IMUMonitor is the IMU RCA stage as a window-by-window recursion, and
-// its only implementation: Detect, calibration and the streaming engine
-// all drive it. It holds a ring of the last PeriodWindows residual sets
-// and tests one pooled KS period per added window.
-type IMUMonitor struct {
+// imuMonitor is the IMU RCA stage as a window-by-window recursion, and
+// its only implementation: Detect, calibration and Run (which Analyze
+// and the stream engine drive) all feed it. It holds a ring of the last
+// PeriodWindows residual sets and tests one pooled KS period per added
+// window.
+type imuMonitor struct {
 	cfg     IMUDetectorConfig
 	benign  stats.Normal
 	statThr float64
@@ -247,14 +247,14 @@ type IMUMonitor struct {
 	rejectedVals []float64
 }
 
-// NewMonitor returns a fresh monitor at the detector's calibrated
+// newMonitor returns a fresh monitor at the detector's calibrated
 // thresholds.
-func (d *IMUDetector) NewMonitor() *IMUMonitor {
+func (d *IMUDetector) newMonitor() *imuMonitor {
 	cfg := d.cfg
 	if cfg.PeriodWindows < 1 {
 		cfg.PeriodWindows = 1
 	}
-	return &IMUMonitor{
+	return &imuMonitor{
 		cfg:     cfg,
 		benign:  d.benign,
 		statThr: d.statThreshold,
@@ -266,7 +266,7 @@ func (d *IMUDetector) NewMonitor() *IMUMonitor {
 // AddWindow feeds the residuals of one analysed window, in window order.
 // A window without residuals is not fed at all: period pooling has no
 // timebase, so the IMU stage needs no hole handling.
-func (m *IMUMonitor) AddWindow(start float64, vals []float64) {
+func (m *imuMonitor) AddWindow(start float64, vals []float64) {
 	// The evicted window's sorted buffer takes the new window's values.
 	var sorted []float64
 	if len(m.ring) == m.cfg.PeriodWindows {
@@ -320,17 +320,14 @@ func (m *IMUMonitor) AddWindow(start float64, vals []float64) {
 	}
 }
 
-func (m *IMUMonitor) addAll(ws []imuWindow) {
+func (m *imuMonitor) addAll(ws []imuWindow) {
 	for _, w := range ws {
 		m.AddWindow(w.start, w.vals)
 	}
 }
 
-// Attacked reports whether the alarm has fired so far.
-func (m *IMUMonitor) Attacked() bool { return m.verdict.Attacked }
-
 // Verdict returns the verdict over the windows fed so far.
-func (m *IMUMonitor) Verdict() IMUVerdict {
+func (m *imuMonitor) Verdict() IMUVerdict {
 	v := m.verdict
 	if v.Attacked && len(m.rejectedVals) > 1 {
 		v.AttackStd = stats.StdDev(m.rejectedVals)

@@ -16,7 +16,9 @@ import "soundboost/internal/obs"
 //     The one window pass a flight gets (filtering, signatures,
 //     predictions) runs inside core.rca.imu.detect, since stage 1
 //     consumes it first; within Analyze, core.rca.gps.detect covers only
-//     the stage-2 recursion.
+//     stage 2: the trusted KF variant stepped over the windows, and the
+//     report.
+//     The stream engine's Run fires neither, nor core.rca.reports_*.
 //   - core.rca.gps.segments counts GPS analysis segments restarted at a
 //     hole in the window sequence, on the batch and streaming paths.
 //   - core.calibrate.* time the one-off detector calibrations.

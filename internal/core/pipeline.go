@@ -86,37 +86,21 @@ type Analyzer struct {
 	GPSAudioOnly *GPSDetector
 	// GPSAudioIMU is used when the IMU is trusted.
 	GPSAudioIMU *GPSDetector
-	// Triage is the optional screening tier (WithTriage). When attached,
+	// Triage is the optional screening tier (TrainTriage). When attached,
 	// flights whose every window screens confident-benign short-circuit
 	// Analyze with FastBenignReport instead of running the detectors;
 	// any doubt escalates to the full pipeline. Nil disables screening.
 	Triage *triage.Model
 }
 
-// NewAnalyzer calibrates all detectors from benign flights. Each flight
-// gets one window pass on the worker pool, shared by the three
-// calibrations.
-// Functional options (WithKFVariant, WithTriage, WithPrecision)
-// customize the calibration; with none the defaults reproduce the
-// historical two-argument behaviour, so existing call sites compile and
-// behave unchanged.
-func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...AnalyzerOption) (*Analyzer, error) {
+// NewAnalyzer calibrates all detectors from benign flights at their
+// default configurations. Each flight gets one window pass on the
+// worker pool, shared by the three calibrations. To calibrate under
+// another precision, re-precision the model first
+// (AcousticModel.WithPrecision); to screen flights, set Triage.
+func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight) (*Analyzer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("soundboost: nil model")
-	}
-	o := defaultAnalyzerOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	if o.precisionSet {
-		var err error
-		model, err = model.WithPrecision(o.precision)
-		if err != nil {
-			return nil, err
-		}
 	}
 	span := analyzerCalibTimer.Start()
 	defer span.Stop()
@@ -129,15 +113,15 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight, opts ...
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: IMU detector: %w", err)
 	}
-	audioOnly, err := calibrateGPS(model, benignFlights, benignObs, o.gpsCfgs[kalman.ModeAudioOnly])
+	audioOnly, err := calibrateGPS(model, benignFlights, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioOnly))
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: audio-only GPS detector: %w", err)
 	}
-	audioIMU, err := calibrateGPS(model, benignFlights, benignObs, o.gpsCfgs[kalman.ModeAudioIMU])
+	audioIMU, err := calibrateGPS(model, benignFlights, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: audio+IMU GPS detector: %w", err)
 	}
-	return &Analyzer{Model: model, IMU: imu, GPSAudioOnly: audioOnly, GPSAudioIMU: audioIMU, Triage: o.triage}, nil
+	return &Analyzer{Model: model, IMU: imu, GPSAudioOnly: audioOnly, GPSAudioIMU: audioIMU}, nil
 }
 
 // WithGPSMargin returns a shallow copy of the analyzer whose GPS
@@ -238,41 +222,34 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 		}
 	}
 	report := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}
+	run := a.NewRun()
 
 	// One window pass serves both stages; it runs inside stage 1's span.
-	imuVerdict, obs, err := a.IMU.detectFlight(f)
+	imuVerdict, obs, err := a.IMU.detectFlight(f, run.imu)
 	if err != nil {
 		return report, fmt.Errorf("soundboost: IMU stage: %w", err)
 	}
 	report.IMU = imuVerdict
+	gps := run.trusted(imuVerdict.Attacked)
+	report.GPSMode = gps.cfg.Mode
 
-	// Stage 2: pick the KF variant by stage-1 outcome (paper §III-C2).
-	gps := a.GPSAudioIMU
-	if imuVerdict.Attacked {
-		gps = a.GPSAudioOnly
-	}
-	report.GPSMode = gps.Mode()
+	// Stage 2 steps only the KF variant stage 1 picked; the stream steps
+	// both, since it cannot know the pick in advance.
 	gpsSpan := gpsDetectTimer.Start()
-	gpsVerdict, err := gps.verdict(f, obs, nil)
+	err = gps.observe(f, obs, a.Model.cfg.Signature.WindowSeconds)
+	var full Report
+	if err == nil {
+		full, err = run.report(f.Name, imuVerdict)
+	}
 	gpsSpan.Stop()
 	if err != nil {
 		return report, fmt.Errorf("soundboost: GPS stage: %w", err)
 	}
-	report.GPS = gpsVerdict
-
-	switch {
-	case imuVerdict.Attacked && gpsVerdict.Attacked:
-		report.Cause = CauseIMUAndGPS
+	if full.IMU.Attacked {
 		reportsIMU.Inc()
-		reportsGPS.Inc()
-	case imuVerdict.Attacked:
-		report.Cause = CauseIMU
-		reportsIMU.Inc()
-	case gpsVerdict.Attacked:
-		report.Cause = CauseGPS
-		reportsGPS.Inc()
-	default:
-		report.Cause = CauseNone
 	}
-	return report, nil
+	if full.GPS.Attacked {
+		reportsGPS.Inc()
+	}
+	return full, nil
 }

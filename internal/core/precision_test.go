@@ -142,14 +142,18 @@ func TestAnalyzerWithPrecision(t *testing.T) {
 		t.Error("GPS thresholds changed across re-precisioning")
 	}
 
-	// The construction-time option calibrates under float32 features
-	// (self-consistent thresholds) and must stamp reports the same way.
-	anOpt, err := NewAnalyzer(fx.model, fx.calib, WithPrecision(Float32))
+	// Calibrating on a float32 model fits thresholds under float32
+	// features (self-consistent) and must stamp reports the same way.
+	m32, err := fx.model.WithPrecision(Float32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anOpt, err := NewAnalyzer(m32, fx.calib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := anOpt.Precision(); got != Float32 {
-		t.Errorf("option-built analyzer precision = %q, want %q", got, Float32)
+		t.Errorf("float32-calibrated analyzer precision = %q, want %q", got, Float32)
 	}
 
 	r64, err := an.Analyze(fx.heldout[0])

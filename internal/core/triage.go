@@ -20,23 +20,24 @@ import (
 // a hot onset sufficient.
 const triageGPSOnsetSeconds = 2.0
 
-// triageWindow is one screening window of a flight on the batch path.
+// triageWindow is one screening window of a flight on the batch path:
+// the primary mic's low-passed audio over [t0, t1) and the window's
+// admitted telemetry rows.
 type triageWindow struct {
 	t0, t1 float64
-	// feat is the raw triage feature vector; nil when the window is
-	// unusable (too short, non-finite audio, no IMU rows) — the screen
-	// must escalate such windows.
-	feat []float64
+	audio  []float64
+	imu    []triage.IMUPoint
+	gps    []triage.GPSPoint
 }
 
 // forEachTriageWindow enumerates the flight's screening windows exactly
 // as the streaming engine decides them: the same window grid, the same
 // per-mic causal low-pass on the primary mic, and the same half-open
-// [t0, t1) telemetry selection with non-finite rows shed at ingest.
-// Mirroring the stream bit for bit keeps batch, streamed, and served
-// triage decisions identical for the same flight. fn returns false to
-// stop early.
-func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.FeatureConfig, fn func(w triageWindow) bool) error {
+// [t0, t1) telemetry selection with rows shed by AdmitIMU and AdmitGPS,
+// the engine's ingest rules. Mirroring the stream bit for bit keeps
+// batch, streamed, and served triage decisions identical for the same
+// flight. fn returns false to stop early.
+func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fn func(w triageWindow) bool) error {
 	rec := f.Audio
 	if rec == nil || rec.Samples() == 0 {
 		return fmt.Errorf("soundboost: triage: flight %q has no audio", f.Name)
@@ -56,26 +57,19 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 		audio = lp.ProcessAll(audio)
 	}
 
-	// Shed non-finite telemetry rows with the stream's ingest predicates
-	// (onIMU / onGPS): time+accel+attitude finite for IMU rows, time+
-	// pos+vel finite for GPS rows. Rows are already time-sorted.
+	// Rows are already time-sorted.
 	imuRows := make([]triage.IMUPoint, 0, len(f.Telemetry))
 	imuTimes := make([]float64, 0, len(f.Telemetry))
 	gpsRows := make([]triage.GPSPoint, 0, len(f.Telemetry))
 	for _, s := range f.Telemetry {
-		if finite(s.Time) && s.IMUAccel.IsFinite() && finiteQuat(s.EstAtt) {
+		if AdmitIMU(s.Time, s.IMUAccel, s.EstAtt) {
 			imuRows = append(imuRows, triage.IMUPoint{Accel: s.IMUAccel, Gyro: s.IMUGyro})
 			imuTimes = append(imuTimes, s.Time)
 		}
-		if finite(s.Time) && s.GPSVel.IsFinite() && s.GPSPos.IsFinite() {
+		if AdmitGPS(s.Time, s.GPSPos, s.GPSVel) {
 			gpsRows = append(gpsRows, triage.GPSPoint{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel})
 		}
 	}
-
-	// The screen runs under the signature precision; everything else
-	// (window grid, telemetry shedding, escalation predicates) is shared
-	// code.
-	features := sig.Precision.TriageFeatures(fc)
 
 	win := sig.WindowSeconds
 	hop := sig.HopSeconds
@@ -103,21 +97,29 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fc triage.Featu
 		for gpsHi < len(gpsRows) && gpsRows[gpsHi].Time < t1 {
 			gpsHi++
 		}
-		w := triageWindow{t0: t0, t1: t1}
-		if imuHi > imuLo {
-			w.feat = features(audio[start:start+total], rate, imuRows[imuLo:imuHi], gpsRows[gpsLo:gpsHi])
-		}
+		w := triageWindow{t0: t0, t1: t1, audio: audio[start : start+total], imu: imuRows[imuLo:imuHi], gps: gpsRows[gpsLo:gpsHi]}
 		if !fn(w) {
 			return nil
 		}
 	}
 }
 
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-func finiteQuat(q mathx.Quat) bool {
-	return !math.IsNaN(q.W+q.X+q.Y+q.Z) && !math.IsInf(q.W+q.X+q.Y+q.Z, 0)
+// AdmitIMU reports whether an IMU row may enter a window: its time,
+// specific force and attitude are finite. AdmitGPS does the same for a
+// GPS fix's time, position and velocity. The stream engine sheds rows
+// at ingest by these rules and the batch screen applies them to a
+// recorded flight, so both see the same windows.
+func AdmitIMU(t float64, accel mathx.Vec3, att mathx.Quat) bool {
+	q := att.W + att.X + att.Y + att.Z
+	return finite(t) && accel.IsFinite() && finite(q)
 }
+
+// AdmitGPS reports whether a GPS fix may enter a window (see AdmitIMU).
+func AdmitGPS(t float64, pos, vel mathx.Vec3) bool {
+	return finite(t) && vel.IsFinite() && pos.IsFinite()
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // screenFlight runs the triage tier over a whole flight. The flight
 // fast-paths only when every window screens confident-benign; any
@@ -131,12 +133,12 @@ func (a *Analyzer) screenFlight(f *dataset.Flight) (benign bool, maxDist float64
 	}
 	span := triageScreenTimer.Start()
 	defer span.Stop()
-	sig := a.Model.Config().Signature
 	benign = true
 	windows := 0
-	err := forEachTriageWindow(f, sig, a.Triage.Config().Features, func(w triageWindow) bool {
+	rate := f.Audio.SampleRate
+	err := forEachTriageWindow(f, a.Model.cfg.Signature, func(w triageWindow) bool {
 		windows++
-		d := a.Triage.Classify(w.feat)
+		d := a.ScreenWindow(w.audio, rate, w.imu, w.gps)
 		if !d.Benign {
 			benign = false
 			return false
@@ -229,17 +231,19 @@ func TrainTriage(flights []*dataset.Flight, sig SignatureConfig, cfg triage.Conf
 	if len(cfg.Features.Bands) == 0 {
 		cfg.Features.Bands = sig.Bands
 	}
+	features := sig.Precision.TriageFeatures(cfg.Features)
 	var samples []triage.Sample
 	for _, f := range flights {
 		if f.Audio == nil || f.Audio.Samples() == 0 {
 			continue
 		}
-		err := forEachTriageWindow(f, sig, cfg.Features, func(w triageWindow) bool {
-			if w.feat == nil {
+		err := forEachTriageWindow(f, sig, func(w triageWindow) bool {
+			if len(w.imu) == 0 {
 				return true
 			}
 			if anom, include := triageLabel(f.Scenario, w.t0, w.t1); include {
-				samples = append(samples, triage.Sample{Features: w.feat, Anomalous: anom})
+				feat := features(w.audio, f.Audio.SampleRate, w.imu, w.gps)
+				samples = append(samples, triage.Sample{Features: feat, Anomalous: anom})
 			}
 			return true
 		})
@@ -265,23 +269,9 @@ func (a *Analyzer) VerifyTriage(flights []*dataset.Flight) (fastpath, escalated 
 	}
 	full := a.WithoutTriage()
 	for _, f := range flights {
-		report, aerr := full.Analyze(f)
-		if aerr != nil {
-			// The full pipeline cannot analyse this flight; the screen
-			// must not fast-path it either.
-			for {
-				benign, maxDist := a.screenFlight(f)
-				if !benign {
-					break
-				}
-				if maxDist <= 0 {
-					return 0, 0, fmt.Errorf("soundboost: VerifyTriage: flight %q screens benign at zero distance", f.Name)
-				}
-				a.Triage.Tighten(maxDist * 0.999)
-			}
-			continue
-		}
-		if report.Cause == CauseNone {
+		// A flight the full pipeline flags, or cannot analyse, must not
+		// fast-path.
+		if report, err := full.Analyze(f); err == nil && report.Cause == CauseNone {
 			continue
 		}
 		for {

@@ -127,12 +127,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxRoutes bounds the gateway's route table. Past it, creating a
+// session drops the least-recently-used finished route, as a replica
+// LRU-evicts its done sessions; routes still streaming are never
+// dropped. Without it every session ever opened would stay in memory
+// and in every checkpoint.
+const maxRoutes = 256
+
 // route is the gateway's record of one placed session: which replica
 // holds it and under what backend id. Its mutex serializes forwarding
 // and failover per session, so a migration never interleaves with a
 // chunk post for the same session.
 type route struct {
 	gwID string
+	// used (the last lookup) and done (a report read succeeded, or a
+	// status read said done or failed) pick the route to evict; both are
+	// guarded by Gateway.mu.
+	used time.Time
+	done bool
 
 	mu        sync.Mutex
 	replica   string
@@ -412,12 +424,7 @@ func (g *Gateway) probe(rep Replica) error {
 // where they are: moving one recomputes a verdict already served.
 func (g *Gateway) rebalance(name string) {
 	rebalanceEvents.Inc()
-	g.mu.Lock()
-	rts := make([]*route, 0, len(g.routes))
-	for _, rt := range g.routes {
-		rts = append(rts, rt)
-	}
-	g.mu.Unlock()
+	rts := g.routeList()
 	moved := 0
 	for _, rt := range rts {
 		if home, ok := g.ring.Home(rt.gwID); !ok || home != name {
@@ -683,12 +690,7 @@ func (g *Gateway) pickFollowersKeeping(rt *route, owner, exclude string) []strin
 // a draining replica while its journal-export endpoint still answers,
 // and off a dead one without waiting for client traffic to trip over it.
 func (g *Gateway) evacuate(name string) {
-	g.mu.Lock()
-	rts := make([]*route, 0, len(g.routes))
-	for _, rt := range g.routes {
-		rts = append(rts, rt)
-	}
-	g.mu.Unlock()
+	rts := g.routeList()
 	for _, rt := range rts {
 		rt.mu.Lock()
 		// Re-check under the route lock: a frames request may have
@@ -733,7 +735,69 @@ func (g *Gateway) lookupRoute(id string) (*route, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rt, ok := g.routes[id]
+	if ok {
+		rt.used = time.Now()
+	}
 	return rt, ok
+}
+
+// routeList snapshots the route table.
+func (g *Gateway) routeList() []*route {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rts := make([]*route, 0, len(g.routes))
+	for _, rt := range g.routes {
+		rts = append(rts, rt)
+	}
+	return rts
+}
+
+// routeFor looks up the request's session, answering 404 not_found for
+// an unknown (or evicted) id.
+func (g *Gateway) routeFor(w http.ResponseWriter, r *http.Request) (*route, bool) {
+	rt, ok := g.lookupRoute(r.PathValue("id"))
+	if !ok {
+		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
+	}
+	return rt, ok
+}
+
+// evictLocked drops least-recently-used finished routes from the table
+// and the checkpoint mirror until a new route fits under maxRoutes. The
+// caller holds g.mu, and hands the victims to release once it is
+// unlocked.
+func (g *Gateway) evictLocked() []*route {
+	var victims []*route
+	for len(g.routes) >= maxRoutes {
+		var victim *route
+		for _, rt := range g.routes {
+			if rt.done && (victim == nil || rt.used.Before(victim.used)) {
+				victim = rt
+			}
+		}
+		if victim == nil {
+			break
+		}
+		delete(g.routes, victim.gwID)
+		delete(g.placed, victim.gwID)
+		victims = append(victims, victim)
+	}
+	return victims
+}
+
+// release frees what evicted routes hold outside the table, their ring
+// pins and replication lag, after waiting out any request that found
+// one before its eviction.
+func (g *Gateway) release(victims []*route) {
+	for _, rt := range victims {
+		rt.mu.Lock()
+		g.ring.Unpin(rt.gwID)
+		replicationLags.move(rt.prevLag, 0)
+		rt.prevLag = 0
+		rt.mu.Unlock()
+		routesEvicted.Inc()
+		g.logf("session %s evicted (LRU, route table full)", rt.gwID)
+	}
 }
 
 // healthyOrder returns the healthy replicas starting at the round-robin
@@ -836,9 +900,11 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 				repAcked:  make(map[string]int),
 			}
 			g.mu.Lock()
+			victims := g.evictLocked()
 			g.routes[gwID] = rt
 			g.notePlacementLocked(rt)
 			g.mu.Unlock()
+			g.release(victims)
 			g.checkpoint()
 			if name != owner {
 				// Hash said owner, health said otherwise: pin so every
@@ -874,9 +940,8 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // either the next expected Seq (accepted) or an already-replayed one
 // (acknowledged as duplicate).
 func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.lookupRoute(r.PathValue("id"))
+	rt, ok := g.routeFor(w, r)
 	if !ok {
-		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
 	// The gateway reads no sample: it checks the chunk, and the owner
@@ -925,53 +990,38 @@ func (g *Gateway) ensureLiveLocked(rt *route, w http.ResponseWriter) bool {
 
 // handleReport forwards a report read, failing the session over first if
 // its replica died before serving the verdict — the journal replay
-// reproduces it on the successor.
+// reproduces it on the successor. A served report retires the route.
 func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.lookupRoute(r.PathValue("id"))
-	if !ok {
-		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !g.ensureLiveLocked(rt, w) {
-		return
-	}
 	var out json.RawMessage
-	if err := g.forwardLocked(rt, "GET", "/report", nil, &out); err != nil {
-		g.writeUpstreamError(w, err)
-		return
-	}
-	g.writeJSON(w, http.StatusOK, out)
+	g.forwardRead(w, r, "/report", &out, g.retire)
 }
 
 // handleStatus forwards a status read and rewrites the backend session
-// id to the gateway's — clients address sessions only by gateway id.
+// id to the gateway's — clients address sessions only by gateway id. A
+// finished session's status retires the route.
 func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.lookupRoute(r.PathValue("id"))
-	if !ok {
-		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !g.ensureLiveLocked(rt, w) {
-		return
-	}
 	var st api.SessionStatus
-	if err := g.forwardLocked(rt, "GET", "/status", nil, &st); err != nil {
-		g.writeUpstreamError(w, err)
-		return
-	}
-	st.ID = rt.gwID
-	g.writeJSON(w, http.StatusOK, st)
+	g.forwardRead(w, r, "/status", &st, func(rt *route) {
+		st.ID = rt.gwID
+		if st.State == api.SessionDone || st.State == api.SessionFailed {
+			g.retire(rt)
+		}
+	})
 }
 
 // handleJournal forwards a journal export, rewriting the id like status.
 func (g *Gateway) handleJournal(w http.ResponseWriter, r *http.Request) {
-	rt, ok := g.lookupRoute(r.PathValue("id"))
+	var exp api.SessionJournal
+	g.forwardRead(w, r, "/journal", &exp, func(rt *route) { exp.ID = rt.gwID })
+}
+
+// forwardRead serves a session read: it forwards GET suffix to the
+// session's replica (reviving a parked route, failing over a dead
+// replica), decodes the answer into out, lets after adjust it, and
+// writes it.
+func (g *Gateway) forwardRead(w http.ResponseWriter, r *http.Request, suffix string, out any, after func(rt *route)) {
+	rt, ok := g.routeFor(w, r)
 	if !ok {
-		g.writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("unknown session %q", r.PathValue("id")))
 		return
 	}
 	rt.mu.Lock()
@@ -979,13 +1029,19 @@ func (g *Gateway) handleJournal(w http.ResponseWriter, r *http.Request) {
 	if !g.ensureLiveLocked(rt, w) {
 		return
 	}
-	var exp api.SessionJournal
-	if err := g.forwardLocked(rt, "GET", "/journal", nil, &exp); err != nil {
+	if err := g.forwardLocked(rt, "GET", suffix, nil, out); err != nil {
 		g.writeUpstreamError(w, err)
 		return
 	}
-	exp.ID = rt.gwID
-	g.writeJSON(w, http.StatusOK, exp)
+	after(rt)
+	g.writeJSON(w, http.StatusOK, out)
+}
+
+// retire makes a finished session's route evictable.
+func (g *Gateway) retire(rt *route) {
+	g.mu.Lock()
+	rt.done = true
+	g.mu.Unlock()
 }
 
 // handleHealthz reports fleet-level liveness: "ok" while every replica
@@ -994,7 +1050,12 @@ func (g *Gateway) handleJournal(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	draining := g.draining
-	sessions := len(g.routes)
+	sessions := 0
+	for _, rt := range g.routes {
+		if !rt.done {
+			sessions++
+		}
+	}
 	g.mu.Unlock()
 	status := "ok"
 	if g.health.UpCount() < len(g.replicas) {
@@ -1041,11 +1102,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	already := g.draining
 	g.draining = true
-	open := make([]*route, 0, len(g.routes))
-	for _, rt := range g.routes {
-		open = append(open, rt)
-	}
 	g.mu.Unlock()
+	open := g.routeList()
 	if !already {
 		g.probeCancel() // unblock any probe stuck in dial
 		close(g.probeStop)

@@ -9,7 +9,10 @@ import "soundboost/internal/obs"
 // journal (or no successor) was available.
 var (
 	sessionsRouted = obs.Default.Counter("fleet.sessions.opened")
-	routedTo       = func(replica string) *obs.Counter {
+	// sessions.evicted counts finished routes dropped to keep the route
+	// table under its bound.
+	routesEvicted = obs.Default.Counter("fleet.sessions.evicted")
+	routedTo      = func(replica string) *obs.Counter {
 		return obs.Default.Counter("fleet.routed." + replica)
 	}
 	failoverAttempts = obs.Default.Counter("fleet.failover.attempts")

@@ -78,6 +78,9 @@ func (g *Gateway) checkpoint() {
 // g.mu AND knows rt's current placement (typically holding rt.mu, or
 // owning the route before it is published).
 func (g *Gateway) notePlacementLocked(rt *route) {
+	if g.routes[rt.gwID] != rt {
+		return // evicted while a migration held it
+	}
 	g.placed[rt.gwID] = RouteState{
 		GwID:      rt.gwID,
 		Replica:   rt.replica,
@@ -153,12 +156,7 @@ func (g *Gateway) restore() error {
 // a session no replica can serve is parked, not failed — clients see
 // 503 + Retry-After and every request retries the revive.
 func (g *Gateway) verifyRestored() {
-	g.mu.Lock()
-	rts := make([]*route, 0, len(g.routes))
-	for _, rt := range g.routes {
-		rts = append(rts, rt)
-	}
-	g.mu.Unlock()
+	rts := g.routeList()
 	for _, rt := range rts {
 		rt.mu.Lock()
 		if !rt.parked {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"soundboost/internal/acoustics"
@@ -105,32 +107,26 @@ type Engine struct {
 	invalid []sampleRange
 
 	// Telemetry buffers, time-sorted, with high-water marks.
-	imuBuf   []IMUSample
-	gpsBuf   []GPSSample
-	imuWM    float64
-	gpsWM    float64
-	imuEvict int
-	gpsEvict int
+	imu rows[IMUSample]
+	gps rows[GPSSample]
 
 	// nextWin is the index of the next unprocessed signature window
 	// (start time nextWin*HopSeconds, exactly as batch WindowStarts).
 	nextWin int
 
-	// Triage fast path. While active (tri non-nil and not escalated),
-	// ready windows are screened by the cheap tier instead of running the
-	// full pipeline, and every full-pipeline input from window triFullWin
-	// onward is retained so that any doubt can escalate by replaying the
-	// screened backlog — reproducing, bit for bit, the engine state the
-	// full pipeline would have reached. Escalation is permanent for the
+	// Triage fast path. While active (the analyzer has a tier and the
+	// stream has not escalated), ready windows are screened by the cheap
+	// tier instead of running the full pipeline, and every full-pipeline
+	// input from window triFullWin onward is retained so that any doubt
+	// can escalate by replaying the screened backlog — reproducing, bit
+	// for bit, the engine state the full pipeline would have reached. Escalation is permanent for the
 	// stream; a stream that never escalates finalizes with the cheap
 	// path-independent benign report.
-	tri          *triage.Model
 	triFullWin   int
 	triEscalated bool
 
-	imuMon *soundboost.IMUMonitor
-	gpsAO  *soundboost.GPSMonitor // audio-only KF, trusted when the IMU is flagged
-	gpsAI  *soundboost.GPSMonitor // audio+IMU KF, trusted otherwise
+	// run is the two-stage RCA the full pipeline feeds window by window.
+	run *soundboost.Run
 
 	err error
 
@@ -169,12 +165,12 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		return nil, err
 	}
 	e := &Engine{
-		an:    an,
-		cfg:   cfg.withDefaults(),
-		sig:   sig,
-		rate:  sampleRate,
-		imuWM: math.Inf(-1),
-		gpsWM: math.Inf(-1),
+		an:   an,
+		cfg:  cfg.withDefaults(),
+		sig:  sig,
+		rate: sampleRate,
+		imu:  rows[IMUSample]{wm: math.Inf(-1)},
+		gps:  rows[GPSSample]{wm: math.Inf(-1)},
 	}
 	// Mirror NewExtractor's four-lane low-pass: the same filter stepped
 	// sample by sample is bit-identical to the batch ProcessAll.
@@ -185,12 +181,9 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		}
 		e.lp = lp.Lanes4()
 	}
-	e.tri = an.Triage
-	e.imuMon = an.IMU.NewMonitor()
-	e.gpsAO = an.GPSAudioOnly.NewMonitor()
-	e.gpsAI = an.GPSAudioIMU.NewMonitor()
-	e.status.ActiveMode = an.GPSAudioIMU.Mode()
-	e.status.Threshold = an.GPSAudioIMU.Threshold()
+	e.run = an.NewRun()
+	live, _ := e.run.Live()
+	e.status.show(live)
 	return e, nil
 }
 
@@ -263,10 +256,29 @@ func (e *Engine) Advance() { e.advance(false) }
 
 // Finish ends the stream: it forces the remaining audio-ready windows
 // through with whatever telemetry arrived and returns the final report.
-// Call it once, after the last Ingest.
+// Call it once, after the last Ingest. A stream that screened at least
+// one window and never escalated finalizes with the cheap
+// path-independent benign report; a zero-window or errored fast-path
+// stream escalates first so the report matches the triage-disabled
+// engine exactly. Otherwise the run builds the report Analyze builds.
 func (e *Engine) Finish() (soundboost.Report, error) {
 	e.advance(true)
-	return e.finalize()
+	var report soundboost.Report
+	if e.fastpath() && e.err == nil && e.nextWin > e.triFullWin {
+		triageFastReports.Inc()
+		report = soundboost.FastBenignReport(e.cfg.FlightName, e.an)
+	} else {
+		e.escalate()
+		var err error
+		report, err = e.run.Report(e.cfg.FlightName)
+		if err != nil && e.err == nil {
+			e.err = err
+		}
+	}
+	e.mu.Lock()
+	e.status.show(report)
+	e.mu.Unlock()
+	return report, e.err
 }
 
 // Status returns a snapshot of the engine state for live display. It is
@@ -366,76 +378,96 @@ func (e *Engine) markInvalid(start, end int) {
 // sorted in if their window is still pending and dropped otherwise.
 func (e *Engine) onIMU(s IMUSample) {
 	telemetryIMU.Inc()
-	if !finiteTime(s.Time) || !s.Accel.IsFinite() || !finiteQuat(s.Att) {
+	if !soundboost.AdmitIMU(s.Time, s.Accel, s.Att) {
 		telemetryNaN.Inc()
 		return
 	}
-	if s.Time >= e.imuWM {
-		e.imuBuf = append(e.imuBuf, s)
-		e.imuWM = s.Time
-	} else {
-		telemetryReordered.Inc()
-		if s.Time < float64(e.nextWin)*e.sig.HopSeconds {
-			return // its windows were already decided
-		}
-		i := len(e.imuBuf)
-		for i > 0 && e.imuBuf[i-1].Time > s.Time {
-			i--
-		}
-		e.imuBuf = append(e.imuBuf, IMUSample{})
-		copy(e.imuBuf[i+1:], e.imuBuf[i:])
-		e.imuBuf[i] = s
-	}
-	if len(e.imuBuf) > maxTelemetryBuffer {
-		// Evicting a row the escalation replay might need would break
-		// replay exactness: leave the fast path first (which prunes the
-		// backlog), then evict only if the buffer is still over.
+	if e.imu.add(s, e.decided()) {
 		e.escalate()
-		if len(e.imuBuf) > maxTelemetryBuffer {
-			e.imuBuf = e.imuBuf[1:]
-			e.imuEvict++
-			telemetryEvicted.Inc()
-		}
+		e.imu.evict()
 	}
 }
 
-// onGPS ingests one GPS fix; the first finite fix seeds both KF variants
-// (the batch pipeline's v0 = Telemetry[0].GPSVel).
+// onGPS ingests one GPS fix like onIMU; the first finite fix seeds both
+// KF variants (the batch pipeline's v0 = Telemetry[0].GPSVel).
 func (e *Engine) onGPS(s GPSSample) {
 	telemetryGPS.Inc()
-	if !finiteTime(s.Time) || !s.Vel.IsFinite() || !s.Pos.IsFinite() {
+	if !soundboost.AdmitGPS(s.Time, s.Pos, s.Vel) {
 		telemetryNaN.Inc()
 		return
 	}
-	for _, g := range []*soundboost.GPSMonitor{e.gpsAO, e.gpsAI} {
-		if err := g.Seed(s.Vel); err != nil && e.err == nil {
-			e.err = err
-		}
+	if err := e.run.SeedGPS(s.Vel); err != nil && e.err == nil {
+		e.err = err
 	}
-	if s.Time >= e.gpsWM {
-		e.gpsBuf = append(e.gpsBuf, s)
-		e.gpsWM = s.Time
+	if e.gps.add(s, e.decided()) {
+		e.escalate()
+		e.gps.evict()
+	}
+}
+
+// decided is the start time of the first undecided window: a late row
+// before it has no window left to join.
+func (e *Engine) decided() float64 { return float64(e.nextWin) * e.sig.HopSeconds }
+
+// rows is one telemetry stream's buffer, time-sorted, with its
+// high-water mark (the latest time ingested).
+type rows[T interface{ at() float64 }] struct {
+	buf []T
+	wm  float64
+}
+
+func (s IMUSample) at() float64 { return s.Time }
+func (s GPSSample) at() float64 { return s.Time }
+
+// add files s in time order. A late row whose windows were already
+// decided (it is older than decided) is dropped. add reports whether
+// the buffer is over its cap: evicting a row the escalation replay
+// might need would break replay exactness, so the caller leaves the
+// fast path first (which prunes the backlog), then calls evict.
+func (r *rows[T]) add(s T, decided float64) (full bool) {
+	if t := s.at(); t >= r.wm {
+		r.buf = append(r.buf, s)
+		r.wm = t
 	} else {
 		telemetryReordered.Inc()
-		if s.Time < float64(e.nextWin)*e.sig.HopSeconds {
-			return
+		if t < decided {
+			return false
 		}
-		i := len(e.gpsBuf)
-		for i > 0 && e.gpsBuf[i-1].Time > s.Time {
+		i := len(r.buf)
+		for i > 0 && r.buf[i-1].at() > t {
 			i--
 		}
-		e.gpsBuf = append(e.gpsBuf, GPSSample{})
-		copy(e.gpsBuf[i+1:], e.gpsBuf[i:])
-		e.gpsBuf[i] = s
+		r.buf = slices.Insert(r.buf, i, s)
 	}
-	if len(e.gpsBuf) > maxTelemetryBuffer {
-		e.escalate()
-		if len(e.gpsBuf) > maxTelemetryBuffer {
-			e.gpsBuf = e.gpsBuf[1:]
-			e.gpsEvict++
-			telemetryEvicted.Inc()
-		}
+	return len(r.buf) > maxTelemetryBuffer
+}
+
+// evict drops the oldest row while the buffer is still over its cap.
+func (r *rows[T]) evict() {
+	if len(r.buf) > maxTelemetryBuffer {
+		r.buf = r.buf[1:]
+		telemetryEvicted.Inc()
 	}
+}
+
+// between returns the buffered rows with time in [t0, t1) — the same
+// half-open interval as dataset.Flight.TelemetryBetween — as a view
+// valid until the next add or cut.
+func (r *rows[T]) between(t0, t1 float64) []T {
+	hi := r.from(t1)
+	return r.buf[r.from(t0):hi:hi]
+}
+
+// cut discards the rows before t.
+func (r *rows[T]) cut(t float64) {
+	if n := r.from(t); n > 0 {
+		r.buf = append(r.buf[:0:0], r.buf[n:]...)
+	}
+}
+
+// from returns the index of the first row at or after t.
+func (r *rows[T]) from(t float64) int {
+	return sort.Search(len(r.buf), func(i int) bool { return r.buf[i].at() >= t })
 }
 
 // advance processes every window that has become decidable. A window is
@@ -457,7 +489,7 @@ func (e *Engine) advance(flush bool) {
 			break // audio not complete for this window yet (or ever)
 		}
 		if !flush {
-			telReady := e.imuWM >= endT && e.gpsWM >= endT
+			telReady := e.imu.wm >= endT && e.gps.wm >= endT
 			if !telReady {
 				lag := float64(e.written)/e.rate - endT
 				lagGauge.Set(lag)
@@ -499,22 +531,19 @@ func (e *Engine) advance(flush bool) {
 
 // fastpath reports whether the triage screening tier is deciding
 // windows (attached and not yet escalated).
-func (e *Engine) fastpath() bool { return e.tri != nil && !e.triEscalated }
+func (e *Engine) fastpath() bool { return e.an.Triage != nil && !e.triEscalated }
 
 // screenWindow runs the triage tier over one ready window; false means
-// the window — and with it the stream — must escalate. Every condition
-// the full pipeline treats specially (pending engine error, dropout
-// overlap, missing IMU rows, unusable features) is doubt.
+// the window — and with it the stream — must escalate. A pending engine
+// error or a dropout overlap is doubt here; the analyzer's screen adds
+// its own (missing IMU rows, unusable features).
 func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 	if e.err != nil || e.overlapsInvalid(start, start+total) {
 		return false
 	}
 	endT := t0 + e.sig.WindowSeconds
-	imuWin := e.imuWindow(t0, endT)
-	if len(imuWin) == 0 {
-		return false
-	}
-	gpsWin := e.gpsWindow(t0, endT)
+	imuWin := e.imu.between(t0, endT)
+	gpsWin := e.gps.between(t0, endT)
 	imu := make([]triage.IMUPoint, len(imuWin))
 	for i, s := range imuWin {
 		imu[i] = triage.IMUPoint{Accel: s.Accel, Gyro: s.Gyro}
@@ -524,9 +553,7 @@ func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 		gps[i] = triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel}
 	}
 	off := start - e.base
-	features := e.sig.Precision.TriageFeatures(e.tri.Config().Features)
-	feat := features(e.buf[0][off:off+total], e.rate, imu, gps)
-	return e.tri.Classify(feat).Benign
+	return e.an.ScreenWindow(e.buf[0][off:off+total], e.rate, imu, gps).Benign
 }
 
 // escalate permanently abandons the fast path: every screened window is
@@ -569,14 +596,10 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	}
 	feat := e.sig.AcousticWindow(chans, e.rate)
 	span.Stop()
-	if feat == nil {
-		windowsRejected.Inc()
-		e.bumpSkipped()
-		return
-	}
-	imuWin := e.imuWindow(t0, endT)
-	if len(imuWin) == 0 {
-		// The batch pipeline skips telemetry-less windows in both stages.
+	imuWin := e.imu.between(t0, endT)
+	if feat == nil || len(imuWin) == 0 {
+		// Too short a window, or one without telemetry, which the batch
+		// pipeline skips in both stages too.
 		windowsRejected.Inc()
 		e.bumpSkipped()
 		return
@@ -593,87 +616,52 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	}
 	pred := e.an.Model.Predict(feat)
 
-	// Stage 1: per-sample z-axis residuals into the KS period monitor.
+	// Stage 1 takes the per-row z-axis residuals, stage 2 the window
+	// means; the run steps both KF variants.
 	vals := make([]float64, len(imuWin))
 	for i, s := range imuWin {
 		vals[i] = pred.Z - s.Accel.Z
 	}
 	span = imuPeriodTimer.Start()
-	e.imuMon.AddWindow(t0, vals)
+	e.run.AddIMU(t0, vals)
 	span.Stop()
-
-	// Stage 2: window-mean observation into both KF variants. Both run
-	// from the start so the verdict can switch variants retroactively
-	// cleanly — exactly the batch selection semantics.
-	if gpsWin := e.gpsWindow(t0, endT); len(gpsWin) > 0 {
-		att := imuWin[len(imuWin)/2].Att
-		var imuSum mathx.Vec3
+	if gpsWin := e.gps.between(t0, endT); len(gpsWin) > 0 {
+		var imuSum, gpsSum mathx.Vec3
 		for _, s := range imuWin {
 			imuSum = imuSum.Add(s.Accel)
 		}
-		imuBody := imuSum.Scale(1 / float64(len(imuWin)))
-		var gpsSum mathx.Vec3
 		for _, s := range gpsWin {
 			gpsSum = gpsSum.Add(s.Vel)
 		}
-		o := soundboost.NewGPSObs(winIdx, endT, att, pred, imuBody, gpsSum.Scale(1/float64(len(gpsWin))))
 		span = gpsStepTimer.Start()
-		e.gpsAO.Add(o)
-		e.gpsAI.Add(o)
+		e.run.AddGPS(winIdx, endT, imuWin[len(imuWin)/2].Att, pred,
+			imuSum.Scale(1/float64(len(imuWin))), gpsSum.Scale(1/float64(len(gpsWin))))
 		span.Stop()
 	}
 	windowsEmitted.Inc()
 
+	live, running := e.run.Live()
 	e.mu.Lock()
 	e.status.Windows++
 	e.status.LastWindowEnd = endT
-	e.status.IMUAttacked = e.imuMon.Attacked()
-	active := e.gpsAI
-	e.status.ActiveMode = e.an.GPSAudioIMU.Mode()
-	if e.imuMon.Attacked() {
-		active = e.gpsAO
-		e.status.ActiveMode = e.an.GPSAudioOnly.Mode()
-	}
-	gpsV, running := active.Current()
-	e.status.GPSAttacked = gpsV.Attacked
 	e.status.RunningError = running
-	e.status.PeakError = gpsV.PeakError
-	e.status.Threshold = gpsV.Threshold
+	e.status.show(live)
 	e.mu.Unlock()
+}
+
+// show sets the verdict fields from a (live or final) report.
+func (s *Status) show(r soundboost.Report) {
+	s.IMUAttacked = r.IMU.Attacked
+	s.GPSAttacked = r.GPS.Attacked
+	s.ActiveMode = r.GPSMode
+	s.PeakError = r.GPS.PeakError
+	s.Threshold = r.GPS.Threshold
 }
 
 func (e *Engine) bumpSkipped() {
 	e.mu.Lock()
 	e.status.Skipped++
 	e.mu.Unlock()
-}
-
-// imuWindow returns the buffered IMU samples with time in [t0, t1) —
-// the same half-open interval as dataset.Flight.TelemetryBetween.
-func (e *Engine) imuWindow(t0, t1 float64) []IMUSample {
-	var out []IMUSample
-	for _, s := range e.imuBuf {
-		if s.Time >= t1 {
-			break
-		}
-		if s.Time >= t0 {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func (e *Engine) gpsWindow(t0, t1 float64) []GPSSample {
-	var out []GPSSample
-	for _, s := range e.gpsBuf {
-		if s.Time >= t1 {
-			break
-		}
-		if s.Time >= t0 {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // overlapsInvalid reports whether [start, end) intersects a gap-filled or
@@ -713,81 +701,6 @@ func (e *Engine) prune() {
 		}
 	}
 	e.invalid = keep
-	cutIMU := 0
-	for cutIMU < len(e.imuBuf) && e.imuBuf[cutIMU].Time < t0 {
-		cutIMU++
-	}
-	if cutIMU > 0 {
-		e.imuBuf = append(e.imuBuf[:0:0], e.imuBuf[cutIMU:]...)
-	}
-	cutGPS := 0
-	for cutGPS < len(e.gpsBuf) && e.gpsBuf[cutGPS].Time < t0 {
-		cutGPS++
-	}
-	if cutGPS > 0 {
-		e.gpsBuf = append(e.gpsBuf[:0:0], e.gpsBuf[cutGPS:]...)
-	}
-}
-
-// finalize assembles the report with the batch pipeline's stage-2
-// selection and cause attribution. A stream that screened at least one
-// window and never escalated finalizes with the cheap path-independent
-// benign report; a zero-window or errored fast-path stream escalates
-// first so the report matches the triage-disabled engine exactly.
-func (e *Engine) finalize() (soundboost.Report, error) {
-	if e.fastpath() {
-		if e.err == nil && e.nextWin > e.triFullWin {
-			triageFastReports.Inc()
-			e.mu.Lock()
-			e.status.IMUAttacked = false
-			e.status.GPSAttacked = false
-			e.status.ActiveMode = e.an.GPSAudioIMU.Mode()
-			e.status.Threshold = e.an.GPSAudioIMU.Threshold()
-			e.mu.Unlock()
-			return soundboost.FastBenignReport(e.cfg.FlightName, e.an), nil
-		}
-		e.escalate()
-	}
-	imuV := e.imuMon.Verdict()
-	gps := e.gpsAI
-	mode := e.an.GPSAudioIMU.Mode()
-	if imuV.Attacked {
-		gps = e.gpsAO
-		mode = e.an.GPSAudioOnly.Mode()
-	}
-	gpsV, gpsErr := gps.Verdict()
-	if gpsErr != nil && e.err == nil {
-		e.err = gpsErr
-	}
-	report := soundboost.Report{
-		Flight:    e.cfg.FlightName,
-		IMU:       imuV,
-		GPS:       gpsV,
-		GPSMode:   mode,
-		Precision: e.an.Precision(),
-	}
-	switch {
-	case imuV.Attacked && gpsV.Attacked:
-		report.Cause = soundboost.CauseIMUAndGPS
-	case imuV.Attacked:
-		report.Cause = soundboost.CauseIMU
-	case gpsV.Attacked:
-		report.Cause = soundboost.CauseGPS
-	default:
-		report.Cause = soundboost.CauseNone
-	}
-	e.mu.Lock()
-	e.status.IMUAttacked = imuV.Attacked
-	e.status.GPSAttacked = gpsV.Attacked
-	e.status.ActiveMode = mode
-	e.status.PeakError = gpsV.PeakError
-	e.status.Threshold = gpsV.Threshold
-	e.mu.Unlock()
-	return report, e.err
-}
-
-func finiteTime(t float64) bool { return !math.IsNaN(t) && !math.IsInf(t, 0) }
-
-func finiteQuat(q mathx.Quat) bool {
-	return !math.IsNaN(q.W+q.X+q.Y+q.Z) && !math.IsInf(q.W+q.X+q.Y+q.Z, 0)
+	e.imu.cut(t0)
+	e.gps.cut(t0)
 }

@@ -4,21 +4,22 @@
 // mavbus through Engine.Run) and runs the calibrated two-stage
 // analysis incrementally — a ring-buffered windower emits acoustic
 // signatures as each hop of audio completes and feeds them, window by
-// window, to the core's IMU KS monitor and two GPS Kalman error
-// monitors, with the active KF variant switching live when the IMU
-// verdict flips.
+// window, to a core Run (the IMU KS monitor and both GPS Kalman
+// variants), with the active KF variant switching live when the IMU
+// verdict flips. Triage windows go to the analyzer's ScreenWindow.
 //
 // The engine's contract with the batch pipeline is equivalence: on an
 // in-order, lossless replay of a recorded flight the final verdict (root
 // cause, IMU and GPS verdicts) is identical to Analyzer.Analyze over
 // that flight, even when its telemetry has holes, because both paths
 // share the feature kernel (SignatureConfig.AcousticWindow), the model
-// inference, and the monitors themselves — batch Analyze is the same
-// monitors driven over a finished flight's windows. Under degraded
-// input — out-of-order, dropped, or NaN telemetry, audio dropouts — the
-// engine degrades gracefully: corrupt samples are shed and counted,
-// audio gaps are zero-filled to preserve timing with the affected
-// windows skipped, and memory stays bounded by the lag horizon.
+// inference, the triage screen and the Run itself — batch Analyze
+// drives the same Run over a finished flight's windows and builds its
+// report there too. Under degraded input — out-of-order, dropped, or
+// NaN telemetry, audio dropouts — the engine degrades gracefully:
+// corrupt samples are shed (by AdmitIMU and AdmitGPS in core) and
+// counted, audio gaps are zero-filled to preserve timing with the
+// affected windows skipped, and memory stays bounded by the lag horizon.
 package stream
 
 import (

@@ -18,6 +18,7 @@ import (
 	"soundboost/internal/mathx"
 	"soundboost/internal/mavbus"
 	"soundboost/internal/sim"
+	"soundboost/internal/triage"
 )
 
 // testGenConfig mirrors the reduced-rate configuration the core tests
@@ -534,6 +535,71 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 				t.Errorf("stream report\n  %+v\nbatch report\n  %+v", got, batch)
 			}
 			tc.check(t, batch)
+		})
+	}
+}
+
+// TestFinalStatusMatchesReport pins the status an engine shows after
+// Finish, which the server journals and live prints: its verdict fields
+// must agree with the returned report on a fast-pathed benign flight,
+// an IMU attack and a GPS attack.
+func TestFinalStatusMatchesReport(t *testing.T) {
+	fx := getFixture(t)
+	benign := fx.calib[0]
+	imu := imuAttackFlight(t, 4100)
+	gps := gpsAttackFlight(t, 4200)
+	corpus := append([]*dataset.Flight{imu, gps}, fx.calib...)
+	for seed := int64(9000); seed < 9006; seed++ {
+		f, err := dataset.Generate(testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, f)
+	}
+	tier, err := soundboost.TrainTriage(corpus, fx.analyzer.Model.Config().Signature, triage.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := *fx.analyzer // shallow clone: the shared fixture stays triage-free
+	an.Triage = tier
+	if _, _, err := an.VerifyTriage(corpus); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		f        *dataset.Flight
+		fastpath bool
+		imu, gps bool
+	}{
+		{"fastpath-benign", benign, true, false, false},
+		{"imu-attack", imu, false, true, false},
+		{"gps-attack", gps, false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(&an, tc.f.Audio.SampleRate, WithFlightName(tc.f.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range Events(CutFlight(tc.f, 0.05)) {
+				if err := eng.Ingest(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Advance()
+			r, err := eng.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fast report is the only one with no IMU period tested.
+			if fast := r.IMU.WindowsTested == 0; fast != tc.fastpath || r.IMU.Attacked != tc.imu || r.GPS.Attacked != tc.gps {
+				t.Fatalf("fixture flight not as intended: fast path %v, report %+v", fast, r)
+			}
+			st := eng.Status()
+			if st.IMUAttacked != r.IMU.Attacked || st.GPSAttacked != r.GPS.Attacked || st.ActiveMode != r.GPSMode ||
+				st.PeakError != r.GPS.PeakError || st.Threshold != r.GPS.Threshold {
+				t.Errorf("final status %+v disagrees with report %+v", st, r)
+			}
 		})
 	}
 }
