@@ -54,10 +54,7 @@ func runGateway(args []string) error {
 	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8712", "listen address")
-		vnodes    = fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 64)")
 		probe     = fs.Duration("probe", 0, "health-probe cadence (0 = default 500ms)")
-		downAfter = fs.Int("down-after", 0, "consecutive probe failures before a replica is marked down (0 = default 2)")
-		upAfter   = fs.Int("up-after", 0, "consecutive probe successes before a down replica is marked up (0 = default 2)")
 		retries   = fs.Int("retries", 3, "per-request retry budget against a replica")
 		retryBase = fs.Duration("retry-base", 0, "base retry backoff (0 = default 100ms)")
 		seed      = fs.Int64("seed", 1, "retry-jitter seed")
@@ -68,8 +65,6 @@ func runGateway(args []string) error {
 		standby     = fs.Bool("standby", false, "run as warm standby: wait for the primary's lease on -state to go stale, then take over")
 		leaseIvl    = fs.Duration("lease-interval", 0, "primary lease renew cadence (0 = default 250ms)")
 		leaseTTL    = fs.Duration("lease-ttl", 0, "stale-lease threshold before a standby takes over (0 = default 8x lease-interval)")
-		rebLimit    = fs.Int("rebalance-limit", 0, "max sessions drained back per replica rejoin (0 = default 32)")
-		rebPace     = fs.Duration("rebalance-pace", 0, "pause between rejoin-rebalance moves (0 = default 10ms)")
 	)
 	var replicas replicaList
 	fs.Var(&replicas, "replica", "replica as name=url[=journal-dir]; repeat per replica")
@@ -88,21 +83,16 @@ func runGateway(args []string) error {
 	}
 
 	cfg := fleet.Config{
-		Replicas:       replicas.reps,
-		VNodes:         *vnodes,
-		ProbeInterval:  *probe,
-		DownAfter:      *downAfter,
-		UpAfter:        *upAfter,
-		Retries:        *retries,
-		RetryBase:      *retryBase,
-		Seed:           *seed,
-		Replication:    *replication,
-		StatePath:      *statePath,
-		LeaseInterval:  *leaseIvl,
-		LeaseTTL:       *leaseTTL,
-		RebalanceLimit: *rebLimit,
-		RebalancePace:  *rebPace,
-		Logf:           func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
+		Replicas:      replicas.reps,
+		ProbeInterval: *probe,
+		Retries:       *retries,
+		RetryBase:     *retryBase,
+		Seed:          *seed,
+		Replication:   *replication,
+		StatePath:     *statePath,
+		LeaseInterval: *leaseIvl,
+		LeaseTTL:      *leaseTTL,
+		Logf:          func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,23 +37,14 @@ type Replica struct {
 type Config struct {
 	// Replicas is the fleet (at least one; names must be unique).
 	Replicas []Replica
-	// VNodes is the virtual-node count per replica (default 64).
-	VNodes int
 	// ProbeInterval is the health-check cadence (default 500ms).
 	ProbeInterval time.Duration
-	// DownAfter / UpAfter are the hysteresis thresholds: consecutive
-	// failed probes before mark-down, consecutive good probes before
-	// mark-up (default 2 each).
-	DownAfter int
-	UpAfter   int
 	// Retries / RetryBase tune the forwarding client's retry budget
 	// (defaults 3 / 100ms). 429s from a replica honor its Retry-After.
 	Retries   int
 	RetryBase time.Duration
 	// Seed makes the forwarding client's backoff jitter reproducible.
 	Seed int64
-	// MaxBodyBytes caps request bodies (default 256 MiB).
-	MaxBodyBytes int64
 	// Transport overrides the forwarding/probe transport (chaos partition
 	// injection in tests; nil = http.DefaultTransport).
 	Transport http.RoundTripper
@@ -73,27 +65,13 @@ type Config struct {
 	// the interval or a slow disk causes a false takeover.
 	LeaseInterval time.Duration
 	LeaseTTL      time.Duration
-	// RebalanceLimit caps sessions drained back per rejoin event
-	// (default 32); RebalancePace is the pause between moves (default
-	// 10ms). Together they bound how hard a recovering replica is hit.
-	RebalanceLimit int
-	RebalancePace  time.Duration
 	// Logf receives one line per routing event (default: silent).
 	Logf func(format string, a ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
@@ -102,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 256 << 20
 	}
 	if c.Replication <= 0 {
 		c.Replication = 2
@@ -115,17 +90,25 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 8 * c.LeaseInterval
 	}
-	if c.RebalanceLimit <= 0 {
-		c.RebalanceLimit = 32
-	}
-	if c.RebalancePace <= 0 {
-		c.RebalancePace = 10 * time.Millisecond
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
+
+const (
+	// downAfter / upAfter are the health hysteresis: consecutive failed
+	// probes before mark-down, consecutive good probes before mark-up.
+	downAfter = 2
+	upAfter   = 2
+	// rebalanceLimit caps sessions drained back per rejoin event and
+	// rebalancePace is the pause between moves: together they bound how
+	// hard a recovering replica is hit.
+	rebalanceLimit = 32
+	rebalancePace  = 10 * time.Millisecond
+	// maxBodyBytes caps request bodies: a batch flight carries raw audio.
+	maxBodyBytes = 256 << 20
+)
 
 // maxRoutes bounds the gateway's route table. Past it, creating a
 // session drops the least-recently-used finished route, as a replica
@@ -172,17 +155,19 @@ type route struct {
 }
 
 // Gateway re-serves the single-node /v1 surface over a fleet of
-// replicas. Sessions are placed by consistent-hashing the gateway's own
-// session id; batch flights round-robin over healthy replicas. When a
-// replica dies or drains mid-session, the gateway migrates the session:
-// it fetches the session's journal (live export, or the journal
-// directory when the replica is gone), replays it through a successor's
-// normal publish path — the engine is deterministic, so the successor
-// converges to the byte-identical verdict — and re-pins the session's
-// hash slot to the successor.
+// replicas. A session goes to the first healthy replica in its id's
+// ring order (see candidates); batch flights round-robin over healthy
+// replicas. When a replica dies or drains mid-session, the gateway
+// migrates the session: it fetches the session's journal (live export,
+// or the journal directory when the replica is gone) and replays it
+// through a successor's normal publish path — the engine is
+// deterministic, so the successor converges to the byte-identical
+// verdict. The route records where each session lives; the ring is
+// fixed and Health alone says which replicas take work.
 type Gateway struct {
 	cfg      Config
 	replicas map[string]Replica
+	names    []string // replica names, sorted: the batch round-robin order
 	ring     *Ring
 	health   *Health
 	client   *httpretry.Client
@@ -244,14 +229,12 @@ func newGateway(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:       cfg,
 		replicas:  make(map[string]Replica, len(cfg.Replicas)),
-		ring:      NewRing(cfg.VNodes),
 		routes:    make(map[string]*route),
 		placed:    make(map[string]RouteState),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
 	g.probeCtx, g.probeCancel = context.WithCancel(context.Background())
-	names := make([]string, 0, len(cfg.Replicas))
 	for _, r := range cfg.Replicas {
 		if r.Name == "" || r.BaseURL == "" {
 			return nil, fmt.Errorf("fleet: replica needs name and base URL: %+v", r)
@@ -260,11 +243,12 @@ func newGateway(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("fleet: duplicate replica name %q", r.Name)
 		}
 		g.replicas[r.Name] = r
-		g.ring.Add(r.Name)
-		names = append(names, r.Name)
+		g.names = append(g.names, r.Name)
 	}
-	g.health = NewHealth(names, cfg.DownAfter, cfg.UpAfter)
-	replicasUp.Set(float64(len(names)))
+	slices.Sort(g.names)
+	g.ring = NewRing(g.names)
+	g.health = NewHealth(g.names, downAfter, upAfter)
+	replicasUp.Set(float64(len(g.names)))
 	hc := &http.Client{Transport: cfg.Transport}
 	g.client = httpretry.New(hc, cfg.Retries, cfg.RetryBase, cfg.Seed)
 	g.client.Logf = cfg.Logf
@@ -309,7 +293,7 @@ func (g *Gateway) backend(rt *route) *httpretry.Session {
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	g.mux.ServeHTTP(w, r)
 }
 
@@ -340,10 +324,10 @@ func jitteredInterval(rng *rand.Rand, d time.Duration) time.Duration {
 
 // probeLoop polls every replica's /v1/healthz on the configured cadence
 // (jittered ±25%, seeded by Config.Seed) and folds the outcomes through
-// the hysteretic health tracker. A replica that transitions down is
-// removed from the ring (new sessions stop landing on it) and its
-// sessions evacuate; one that recovers is re-added and rebalance drains
-// its ring-home sessions back (bounded — see rebalance).
+// the hysteretic health tracker. A replica that transitions down stops
+// being a placement candidate and its sessions evacuate; one that
+// recovers is a candidate again and rebalance drains its ring-home
+// sessions back (bounded — see rebalance).
 func (g *Gateway) probeLoop() {
 	defer close(g.probeDone)
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
@@ -363,7 +347,6 @@ func (g *Gateway) probeLoop() {
 			}
 			healthTransitions.Inc()
 			if up {
-				g.ring.Add(name)
 				g.logf("replica %s up", name)
 				// Drain the rejoined replica's ring-home sessions back to
 				// it, bounded by the rebalance limit and pace.
@@ -373,7 +356,6 @@ func (g *Gateway) probeLoop() {
 					g.rebalance(name)
 				}(name)
 			} else {
-				g.ring.Remove(name)
 				g.logf("replica %s down: %v", name, err)
 				// Evacuate proactively: sessions on a draining replica
 				// migrate while it can still serve journal exports; a dead
@@ -398,39 +380,46 @@ func (g *Gateway) probeLoop() {
 // rides probeCtx, so Shutdown cancels a probe blocked in dial instead
 // of leaving its goroutine behind.
 func (g *Gateway) probe(rep Replica) error {
-	req, err := http.NewRequestWithContext(g.probeCtx, "GET", rep.BaseURL+"/"+api.Version+"/healthz", nil)
+	h, err := g.healthz(g.probeCtx, rep)
+	if err == nil && h.Status != "ok" {
+		err = fmt.Errorf("healthz status %q", h.Status)
+	}
+	return err
+}
+
+// healthz reads rep's /v1/healthz answer.
+func (g *Gateway) healthz(ctx context.Context, rep Replica) (api.Health, error) {
+	var h api.Health
+	req, err := http.NewRequestWithContext(ctx, "GET", rep.BaseURL+"/"+api.Version+"/healthz", nil)
 	if err != nil {
-		return err
+		return h, err
 	}
 	resp, err := g.probeHC.Do(req)
 	if err != nil {
-		return err
+		return h, err
 	}
 	defer resp.Body.Close()
-	var h api.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return fmt.Errorf("healthz decode: %w", err)
+		return h, fmt.Errorf("healthz decode: %w", err)
 	}
-	if h.Status != "ok" {
-		return fmt.Errorf("healthz status %q", h.Status)
-	}
-	return nil
+	return h, nil
 }
 
-// rebalance drains sessions whose ring-home is the rejoined replica
-// back to it via the normal journal-replay migration — only ring-home
-// sessions move (everything else stays put), at most RebalanceLimit of
-// them per rejoin, paced by RebalancePace. Terminal sessions are left
-// where they are: moving one recomputes a verdict already served.
+// rebalance drains sessions whose ring-home — first healthy candidate —
+// is the rejoined replica back to it via the normal journal-replay
+// migration: only ring-home sessions move (everything else stays put),
+// at most rebalanceLimit of them per rejoin, paced by rebalancePace.
+// Terminal sessions are left where they are: moving one recomputes a
+// verdict already served.
 func (g *Gateway) rebalance(name string) {
 	rebalanceEvents.Inc()
 	rts := g.routeList()
 	moved := 0
 	for _, rt := range rts {
-		if home, ok := g.ring.Home(rt.gwID); !ok || home != name {
+		if c := g.candidates(rt.gwID); len(c) == 0 || c[0] != name {
 			continue
 		}
-		if moved >= g.cfg.RebalanceLimit {
+		if moved >= rebalanceLimit {
 			rebalanceSkipped.Inc()
 			continue
 		}
@@ -459,9 +448,6 @@ func (g *Gateway) rebalance(name string) {
 			rebalanceSkipped.Inc()
 			g.logf("session %s rebalance to %s failed: %v", rt.gwID, name, err)
 		} else {
-			// The session is back on its hash-assigned home: the pin that
-			// recorded its exile is no longer needed.
-			g.ring.Unpin(rt.gwID)
 			rebalanceMoved.Inc()
 			moved++
 			g.logf("session %s rebalanced home to %s", rt.gwID, name)
@@ -470,7 +456,7 @@ func (g *Gateway) rebalance(name string) {
 		select {
 		case <-g.probeStop:
 			return
-		case <-time.After(g.cfg.RebalancePace):
+		case <-time.After(rebalancePace):
 		}
 	}
 }
@@ -496,22 +482,18 @@ func failoverWorthy(err error) bool {
 	return false
 }
 
-// pickSuccessor returns the first healthy replica other than exclude in
-// the session's ring preference order.
-func (g *Gateway) pickSuccessor(gwID, exclude string) (string, bool) {
-	for _, name := range g.ring.Successors(gwID, len(g.replicas)) {
-		if name != exclude && g.health.Up(name) {
-			return name, true
+// candidates returns key's ring order without the replicas that are
+// down or in skip. It is the one placement walk: session create, the
+// failover successor, the follower set and the rejoin home all take
+// from its front.
+func (g *Gateway) candidates(key string, skip ...string) []string {
+	var out []string
+	for _, name := range g.ring.Successors(key) {
+		if g.health.Up(name) && !slices.Contains(skip, name) {
+			out = append(out, name)
 		}
 	}
-	// The ring may have already dropped every healthy candidate's vnodes
-	// (e.g. mid-transition); fall back to any healthy member.
-	for name := range g.replicas {
-		if name != exclude && g.health.Up(name) {
-			return name, true
-		}
-	}
-	return "", false
+	return out
 }
 
 // exportJournal fetches the session's durable journal for migration,
@@ -591,7 +573,6 @@ func (g *Gateway) failoverLocked(rt *route) error {
 	// got us here is evidence enough to stop placing new sessions there.
 	if g.health.MarkDown(from) {
 		healthTransitions.Inc()
-		g.ring.Remove(from)
 		replicasUp.Set(float64(g.health.UpCount()))
 		g.logf("replica %s down (forwarding failure)", from)
 	}
@@ -600,11 +581,12 @@ func (g *Gateway) failoverLocked(rt *route) error {
 		failoverFailed.Inc()
 		return err
 	}
-	target, ok := g.pickSuccessor(rt.gwID, from)
-	if !ok {
+	successors := g.candidates(rt.gwID, from)
+	if len(successors) == 0 {
 		failoverFailed.Inc()
 		return fmt.Errorf("fleet: no healthy successor for session %s", rt.gwID)
 	}
+	target := successors[0]
 	if err := g.migrateLocked(rt, target, exp); err != nil {
 		failoverFailed.Inc()
 		return err
@@ -619,8 +601,8 @@ func (g *Gateway) failoverLocked(rt *route) error {
 // journal: open a fresh backend session with the original request,
 // replay every acknowledged chunk through target's normal publish path
 // (the engine is deterministic, so the verdict is byte-identical),
-// re-pin the hash slot, re-seed the follower set, and checkpoint the
-// new placement. Failover and rejoin rebalancing share it. Caller
+// point the route at target, re-seed the follower set, and checkpoint
+// the new placement. Failover and rejoin rebalancing share it. Caller
 // holds rt.mu.
 func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal) error {
 	from := rt.replica
@@ -640,7 +622,6 @@ func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal
 	// close the client never requested (drain, idle timeout) must not
 	// lock the migrated session against a client mid-upload. The client
 	// finishes the stream, or the successor's janitor re-times it out.
-	g.ring.Pin(rt.gwID, target)
 	rt.replica, rt.backendID = target, sess.ID
 	if rt.req.Flight == "" && rt.req.SampleRateHz == 0 {
 		rt.req = exp.Request
@@ -649,40 +630,11 @@ func (g *Gateway) migrateLocked(rt *route, target string, exp api.SessionJournal
 	// replica): recompute it and bring every copy to the export's
 	// high-water mark. The export is the authoritative chunk list here —
 	// fresher than whatever the copies held, never staler than from.
-	rt.followers = g.pickFollowersKeeping(rt, target, from)
+	rt.followers = g.pickFollowers(rt, target, from)
 	rt.repAcked = make(map[string]int, len(rt.followers))
 	g.seedFollowersLocked(rt, exp)
 	g.recordPlacement(rt)
 	return nil
-}
-
-// pickFollowersKeeping recomputes rt's follower set for a new owner:
-// ring successors first, but keeping existing followers that still
-// qualify (their copies are already warm) and never the owner or the
-// replica the session just left involuntarily.
-func (g *Gateway) pickFollowersKeeping(rt *route, owner, exclude string) []string {
-	n := g.cfg.Replication - 1
-	if n <= 0 {
-		return nil
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, f := range rt.followers {
-		if len(out) < n && f != owner && f != exclude && !seen[f] && g.health.Up(f) {
-			out = append(out, f)
-			seen[f] = true
-		}
-	}
-	for _, f := range g.ring.Successors(rt.gwID, len(g.replicas)) {
-		if len(out) >= n {
-			break
-		}
-		if f != owner && f != exclude && !seen[f] && g.health.Up(f) {
-			out = append(out, f)
-			seen[f] = true
-		}
-	}
-	return out
 }
 
 // evacuate migrates every session currently routed to a downed replica.
@@ -785,13 +737,12 @@ func (g *Gateway) evictLocked() []*route {
 	return victims
 }
 
-// release frees what evicted routes hold outside the table, their ring
-// pins and replication lag, after waiting out any request that found
-// one before its eviction.
+// release frees what evicted routes hold outside the table, their
+// replication lag, after waiting out any request that found one before
+// its eviction.
 func (g *Gateway) release(victims []*route) {
 	for _, rt := range victims {
 		rt.mu.Lock()
-		g.ring.Unpin(rt.gwID)
 		replicationLags.move(rt.prevLag, 0)
 		rt.prevLag = 0
 		rt.mu.Unlock()
@@ -800,20 +751,16 @@ func (g *Gateway) release(victims []*route) {
 	}
 }
 
-// healthyOrder returns the healthy replicas starting at the round-robin
-// cursor — the batch-flight placement order.
+// healthyOrder returns the healthy replicas in name order starting at
+// the round-robin cursor — the batch-flight placement order.
 func (g *Gateway) healthyOrder() []string {
-	members := g.ring.Members()
-	if len(members) == 0 {
-		return nil
-	}
 	g.mu.Lock()
 	start := g.rrFlight
 	g.rrFlight++
 	g.mu.Unlock()
-	out := make([]string, 0, len(members))
-	for i := 0; i < len(members); i++ {
-		name := members[(start+i)%len(members)]
+	var out []string
+	for i := range g.names {
+		name := g.names[(start+i)%len(g.names)]
 		if g.health.Up(name) {
 			out = append(out, name)
 		}
@@ -857,8 +804,8 @@ func (g *Gateway) handleFlights(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionCreate places a session: the gateway allocates its own id
-// (the hash key), consistent-hashes it to a replica, and opens the
-// backend session there. The client only ever sees the gateway id.
+// (the hash key) and opens the backend session on the id's first
+// candidate. The client only ever sees the gateway id.
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.SessionRequest
 	if err := api.DecodeStrict(r.Body, &req); err != nil {
@@ -875,30 +822,15 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	gwID := fmt.Sprintf("g-%08d", g.nextID)
 	g.mu.Unlock()
 
-	owner, ok := g.ring.Lookup(gwID)
-	if !ok {
-		g.writeError(w, http.StatusServiceUnavailable, api.CodeUpstream, "gateway: no healthy replicas")
-		return
-	}
-	// Preference order: ring owner first, then its successors. A replica
-	// that refuses with an API-level answer (429 capacity, 422) speaks
-	// for the fleet — surface it; only replica-level failures advance.
-	tried := map[string]bool{}
-	candidates := append([]string{owner}, g.ring.Successors(gwID, len(g.replicas))...)
+	// A replica that refuses with an API-level answer (429 capacity, 422)
+	// speaks for the fleet — surface it; only replica-level failures
+	// advance to the next candidate.
 	var lastErr error
-	for _, name := range candidates {
-		if tried[name] || !g.health.Up(name) {
-			continue
-		}
-		tried[name] = true
+	for _, name := range g.candidates(gwID) {
 		sess, err := g.client.OpenSession(g.base(name), req)
 		if err == nil {
-			rt := &route{
-				gwID: gwID, replica: name, backendID: sess.ID,
-				req:       req,
-				followers: g.pickFollowers(gwID, name),
-				repAcked:  make(map[string]int),
-			}
+			rt := &route{gwID: gwID, replica: name, backendID: sess.ID, req: req, repAcked: make(map[string]int)}
+			rt.followers = g.pickFollowers(rt, name, "")
 			g.mu.Lock()
 			victims := g.evictLocked()
 			g.routes[gwID] = rt
@@ -906,11 +838,6 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			g.mu.Unlock()
 			g.release(victims)
 			g.checkpoint()
-			if name != owner {
-				// Hash said owner, health said otherwise: pin so every
-				// later lookup agrees with where the session actually is.
-				g.ring.Pin(gwID, name)
-			}
 			sessionsRouted.Inc()
 			routedTo(name).Inc()
 			g.logf("session %s -> %s/%s (flight %q)", gwID, name, sess.ID, req.Flight)
@@ -1073,21 +1000,11 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if !g.health.Up(name) {
 			continue
 		}
-		req, err := http.NewRequestWithContext(r.Context(), "GET", rep.BaseURL+"/"+api.Version+"/healthz", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := g.probeHC.Do(req)
-		if err != nil {
-			continue
-		}
-		var h api.Health
-		if json.NewDecoder(resp.Body).Decode(&h) == nil {
+		if h, err := g.healthz(r.Context(), rep); err == nil {
 			agg.SessionCap += h.SessionCap
 			agg.JobsInFlight += h.JobsInFlight
 			agg.JobCap += h.JobCap
 		}
-		resp.Body.Close()
 	}
 	g.writeJSON(w, http.StatusOK, agg)
 }

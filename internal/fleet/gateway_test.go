@@ -402,7 +402,7 @@ func TestFleetMidFlightKillFailover(t *testing.T) {
 	}
 
 	// The killed replica's state must stay dead to routing: a new
-	// session never lands on it (its ring slots are gone after MarkDown).
+	// session never lands on it (MarkDown took it out of every candidate list).
 	for i := 0; i < 5; i++ {
 		b2, id2 := openVia(t, g, flight)
 		if rep, _ := g.Placement(id2); rep == owner {
@@ -431,7 +431,7 @@ func TestFleetDrainEvacuation(t *testing.T) {
 	flight := fx.Calib[1]
 	want := reportBytes(t, single, flight, 6)
 
-	g, reps := startFleet(t, 2, Config{ProbeInterval: 20 * time.Millisecond, DownAfter: 1, UpAfter: 1, Retries: 1})
+	g, reps := startFleet(t, 2, Config{ProbeInterval: 20 * time.Millisecond, Retries: 1})
 	reqs, err := testfix.Frames(flight, 6)
 	if err != nil {
 		t.Fatal(err)

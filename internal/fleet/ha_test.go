@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,9 +149,8 @@ func TestFleetRejoinRebalance(t *testing.T) {
 	faultPlane := chaos.NewFleet()
 	g, reps := startFleet(t, 3, Config{
 		ProbeInterval: 15 * time.Millisecond,
-		DownAfter:     1, UpAfter: 1,
-		Retries:   1,
-		Transport: faultPlane.Transport(nil),
+		Retries:       1,
+		Transport:     faultPlane.Transport(nil),
 	})
 	reqs, err := testfix.Frames(flight, 4)
 	if err != nil {
@@ -166,10 +166,11 @@ func TestFleetRejoinRebalance(t *testing.T) {
 		for _, r := range reqs[:2] {
 			decode[api.FramesResponse](t, hdo(t, g, "POST", base+"/frames", r), http.StatusOK)
 		}
-		home, ok := g.ring.Home(id)
-		if !ok {
+		c := g.candidates(id)
+		if len(c) == 0 {
 			t.Fatalf("no ring home for %s", id)
 		}
+		home := c[0]
 		placed, _ := g.Placement(id)
 		if placed != home {
 			t.Fatalf("session %s placed on %s, home %s: all replicas healthy, placement should be home", id, placed, home)
@@ -493,6 +494,36 @@ func TestStateCheckpointRoundTrip(t *testing.T) {
 	// Close everything so the cleanup drain finishes.
 	for _, b := range []string{base1, base2, base3} {
 		hdo(t, g, "POST", b+"/frames", api.FramesRequest{Close: true})
+	}
+}
+
+// TestLoadStateEitherEncoding reads a checkpoint written compact, as
+// checkpoint writes it, and one written indented, as older gateways
+// wrote it: a standby must take over from either.
+func TestLoadStateEitherEncoding(t *testing.T) {
+	want := State{SchemaVersion: api.Version, Epoch: 7, NextID: 3, Routes: []RouteState{
+		{GwID: "g-00000003", Replica: "r2", BackendID: "s-1", Followers: []string{"r1"}, Request: api.SessionRequest{Flight: "f"}},
+	}}
+	compact, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range [][]byte{compact, indented} {
+		path := filepath.Join(t.TempDir(), "gateway.state")
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadState(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("loadState(%s) = %+v, want %+v", raw, got, want)
+		}
 	}
 }
 

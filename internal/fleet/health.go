@@ -3,8 +3,8 @@ package fleet
 import "sync"
 
 // Health tracks replica liveness with hysteresis: a replica is marked
-// down only after DownAfter consecutive probe failures and marked up
-// again only after UpAfter consecutive successes, so one dropped probe
+// down only after downAfter consecutive probe failures and marked up
+// again only after upAfter consecutive successes, so one dropped probe
 // does not evacuate a replica and one lucky probe does not resurrect a
 // flapping one. Health is passive — the gateway's probe loop feeds it
 // observations and acts on the reported transitions — which keeps the

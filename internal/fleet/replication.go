@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"soundboost/api"
@@ -31,20 +32,17 @@ import (
 // failure coverage, not an error. Appends ride a tighter retry budget
 // than client forwarding — the client is waiting.
 
-// pickFollowers selects up to Replication−1 healthy followers for a
-// session: its ring successors after the owner, in preference order.
-func (g *Gateway) pickFollowers(gwID, owner string) []string {
+// pickFollowers chooses up to Replication−1 followers for rt under
+// owner: rt's current followers that are still candidates first (their
+// copies are already warm), then the rest of rt's candidates — never
+// owner, and never exclude, the replica the session just left.
+func (g *Gateway) pickFollowers(rt *route, owner, exclude string) []string {
 	n := g.cfg.Replication - 1
-	if n <= 0 {
-		return nil
-	}
+	fresh := g.candidates(rt.gwID, owner, exclude)
 	var out []string
-	for _, name := range g.ring.Successors(gwID, len(g.replicas)) {
-		if len(out) >= n {
-			break
-		}
-		if name != owner && g.health.Up(name) {
-			out = append(out, name)
+	for _, f := range slices.Concat(rt.followers, fresh) {
+		if len(out) < n && slices.Contains(fresh, f) && !slices.Contains(out, f) {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -131,7 +129,7 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 		return
 	}
 	if len(rt.followers) == 0 {
-		rt.followers = g.pickFollowers(rt.gwID, rt.replica)
+		rt.followers = g.pickFollowers(rt, rt.replica, "")
 	}
 	if rt.repAcked == nil {
 		rt.repAcked = make(map[string]int, len(rt.followers))

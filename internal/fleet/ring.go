@@ -1,33 +1,35 @@
 // Package fleet shards the RCA service across replicas: a consistent-
-// hash ring places sessions, a hysteretic health checker tracks replica
-// liveness, and the gateway re-serves the single-node /v1 surface while
-// routing each session to its ring-assigned replica — migrating sessions
-// off draining or dead replicas by replaying their journals onto a
-// successor. See DESIGN.md "Fleet routing & handoff".
+// hash ring orders replicas per session, a hysteretic health checker
+// tracks replica liveness, and the gateway re-serves the single-node /v1
+// surface while routing each session to the first healthy replica in
+// its ring order — migrating sessions off draining or dead replicas by
+// replaying their journals onto a successor. See DESIGN.md "Fleet
+// routing & handoff".
 package fleet
 
 import (
+	"cmp"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
-// Ring is a consistent-hash ring with virtual nodes. Keys (gateway
-// session ids) hash onto a circle of vnode points; a key is owned by the
-// first vnode at or clockwise of its hash. Virtual nodes smooth the
-// per-replica load; removing a replica moves only the keys it owned.
-//
-// Pins override the hash: after a failover migrates a session to a
-// successor, the gateway pins the session's key to that replica so the
-// dead replica's return (mark-up) cannot silently re-route an already-
-// moved session back to a node that no longer holds it.
+// vnodesPerReplica is the number of ring points per replica: enough to
+// keep every replica's share of keys within a few percent at 3 replicas.
+const vnodesPerReplica = 64
+
+// Ring is a consistent-hash ring with virtual nodes over a fixed set of
+// replica names. Keys (gateway session ids) hash onto a circle of vnode
+// points; a key's preference order is the distinct replicas met walking
+// clockwise from its hash. The ring never changes after NewRing: which
+// replicas take work is Health's to say, and skipping the down replicas
+// in a key's order picks exactly what a ring without their vnodes
+// would — so a replica going down moves only the keys it owned, and its
+// return moves them back.
 type Ring struct {
-	mu     sync.RWMutex
-	vnodes int
-	nodes  map[string]bool   // current membership
-	points []ringPoint       // sorted vnode points for current members
-	pins   map[string]string // key → node override
+	points []ringPoint // sorted by hash
+	size   int         // replica count
 }
 
 type ringPoint struct {
@@ -35,17 +37,19 @@ type ringPoint struct {
 	node string
 }
 
-// NewRing builds an empty ring with the given virtual-node count per
-// member (<= 0 selects 64).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
+// NewRing builds the ring over names. The result does not depend on the
+// order of names.
+func NewRing(names []string) *Ring {
+	r := &Ring{size: len(names)}
+	for _, name := range names {
+		for i := 0; i < vnodesPerReplica; i++ {
+			r.points = append(r.points, ringPoint{hashKey(name + "#" + strconv.Itoa(i)), name})
+		}
 	}
-	return &Ring{
-		vnodes: vnodes,
-		nodes:  make(map[string]bool),
-		pins:   make(map[string]string),
-	}
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.node, b.node))
+	})
+	return r
 }
 
 func hashKey(s string) uint64 {
@@ -63,124 +67,21 @@ func hashKey(s string) uint64 {
 	return x
 }
 
-// Add inserts a member (idempotent).
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{hashKey(node + "#" + strconv.Itoa(i)), node})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a member (idempotent). Keys it owned fall to their next
-// clockwise member; keys pinned to it stay pinned — the pin records
-// where the session's state actually lives, which removal does not
-// change.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the current membership, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Lookup returns the member owning key: its pin when one is set, the
-// ring assignment otherwise. ok is false on an empty ring with no pin.
-func (r *Ring) Lookup(key string) (node string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n, pinned := r.pins[key]; pinned {
-		return n, true
-	}
+// Successors returns every replica in key's preference order: the
+// owner of the first vnode at or clockwise of key's hash, then each
+// further replica in the order the walk meets it.
+func (r *Ring) Successors(key string) []string {
 	if len(r.points) == 0 {
-		return "", false
-	}
-	return r.points[r.search(key)].node, true
-}
-
-// search returns the index of the first vnode at or clockwise of key's
-// hash. Caller holds at least the read lock; len(r.points) > 0.
-func (r *Ring) search(key string) int {
-	h := hashKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: past the last point lands on the first
-	}
-	return i
-}
-
-// Home returns key's hash-assigned owner among current members,
-// ignoring pins — the replica the key would live on had it never been
-// moved. Rejoin rebalancing uses it to decide which migrated sessions
-// a recovered replica should get back. ok is false on an empty ring.
-func (r *Ring) Home(key string) (node string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
-	}
-	return r.points[r.search(key)].node, true
-}
-
-// Successors returns up to n distinct members in ring order starting at
-// key's owner — the failover preference list. A pin does not reorder it:
-// successors are for choosing where to move next, not where the key is.
-func (r *Ring) Successors(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	start := r.search(key)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
+	h := hashKey(key)
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	out := make([]string, 0, r.size)
+	for i := 0; i < len(r.points) && len(out) < r.size; i++ {
+		p := r.points[(start+i)%len(r.points)] // past the last point wraps to the first
+		if !slices.Contains(out, p.node) {
 			out = append(out, p.node)
 		}
 	}
 	return out
-}
-
-// Pin overrides key's assignment to node until Unpin. The pin survives
-// the node's removal and re-addition: it tracks where the session's
-// state lives, not ring membership.
-func (r *Ring) Pin(key, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pins[key] = node
-}
-
-// Unpin drops key's override, returning it to hash placement.
-func (r *Ring) Unpin(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.pins, key)
 }

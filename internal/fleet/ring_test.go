@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -13,22 +14,13 @@ func keys(n int) []string {
 	return out
 }
 
-// TestRingDeterminism pins placement: two rings built the same way place
-// every key identically — routing must not depend on construction
-// order beyond membership.
+// TestRingDeterminism pins placement: a key's order depends on the
+// replica names only, not on the order they are listed in.
 func TestRingDeterminism(t *testing.T) {
-	a, b := NewRing(64), NewRing(64)
-	for _, n := range []string{"r1", "r2", "r3"} {
-		a.Add(n)
-	}
-	for _, n := range []string{"r3", "r1", "r2"} {
-		b.Add(n)
-	}
+	a, b := NewRing([]string{"r1", "r2", "r3"}), NewRing([]string{"r3", "r1", "r2"})
 	for _, k := range keys(200) {
-		na, _ := a.Lookup(k)
-		nb, _ := b.Lookup(k)
-		if na != nb {
-			t.Fatalf("key %s: %s vs %s (placement depends on add order)", k, na, nb)
+		if sa, sb := a.Successors(k), b.Successors(k); !slices.Equal(sa, sb) {
+			t.Fatalf("key %s: %v vs %v (order depends on name order)", k, sa, sb)
 		}
 	}
 }
@@ -36,18 +28,15 @@ func TestRingDeterminism(t *testing.T) {
 // TestRingBalance requires the virtual nodes to spread load: with 3
 // replicas and 64 vnodes no replica should own a wildly skewed share.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(64)
-	for _, n := range []string{"r1", "r2", "r3"} {
-		r.Add(n)
-	}
+	r := NewRing([]string{"r1", "r2", "r3"})
 	counts := map[string]int{}
 	const total = 3000
 	for _, k := range keys(total) {
-		n, ok := r.Lookup(k)
-		if !ok {
-			t.Fatal("lookup failed on populated ring")
+		succ := r.Successors(k)
+		if len(succ) == 0 {
+			t.Fatal("no owner on populated ring")
 		}
-		counts[n]++
+		counts[succ[0]]++
 	}
 	for n, c := range counts {
 		if c < total/6 || c > total/2+total/6 {
@@ -56,91 +45,14 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingMinimalDisruption is the consistent-hashing contract: removing
-// one member must move only the keys it owned; everything else stays.
-func TestRingMinimalDisruption(t *testing.T) {
-	r := NewRing(64)
-	for _, n := range []string{"r1", "r2", "r3"} {
-		r.Add(n)
-	}
-	before := map[string]string{}
-	for _, k := range keys(1000) {
-		before[k], _ = r.Lookup(k)
-	}
-	r.Remove("r2")
-	moved := 0
-	for k, owner := range before {
-		now, ok := r.Lookup(k)
-		if !ok {
-			t.Fatal("lookup failed after removal")
-		}
-		if owner == "r2" {
-			if now == "r2" {
-				t.Fatalf("key %s still owned by removed replica", k)
-			}
-			continue
-		}
-		if now != owner {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Errorf("%d keys moved that the removed replica did not own", moved)
-	}
-	// Re-adding restores the original placement exactly.
-	r.Add("r2")
-	for k, owner := range before {
-		if now, _ := r.Lookup(k); now != owner {
-			t.Fatalf("key %s: %s after re-add, want %s", k, now, owner)
-		}
-	}
-}
-
-// TestRingPin pins the failover override: a pinned key routes to its pin
-// regardless of hash placement or the pin target's membership, and
-// Unpin restores hash placement.
-func TestRingPin(t *testing.T) {
-	r := NewRing(64)
-	r.Add("r1")
-	r.Add("r2")
-	const k = "g-00000042"
-	hashOwner, _ := r.Lookup(k)
-	other := "r1"
-	if hashOwner == "r1" {
-		other = "r2"
-	}
-	r.Pin(k, other)
-	if n, _ := r.Lookup(k); n != other {
-		t.Fatalf("pinned lookup = %s, want %s", n, other)
-	}
-	// The pin survives the target's removal — it records where the
-	// session's state lives, not membership.
-	r.Remove(other)
-	if n, _ := r.Lookup(k); n != other {
-		t.Fatalf("pin lost on removal: %s", n)
-	}
-	r.Add(other)
-	r.Unpin(k)
-	if n, _ := r.Lookup(k); n != hashOwner {
-		t.Fatalf("unpinned lookup = %s, want hash owner %s", n, hashOwner)
-	}
-}
-
-// TestRingSuccessors checks the failover preference list: distinct
-// members, owner first, covering the whole fleet.
+// TestRingSuccessors checks the preference order: distinct replicas
+// covering the whole fleet.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(64)
-	for _, n := range []string{"r1", "r2", "r3"} {
-		r.Add(n)
-	}
+	r := NewRing([]string{"r1", "r2", "r3"})
 	const k = "g-00000007"
-	owner, _ := r.Lookup(k)
-	succ := r.Successors(k, 3)
+	succ := r.Successors(k)
 	if len(succ) != 3 {
-		t.Fatalf("successors = %v, want 3 distinct members", succ)
-	}
-	if succ[0] != owner {
-		t.Errorf("successors[0] = %s, want owner %s", succ[0], owner)
+		t.Fatalf("successors = %v, want 3 distinct replicas", succ)
 	}
 	seen := map[string]bool{}
 	for _, n := range succ {
@@ -149,11 +61,95 @@ func TestRingSuccessors(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	if got := r.Successors(k, 2); len(got) != 2 {
-		t.Errorf("Successors(k, 2) = %v", got)
-	}
-	empty := NewRing(8)
-	if got := empty.Successors(k, 2); got != nil {
+	if got := NewRing(nil).Successors(k); got != nil {
 		t.Errorf("empty ring successors = %v", got)
+	}
+}
+
+// TestPlacementFollowsHealth is the consistent-hashing contract on the
+// fixed ring: for every set of healthy replicas, a key's candidates are
+// its full ring order minus the down replicas — the order a ring built
+// over the healthy replicas alone gives. A replica going down moves only
+// the keys it owned, and its return moves every key back.
+func TestPlacementFollowsHealth(t *testing.T) {
+	names := []string{"r1", "r2", "r3"}
+	newTestGateway := func() *Gateway {
+		t.Helper()
+		var reps []Replica
+		for i, n := range names {
+			reps = append(reps, Replica{Name: n, BaseURL: fmt.Sprintf("http://127.0.0.1:%d", 9001+i)})
+		}
+		g, err := newGateway(Config{Replicas: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	ks := keys(1000)
+
+	for mask := 0; mask < 1<<len(names); mask++ {
+		g := newTestGateway()
+		var up []string
+		for i, n := range names {
+			if mask&(1<<i) != 0 {
+				up = append(up, n)
+			} else {
+				g.health.MarkDown(n)
+			}
+		}
+		healthyRing := NewRing(up)
+		for _, k := range ks {
+			var want []string
+			for _, n := range g.ring.Successors(k) {
+				if slices.Contains(up, n) {
+					want = append(want, n)
+				}
+			}
+			got := g.candidates(k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("up %v, key %s: candidates %v, want %v", up, k, got, want)
+			}
+			if alone := healthyRing.Successors(k); !slices.Equal(got, alone) {
+				t.Fatalf("up %v, key %s: candidates %v, ring over the healthy replicas %v", up, k, got, alone)
+			}
+		}
+	}
+
+	g := newTestGateway()
+	first := func(k string) string {
+		if c := g.candidates(k); len(c) > 0 {
+			return c[0]
+		}
+		return ""
+	}
+	before := map[string]string{}
+	for _, k := range ks {
+		before[k] = first(k)
+	}
+	for _, victim := range names {
+		g.health.MarkDown(victim)
+		homed := 0
+		for _, k := range ks {
+			now := first(k)
+			if before[k] == victim {
+				homed++
+				if now == victim || now == "" {
+					t.Fatalf("key %s: first candidate %q with its home %s down", k, now, victim)
+				}
+			} else if now != before[k] {
+				t.Fatalf("key %s moved %s -> %s when %s went down", k, before[k], now, victim)
+			}
+		}
+		if homed == 0 {
+			t.Fatalf("no key homed on %s", victim)
+		}
+		for i := 0; i < upAfter; i++ {
+			g.health.Observe(victim, nil)
+		}
+		for _, k := range ks {
+			if now := first(k); now != before[k] {
+				t.Fatalf("key %s: %s after %s came back, want %s", k, now, victim, before[k])
+			}
+		}
 	}
 }

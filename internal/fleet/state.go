@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soundboost/api"
+	"soundboost/internal/journal"
 )
 
 // Gateway routing-state checkpoint: with Config.StatePath set, every
@@ -48,7 +49,7 @@ type State struct {
 }
 
 // checkpoint snapshots the placement mirror and rewrites the state file
-// (atomic temp + rename + fsync). No-op without StatePath. Safe to call
+// (journal.WriteFileAtomic). No-op without StatePath. Safe to call
 // with any rt.mu held: it takes only g.stateMu (serializing writers in
 // epoch order) and g.mu (briefly, for the snapshot) — never a route
 // lock, since the mirror is maintained at mutation sites instead.
@@ -67,7 +68,11 @@ func (g *Gateway) checkpoint() {
 	}
 	g.mu.Unlock()
 	sort.Slice(st.Routes, func(i, j int) bool { return st.Routes[i].GwID < st.Routes[j].GwID })
-	if err := writeFileSync(g.cfg.StatePath, mustJSON(st)); err != nil {
+	raw, err := json.Marshal(st)
+	if err == nil {
+		err = journal.WriteFileAtomic(g.cfg.StatePath, append(raw, '\n'))
+	}
+	if err != nil {
 		g.logf("state checkpoint failed: %v", err)
 		return
 	}
@@ -100,7 +105,7 @@ func (g *Gateway) recordPlacement(rt *route) {
 	g.checkpoint()
 }
 
-// loadState reads a checkpoint file.
+// loadState reads a checkpoint file, compact or indented.
 func loadState(path string) (State, error) {
 	var st State
 	raw, err := os.ReadFile(path)
@@ -115,7 +120,7 @@ func loadState(path string) (State, error) {
 
 // restore rebuilds routes from the checkpoint at StatePath — the warm
 // standby's takeover path, and a restarted primary's own recovery. Each
-// restored session is pinned to its checkpointed replica and marked for
+// restored route points at its checkpointed replica and is marked for
 // a replication reseed (the copies' high-water marks died with the old
 // process); verification and re-placement happen in verifyRestored once
 // construction finishes.
@@ -141,7 +146,6 @@ func (g *Gateway) restore() error {
 		}
 		g.routes[rs.GwID] = rt
 		g.placed[rs.GwID] = rs
-		g.ring.Pin(rs.GwID, rs.Replica)
 		if rs.Parked {
 			sessionsParked.Add(1)
 		}
@@ -216,7 +220,7 @@ func (g *Gateway) leaseLoop() {
 	n := 0
 	for {
 		n++
-		if err := writeFileSync(leasePath(g.cfg.StatePath), []byte(strconv.Itoa(os.Getpid())+":"+strconv.Itoa(n)+"\n")); err != nil {
+		if err := journal.WriteFileAtomic(leasePath(g.cfg.StatePath), []byte(strconv.Itoa(os.Getpid())+":"+strconv.Itoa(n)+"\n")); err != nil {
 			g.logf("lease renew failed: %v", err)
 		}
 		select {
@@ -225,35 +229,4 @@ func (g *Gateway) leaseLoop() {
 		case <-t.C:
 		}
 	}
-}
-
-// writeFileSync writes a file atomically (temp + rename) and fsyncs it,
-// so readers never observe a torn snapshot and the rename survives
-// power loss.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func mustJSON(v any) []byte {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		panic(err) // all checkpointed types marshal by construction
-	}
-	return append(raw, '\n')
 }

@@ -270,13 +270,21 @@ func (sj *Session) WriteMeta(m Meta) error {
 	if err != nil {
 		return err
 	}
-	path := sj.store.MetaPath(sj.id)
+	return WriteFileAtomic(sj.store.MetaPath(sj.id), append(raw, '\n'))
+}
+
+// WriteFileAtomic replaces path with data so that a reader sees the old
+// file or the new one, never a torn mix, and the replacement survives
+// power loss: data goes to a temp file beside path, which is fsynced and
+// renamed over path, and then the directory is fsynced so the rename
+// itself is durable.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
@@ -290,8 +298,8 @@ func (sj *Session) WriteMeta(m Meta) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	// Best-effort directory sync so the rename itself survives power loss.
-	if d, err := os.Open(sj.store.dir); err == nil {
+	// Best effort: not every filesystem can fsync a directory.
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}

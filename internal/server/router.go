@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -324,7 +323,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusUnprocessableEntity, api.CodeUnprocessable
 	case errors.Is(err, faults.ErrCapacity):
 		status, code = http.StatusTooManyRequests, api.CodeCapacity
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, errShuttingDown):
 		status, code = http.StatusServiceUnavailable, api.CodeShuttingDown
 	case isMaxBytes(err):

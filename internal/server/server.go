@@ -63,8 +63,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// SweepInterval is the janitor tick (default 1s).
 	SweepInterval time.Duration
-	// RetryAfterSeconds is advertised on 429 responses (default 1).
-	RetryAfterSeconds int
 	// BatchTimeout bounds one batch flight analysis (default 2m). A
 	// request whose analysis outlives it (or whose client disconnects)
 	// gets 503/timeout; the worker slot frees when the abandoned analysis
@@ -107,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = time.Second
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 1
 	}
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = 2 * time.Minute
