@@ -238,8 +238,11 @@ type FramesRequest struct {
 	Close bool `json:"close,omitempty"`
 
 	// wire holds the body bytes DecodeStrict parsed this request from,
-	// nil for a request built in code (see EncodeChunk).
+	// nil for a request built in code or released (see EncodeChunk).
 	wire []byte
+	// body is the pooled buffer DecodeRequest read wire into, nil
+	// otherwise (see Release).
+	body *[]byte
 }
 
 // FramesResponse is the POST /v1/sessions/{id}/frames response.

@@ -27,7 +27,8 @@ import (
 // accepted, the errors returned and the values decoded are exactly
 // those of encoding/json. A FramesRequest decoded on the fast path
 // keeps its body bytes for EncodeChunk; it must be treated as
-// read-only, because modifying it would not change those bytes.
+// read-only, because modifying it would not change those bytes. The
+// decoded samples never share the body's memory, so they outlive it.
 //
 // *CheckedChunk and *CheckedAppend take the bodies *FramesRequest and
 // *JournalAppend take, through the same parser in check mode: it
@@ -44,13 +45,15 @@ import (
 //
 // Such a body is read into a buffer of exactly the size a Len method
 // reports (bytes.Reader, strings.Reader, bytes.Buffer); other types are
-// decoded by encoding/json straight from r.
+// decoded by encoding/json straight from r. DecodeStrict's buffers are
+// never pooled, so its targets keep their bytes for good; DecodeRequest
+// reads into pooled buffers that the target's Release gives back.
 func DecodeStrict(r io.Reader, v any) error {
 	size := int64(-1)
 	if l, ok := r.(interface{ Len() int }); ok {
 		size = int64(l.Len())
 	}
-	return decodeStrict(r, size, v)
+	return decodeStrict(r, size, v, false)
 }
 
 // DecodeRequest is DecodeStrict over an HTTP request body, sized from
@@ -58,24 +61,33 @@ func DecodeStrict(r io.Reader, v any) error {
 // promise: the up-front allocation is capped (see maxPresize) and the
 // buffer grows only as bytes actually arrive, so a client claiming a
 // huge body it never sends costs no more than the bytes it sent.
+//
+// A *FramesRequest or *CheckedAppend body is read into a buffer from a
+// pool. When the fast path keeps the body's bytes, the target holds the
+// buffer until its Release method returns it; otherwise the buffer goes
+// back before DecodeRequest returns. A target that is never released
+// leaves its buffer to the garbage collector.
 func DecodeRequest(r *http.Request, v any) error {
-	return decodeStrict(r.Body, r.ContentLength, v)
+	return decodeStrict(r.Body, r.ContentLength, v, true)
 }
 
-func decodeStrict(r io.Reader, size int64, v any) error {
+func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 	// fast parses the body; when it gives up, slow (encoding/json into v
 	// when nil) decodes it. Only a zero FramesRequest or JournalAppend
 	// takes the fast path: encoding/json would merge a body into a
 	// non-zero one. A checked target is decode-only and always
-	// overwritten.
+	// overwritten. owner is the field of a target that can Release a
+	// pooled buffer.
 	var (
-		fast func(p *parser) bool
-		slow func(src io.Reader) error
+		fast  func(p *parser) bool
+		slow  func(src io.Reader) error
+		owner **[]byte
 	)
 	switch v := v.(type) {
 	case *FramesRequest:
 		if v != nil && reflect.ValueOf(*v).IsZero() {
 			fast = func(p *parser) bool { return p.frames(v) }
+			owner = &v.body
 		}
 	case *JournalAppend:
 		if v != nil && reflect.ValueOf(*v).IsZero() {
@@ -98,6 +110,7 @@ func decodeStrict(r io.Reader, size int64, v any) error {
 		if v != nil {
 			*v = CheckedAppend{}
 			fast = func(p *parser) bool { return p.checkAppend(v) }
+			owner = &v.body
 			slow = func(src io.Reader) error {
 				var a JournalAppend
 				if err := decodeJSON(src, &a); err != nil {
@@ -112,7 +125,16 @@ func decodeStrict(r io.Reader, size int64, v any) error {
 	if fast == nil {
 		return decodeJSON(r, v)
 	}
-	body, err := readBody(r, size)
+	var buf *[]byte
+	var body []byte
+	if pooled && owner != nil {
+		buf = getBody()
+		body = *buf
+	}
+	body, err := readBody(r, size, body)
+	if buf != nil {
+		*buf = body
+	}
 	var src io.Reader
 	if err != nil {
 		// encoding/json meets the same bytes followed by the same error,
@@ -127,12 +149,20 @@ func decodeStrict(r io.Reader, size int64, v any) error {
 		p.b = nil
 		parsers.Put(p)
 		if ok {
+			if buf != nil {
+				*owner = buf
+			}
 			return nil
 		}
 		// The fast path may have filled part of the target before
 		// giving up.
 		reflect.ValueOf(v).Elem().SetZero()
 		src = bytes.NewReader(body)
+	}
+	// encoding/json copies what it keeps, so the body is free once it
+	// returns.
+	if buf != nil {
+		defer putBody(buf)
 	}
 	if slow != nil {
 		return slow(src)
@@ -164,10 +194,30 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // there by doubling.
 const maxPresize = 1 << 20
 
-// readBody reads r to EOF into a buffer sized from size (the declared
-// length, or negative when unknown). It returns what it read along with
-// any error other than io.EOF.
-func readBody(r io.Reader, size int64) ([]byte, error) {
+// maxPooledBody caps the buffers the body pool keeps, so one oversized
+// body cannot pin its memory.
+const maxPooledBody = 2 << 20
+
+// bodies pools the buffers DecodeRequest reads chunk bodies into.
+var bodies sync.Pool
+
+func getBody() *[]byte {
+	if buf, ok := bodies.Get().(*[]byte); ok {
+		return buf
+	}
+	return new([]byte)
+}
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodies.Put(buf)
+	}
+}
+
+// readBody reads r to EOF into buf, reusing its capacity when it is at
+// least the size hint (the declared length, or negative when unknown).
+// It returns what it read along with any error other than io.EOF.
+func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
 	n := int64(512)
 	if size >= 0 {
 		n = size
@@ -177,7 +227,7 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 	}
 	// One spare byte lets the final, empty read that reports EOF run
 	// without growing an exactly sized buffer.
-	buf := make([]byte, 0, n+1)
+	buf = slices.Grow(buf[:0], int(n)+1)
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, cap(buf))
@@ -197,12 +247,26 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 // decoded on its fast path returns the body bytes it was decoded from,
 // unchanged and shared — the caller must not modify them — so a chunk
 // is never re-encoded on its way to the journal, the owner replica or
-// a follower. Any other request is marshalled with encoding/json.
+// a follower. Any other request, a released one included, is
+// marshalled with encoding/json.
 func EncodeChunk(req FramesRequest) ([]byte, error) {
 	if req.wire != nil {
 		return req.wire, nil
 	}
 	return json.Marshal(req)
+}
+
+// Release drops req's body bytes and, when DecodeRequest read them into
+// a pooled buffer, returns the buffer to the pool. The decoded fields
+// stay valid: they never share the body's memory. Call it once the
+// bytes are written where they go, and only on a request no one else
+// holds: any slice EncodeChunk returned before is then invalid.
+func (req *FramesRequest) Release() {
+	req.wire = nil
+	if req.body != nil {
+		putBody(req.body)
+		req.body = nil
+	}
 }
 
 // CheckedChunk is a FramesRequest body that DecodeStrict has checked
@@ -241,6 +305,21 @@ type CheckedAppend struct {
 	Seq           int
 	Request       SessionRequest
 	Chunk         CheckedChunk
+
+	// body is the pooled buffer DecodeRequest read the append into, nil
+	// otherwise; the chunk's bytes are a sub-slice of it.
+	body *[]byte
+}
+
+// Release is FramesRequest.Release for a checked append: the chunk's
+// Bytes become nil, so journalling a released append fails instead of
+// writing bytes the pool has handed to another body.
+func (a *CheckedAppend) Release() {
+	a.Chunk.wire = nil
+	if a.body != nil {
+		putBody(a.body)
+		a.body = nil
+	}
 }
 
 // EncodeJournalAppend returns the JSON body of a: json.Marshal of the

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -184,6 +185,30 @@ func TestAppendAfterClose(t *testing.T) {
 	sj.CloseChunks()
 	if err := sj.AppendChunk(chunk(2, false)); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+}
+
+// TestAppendReleasedChecked: a follower's append released before its
+// journal write holds no chunk bytes, so AppendChecked fails and the
+// log stays empty instead of taking bytes the pool has handed on.
+func TestAppendReleasedChecked(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj := writeSession(t, st, "g-00000001", 0)
+	body := `{"schema_version":"v1","seq":1,"request":{},"chunk":{"seq":1,"imu":[{"time_seconds":1}]}}`
+	var a api.CheckedAppend
+	if err := api.DecodeRequest(httptest.NewRequest("POST", "/", strings.NewReader(body)), &a); err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	if err := sj.AppendChecked(a.Chunk); err == nil {
+		t.Fatal("released chunk journalled")
+	}
+	sj.CloseChunks()
+	if raw, err := os.ReadFile(st.ChunksPath("g-00000001")); err != nil || len(raw) != 0 {
+		t.Fatalf("chunk log after a refused append: %q, %v", raw, err)
 	}
 }
 

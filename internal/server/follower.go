@@ -152,8 +152,11 @@ func (s *Server) handleJournalAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		fc.sj, fc.closed = sj, false
 	}
-	// The chunk's own bytes within this body are what gets journaled.
-	if err := fc.sj.AppendChecked(req.Chunk); err != nil {
+	// The chunk's own bytes within this body are what gets journaled;
+	// once they are, the body goes back to the pool.
+	err = fc.sj.AppendChecked(req.Chunk)
+	req.Release()
+	if err != nil {
 		s.writeError(w, fmt.Errorf("server: follower append: %w", err))
 		return
 	}

@@ -146,7 +146,7 @@ func (s *Server) recoverSession(rec journal.Recovered) error {
 	// Replay with journaling detached: these chunks are already on disk.
 	closeSeen := false
 	for _, req := range rec.Chunks {
-		if _, _, err := sess.publish(req); err != nil {
+		if _, _, err := sess.publish(&req); err != nil {
 			s.logf("session %s replay: %v", meta.ID, err)
 			break
 		}

@@ -149,7 +149,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch(s.now())
-	accepted, duplicate, err := sess.publish(req)
+	accepted, duplicate, err := sess.publish(&req)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -263,7 +263,10 @@ func (s *session) failed() error {
 // lost an ack can blindly resend, and a chunk that skips ahead is
 // rejected with faults.ErrSeqGap. With journaling on, an accepted chunk
 // is fsynced to the write-ahead log before it is queued.
-func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, err error) {
+//
+// Once the chunk is journalled, publish releases req: its body goes
+// back to the pool and the queue carries only the decoded messages.
+func (s *session) publish(req *api.FramesRequest) (accepted int, duplicate bool, err error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	if s.closed {
@@ -286,15 +289,16 @@ func (s *session) publish(req api.FramesRequest) (accepted int, duplicate bool, 
 	default:
 	}
 	if s.sj != nil {
-		if err := s.sj.AppendChunk(req); err != nil {
+		if err := s.sj.AppendChunk(*req); err != nil {
 			return 0, false, fmt.Errorf("server: journal append: %w", err)
 		}
 		journalChunks.Inc()
 	}
+	req.Release()
 	// pubMu stays held while the queue is full, so journal order is
 	// queue order; the wait ends when the engine takes a chunk or dies.
 	select {
-	case s.in <- req:
+	case s.in <- *req:
 	case <-s.done:
 		return 0, false, s.failed()
 	}

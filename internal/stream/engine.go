@@ -22,7 +22,7 @@ import (
 // maxGapFillSeconds caps how much audio silence a single timestamp jump
 // may inject: a frame claiming to start further ahead than this is
 // treated as malformed rather than allocated as a gap, so one corrupt
-// timestamp cannot balloon the ring buffer.
+// timestamp cannot balloon the audio store.
 const maxGapFillSeconds = 30
 
 // maxTelemetryBuffer caps the per-stream telemetry backlog retained while
@@ -35,7 +35,10 @@ const maxTelemetryBuffer = 1 << 17
 // wins over speed: past it the engine escalates (runs the backlog
 // through the full pipeline) purely to release the buffers. At the
 // default 0.25 s hop this is ~4 minutes of stream — far beyond the
-// flights the service sees, so real streams fast-path end to end.
+// flights the service sees, so real streams fast-path end to end. The
+// audio a fast-path stream holds is therefore at most
+// ceil((maxFastpathBacklogWindows·hop + window)·rate / blockLen) + 1
+// blocks per mic (DESIGN.md, "Ordering and loss").
 const maxFastpathBacklogWindows = 1 << 10
 
 // sampleRange is a half-open range [start, end) of absolute sample
@@ -98,10 +101,11 @@ type Engine struct {
 
 	bus *mavbus.Bus // set by Attach, read by Run
 
-	// Audio ring: filtered samples [base, written) per mic, plus the
-	// invalid (gap-filled / non-finite) ranges still overlapping it.
+	// Audio: filtered samples [base, written) per mic (the store may
+	// hold more of the block base falls in), plus the invalid
+	// (gap-filled / non-finite) ranges still overlapping them.
 	lp      *dsp.Biquad4 // nil when the signature has no low-pass
-	buf     [acoustics.NumMics][]float64
+	audio   blockStore
 	base    int
 	written int
 	invalid []sampleRange
@@ -124,6 +128,10 @@ type Engine struct {
 	// path-independent benign report.
 	triFullWin   int
 	triEscalated bool
+
+	// imuPts and gpsPts are screenWindow's reused telemetry views.
+	imuPts []triage.IMUPoint
+	gpsPts []triage.GPSPoint
 
 	// run is the two-stage RCA the full pipeline feeds window by window.
 	run *soundboost.Run
@@ -261,6 +269,7 @@ func (e *Engine) Advance() { e.advance(false) }
 // path-independent benign report; a zero-window or errored fast-path
 // stream escalates first so the report matches the triage-disabled
 // engine exactly. Otherwise the run builds the report Analyze builds.
+// Finish returns the engine's audio blocks to the shared pool.
 func (e *Engine) Finish() (soundboost.Report, error) {
 	e.advance(true)
 	var report soundboost.Report
@@ -275,6 +284,7 @@ func (e *Engine) Finish() (soundboost.Report, error) {
 			e.err = err
 		}
 	}
+	e.audio.release()
 	e.mu.Lock()
 	e.status.show(report)
 	e.mu.Unlock()
@@ -330,7 +340,6 @@ func (e *Engine) onAudio(f AudioFrame) {
 		for i := 0; i < gap; i++ {
 			e.appendSample([acoustics.NumMics]float64{})
 		}
-		e.written = startIdx
 	}
 	for i := skip; i < n; i++ {
 		var x [acoustics.NumMics]float64
@@ -348,20 +357,17 @@ func (e *Engine) onAudio(f AudioFrame) {
 			e.markInvalid(e.written, e.written+1)
 		}
 		e.appendSample(x)
-		e.written++
 	}
-	audioBufferGauge.Set(float64(e.written-e.base) / e.rate)
 }
 
-// appendSample low-passes one sample per mic and appends it to the
-// audio ring.
+// appendSample low-passes one sample per mic and stores it at the
+// write head.
 func (e *Engine) appendSample(x [acoustics.NumMics]float64) {
 	if e.lp != nil {
 		x = e.lp.Process(x)
 	}
-	for m, v := range x {
-		e.buf[m] = append(e.buf[m], v)
-	}
+	e.audio.put(e.written, x)
+	e.written++
 }
 
 // markInvalid records [start, end) as untrustworthy, merging with a
@@ -458,10 +464,10 @@ func (r *rows[T]) between(t0, t1 float64) []T {
 	return r.buf[r.from(t0):hi:hi]
 }
 
-// cut discards the rows before t.
+// cut discards the rows before t, shifting the rest down in place.
 func (r *rows[T]) cut(t float64) {
 	if n := r.from(t); n > 0 {
-		r.buf = append(r.buf[:0:0], r.buf[n:]...)
+		r.buf = r.buf[:copy(r.buf, r.buf[n:])]
 	}
 }
 
@@ -497,7 +503,7 @@ func (e *Engine) advance(flush bool) {
 					break // wait for telemetry to catch up
 				}
 				// Telemetry starved beyond the horizon: skip the window
-				// so the audio ring stays bounded. Starvation is doubt —
+				// so the audio store stays bounded. Starvation is doubt —
 				// the fast path hands the stream to the full pipeline
 				// first so the skip happens in full-pipeline state.
 				e.escalate()
@@ -542,18 +548,15 @@ func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 		return false
 	}
 	endT := t0 + e.sig.WindowSeconds
-	imuWin := e.imu.between(t0, endT)
-	gpsWin := e.gps.between(t0, endT)
-	imu := make([]triage.IMUPoint, len(imuWin))
-	for i, s := range imuWin {
-		imu[i] = triage.IMUPoint{Accel: s.Accel, Gyro: s.Gyro}
+	e.imuPts = e.imuPts[:0]
+	for _, s := range e.imu.between(t0, endT) {
+		e.imuPts = append(e.imuPts, triage.IMUPoint{Accel: s.Accel, Gyro: s.Gyro})
 	}
-	gps := make([]triage.GPSPoint, len(gpsWin))
-	for i, s := range gpsWin {
-		gps[i] = triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel}
+	e.gpsPts = e.gpsPts[:0]
+	for _, s := range e.gps.between(t0, endT) {
+		e.gpsPts = append(e.gpsPts, triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel})
 	}
-	off := start - e.base
-	return e.an.ScreenWindow(e.buf[0][off:off+total], e.rate, imu, gps).Benign
+	return e.an.ScreenWindow(e.audio.view(0, start, total), e.rate, e.imuPts, e.gpsPts).Benign
 }
 
 // escalate permanently abandons the fast path: every screened window is
@@ -590,9 +593,8 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	}
 	span := featureTimer.Start()
 	var chans [acoustics.NumMics][]float64
-	off := start - e.base
 	for m := range chans {
-		chans[m] = e.buf[m][off : off+total]
+		chans[m] = e.audio.view(m, start, total)
 	}
 	feat := e.sig.AcousticWindow(chans, e.rate)
 	span.Stop()
@@ -679,8 +681,10 @@ func (e *Engine) overlapsInvalid(start, end int) bool {
 // everything strictly before the next window's start — or, while the
 // triage fast path is active, before the first window the full pipeline
 // has not consumed, since an escalation replay needs the screened
-// backlog intact. This (plus the starvation skip in advance and the
-// fast-path backlog bound) is what bounds engine memory.
+// backlog intact. Audio goes back in whole blocks, so the store keeps
+// the rest of the block base falls in. This (plus the starvation skip
+// in advance and the fast-path backlog bound) is what bounds engine
+// memory.
 func (e *Engine) prune() {
 	pruneWin := e.nextWin
 	if e.fastpath() && e.triFullWin < pruneWin {
@@ -688,10 +692,8 @@ func (e *Engine) prune() {
 	}
 	t0 := float64(pruneWin) * e.sig.HopSeconds
 	newBase := int(t0 * e.rate)
-	if cut := newBase - e.base; cut > 0 {
-		for m := range e.buf {
-			e.buf[m] = append(e.buf[m][:0:0], e.buf[m][cut:]...)
-		}
+	if newBase > e.base {
+		e.audio.cut(newBase)
 		e.base = newBase
 	}
 	keep := e.invalid[:0]

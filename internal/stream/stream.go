@@ -2,7 +2,7 @@
 // telemetry streams a companion computer sees in flight ("audio-frame",
 // "imu", "gps" — message by message through Engine.Ingest, or from a
 // mavbus through Engine.Run) and runs the calibrated two-stage
-// analysis incrementally — a ring-buffered windower emits acoustic
+// analysis incrementally — a block-buffered windower emits acoustic
 // signatures as each hop of audio completes and feeds them, window by
 // window, to a core Run (the IMU KS monitor and both GPS Kalman
 // variants), with the active KF variant switching live when the IMU
@@ -119,6 +119,5 @@ var (
 	featureTimer       = obs.Default.Timer("stream.window.features")
 	imuPeriodTimer     = obs.Default.Timer("stream.imu.period")
 	gpsStepTimer       = obs.Default.Timer("stream.gps.step")
-	audioBufferGauge   = obs.Default.Gauge("stream.audio.buffer_seconds")
 	lagGauge           = obs.Default.Gauge("stream.lag_seconds")
 )

@@ -47,7 +47,7 @@ var (
 	fixErr  error
 )
 
-func getFixture(t *testing.T) *fixture {
+func getFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		f := &fixture{}
@@ -107,7 +107,7 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
-func imuAttackFlight(t *testing.T, seed int64) *dataset.Flight {
+func imuAttackFlight(t testing.TB, seed int64) *dataset.Flight {
 	t.Helper()
 	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
 	cfg.Scenario = attack.Scenario{Name: "imu-dos", IMU: &attack.IMUBiaser{
@@ -124,7 +124,7 @@ func imuAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 	return f
 }
 
-func gpsAttackFlight(t *testing.T, seed int64) *dataset.Flight {
+func gpsAttackFlight(t testing.TB, seed int64) *dataset.Flight {
 	t.Helper()
 	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
 	cfg.Scenario = attack.Scenario{Name: "gps-drift", GPS: &attack.GPSSpoofer{
@@ -539,32 +539,58 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 	}
 }
 
+var (
+	tieredOnce sync.Once
+	tiered     *soundboost.Analyzer
+	tieredErr  error
+)
+
+// tieredAnalyzer returns the fixture analyzer with a triage tier,
+// trained and verified on the fixture's benign flights, six more benign
+// hovers, and the IMU (seed 4100) and GPS (seed 4200) attack flights.
+// It is a shallow clone: the shared fixture stays triage-free.
+func tieredAnalyzer(t testing.TB) *soundboost.Analyzer {
+	t.Helper()
+	fx := getFixture(t)
+	tieredOnce.Do(func() {
+		corpus := append([]*dataset.Flight{imuAttackFlight(t, 4100), gpsAttackFlight(t, 4200)}, fx.calib...)
+		for seed := int64(9000); seed < 9006; seed++ {
+			f, err := dataset.Generate(testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
+			if err != nil {
+				tieredErr = err
+				return
+			}
+			corpus = append(corpus, f)
+		}
+		tier, err := soundboost.TrainTriage(corpus, fx.analyzer.Model.Config().Signature, triage.Config{})
+		if err != nil {
+			tieredErr = err
+			return
+		}
+		an := *fx.analyzer
+		an.Triage = tier
+		if _, _, err := an.VerifyTriage(corpus); err != nil {
+			tieredErr = err
+			return
+		}
+		tiered = &an
+	})
+	if tiered == nil {
+		t.Fatalf("tiered analyzer: %v", tieredErr)
+	}
+	return tiered
+}
+
 // TestFinalStatusMatchesReport pins the status an engine shows after
 // Finish, which the server journals and live prints: its verdict fields
 // must agree with the returned report on a fast-pathed benign flight,
 // an IMU attack and a GPS attack.
 func TestFinalStatusMatchesReport(t *testing.T) {
 	fx := getFixture(t)
+	an := tieredAnalyzer(t)
 	benign := fx.calib[0]
 	imu := imuAttackFlight(t, 4100)
 	gps := gpsAttackFlight(t, 4200)
-	corpus := append([]*dataset.Flight{imu, gps}, fx.calib...)
-	for seed := int64(9000); seed < 9006; seed++ {
-		f, err := dataset.Generate(testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpus = append(corpus, f)
-	}
-	tier, err := soundboost.TrainTriage(corpus, fx.analyzer.Model.Config().Signature, triage.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := *fx.analyzer // shallow clone: the shared fixture stays triage-free
-	an.Triage = tier
-	if _, _, err := an.VerifyTriage(corpus); err != nil {
-		t.Fatal(err)
-	}
 
 	for _, tc := range []struct {
 		name     string
@@ -577,7 +603,7 @@ func TestFinalStatusMatchesReport(t *testing.T) {
 		{"gps-attack", gps, false, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, err := New(&an, tc.f.Audio.SampleRate, WithFlightName(tc.f.Name))
+			eng, err := New(an, tc.f.Audio.SampleRate, WithFlightName(tc.f.Name))
 			if err != nil {
 				t.Fatal(err)
 			}
