@@ -58,17 +58,17 @@ func NewActuatorDetector(model *AcousticModel, cfg ActuatorDetectorConfig) (*Act
 
 // Detect runs the actuator plausibility check over a flight.
 func (d *ActuatorDetector) Detect(f *dataset.Flight) (ActuatorVerdict, error) {
-	obs, err := observeFlight(d.model, f)
+	fo, err := observeFlight(d.model, f, nil)
 	if err != nil {
 		return ActuatorVerdict{}, err
 	}
-	if len(obs) == 0 {
+	if len(fo.windows) == 0 {
 		return ActuatorVerdict{}, fmt.Errorf("soundboost: flight too short for actuator RCA")
 	}
 	win := d.model.cfg.Signature.WindowSeconds
 	verdict := ActuatorVerdict{MinPredictedG: math.Inf(1)}
 	consecutive := 0
-	for _, o := range obs {
+	for _, o := range fo.windows {
 		g := o.pred.Norm() / sensors.Gravity
 		if g < verdict.MinPredictedG {
 			verdict.MinPredictedG = g

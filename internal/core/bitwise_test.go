@@ -93,7 +93,7 @@ func TestBitwiseGolden(t *testing.T) {
 				fmt.Fprintf(&b, "%s window %d signature %v\n", prefix, i, ex.Features(t0, sig.WindowSeconds))
 			}
 			var dists []float64
-			err = forEachTriageWindow(fl.f, sig, func(w triageWindow) bool {
+			err = forEachTriageWindow(fl.f, splitFlight(fl.f), sig, func(w triageWindow) bool {
 				dists = append(dists, a.ScreenWindow(w.audio, fl.f.Audio.SampleRate, w.imu, w.gps).Distance)
 				return true
 			})

@@ -118,7 +118,7 @@ func NewGPSDetectors(model *AcousticModel, benignFlights []*dataset.Flight, cfgs
 	}
 	dets := make([]*GPSDetector, len(cfgs))
 	for i, cfg := range cfgs {
-		if dets[i], err = calibrateGPS(model, benignFlights, obs, cfg); err != nil {
+		if dets[i], err = calibrateGPS(model, obs, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -128,11 +128,11 @@ func NewGPSDetectors(model *AcousticModel, benignFlights []*dataset.Flight, cfgs
 // calibrateGPS fits the threshold from benign flights' window
 // observations: each flight's peak error is the detection recursion's
 // own, run with its alarm disabled.
-func calibrateGPS(model *AcousticModel, benignFlights []*dataset.Flight, benignObs [][]windowObs, cfg GPSDetectorConfig) (*GPSDetector, error) {
+func calibrateGPS(model *AcousticModel, benignObs []*flightObs, cfg GPSDetectorConfig) (*GPSDetector, error) {
 	if cfg.ThresholdMargin < 1 {
 		cfg.ThresholdMargin = 1
 	}
-	if len(benignFlights) == 0 {
+	if len(benignObs) == 0 {
 		return nil, fmt.Errorf("soundboost: GPS detector needs benign calibration flights")
 	}
 	if cfg.PeakQuantile <= 0 || cfg.PeakQuantile > 1 {
@@ -141,9 +141,9 @@ func calibrateGPS(model *AcousticModel, benignFlights []*dataset.Flight, benignO
 	d := &GPSDetector{cfg: cfg, model: model, threshold: math.Inf(1)}
 	span := gpsCalibTimer.Start()
 	defer span.Stop()
-	peaks := make([]float64, len(benignFlights))
-	for i, f := range benignFlights {
-		v, err := d.verdict(f, benignObs[i], nil)
+	peaks := make([]float64, len(benignObs))
+	for i, fo := range benignObs {
+		v, err := d.verdict(fo, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -189,57 +189,50 @@ func (d *GPSDetector) Mode() kalman.Mode { return d.cfg.Mode }
 func (d *GPSDetector) Detect(f *dataset.Flight) (GPSVerdict, error) {
 	span := gpsDetectTimer.Start()
 	defer span.Stop()
-	obs, err := observeFlight(d.model, f)
+	fo, err := observeFlight(d.model, f, nil)
 	if err != nil {
 		return GPSVerdict{}, err
 	}
-	return d.verdict(f, obs, nil)
+	return d.verdict(fo, nil)
 }
 
 // Trace exposes the full diagnostic series (Fig. 7).
 func (d *GPSDetector) Trace(f *dataset.Flight) (*GPSTrace, error) {
-	obs, err := observeFlight(d.model, f)
+	fo, err := observeFlight(d.model, f, nil)
 	if err != nil {
 		return nil, err
 	}
 	trace := &GPSTrace{}
-	if _, err := d.verdict(f, obs, trace); err != nil {
+	if _, err := d.verdict(fo, trace); err != nil {
 		return nil, err
 	}
 	return trace, nil
 }
 
-// verdict drives one GPS monitor over a flight's window observations.
-// A non-nil trace records every KF step.
-func (d *GPSDetector) verdict(f *dataset.Flight, obs []windowObs, trace *GPSTrace) (GPSVerdict, error) {
+// verdict drives one GPS monitor over a flight's windows. A non-nil
+// trace records every KF step.
+func (d *GPSDetector) verdict(fo *flightObs, trace *GPSTrace) (GPSVerdict, error) {
 	m := d.newMonitor()
 	m.trace = trace
-	if err := m.observe(f, obs, d.model.cfg.Signature.WindowSeconds); err != nil {
+	if err := m.observe(fo); err != nil {
 		return GPSVerdict{}, err
 	}
 	return m.Verdict()
 }
 
-// observe feeds the monitor a flight's window observations, seeded from
-// the flight's first GPS fix (pre-attack per the threat model).
-func (g *gpsMonitor) observe(f *dataset.Flight, obs []windowObs, win float64) error {
-	if len(f.Telemetry) > 0 {
-		if err := g.Seed(f.Telemetry[0].GPSVel); err != nil {
+// observe feeds the monitor a flight's windows, seeded from the
+// flight's first admitted GPS fix (pre-attack per the threat model), as
+// the stream engine seeds.
+func (g *gpsMonitor) observe(fo *flightObs) error {
+	if len(fo.rows.gps) > 0 {
+		first := fo.rows.gps[0]
+		if err := g.Seed(first.Vel); err != nil {
 			return err
 		}
-		g.pos = f.Telemetry[0].GPSPos
+		g.pos = first.Pos
 	}
-	for _, o := range obs {
-		if len(o.tel) == 0 {
-			continue
-		}
-		var imuSum, gpsSum mathx.Vec3
-		for _, s := range o.tel {
-			imuSum = imuSum.Add(s.IMUAccel)
-			gpsSum = gpsSum.Add(s.GPSVel)
-		}
-		n := 1 / float64(len(o.tel))
-		g.Add(newGPSObs(o.idx, o.t0+win, o.tel[len(o.tel)/2].EstAtt, o.pred, imuSum.Scale(n), gpsSum.Scale(n)))
+	for _, w := range fo.windows {
+		g.addWindow(w)
 	}
 	if !g.seen {
 		return fmt.Errorf("soundboost: no usable windows for GPS RCA")
@@ -341,6 +334,13 @@ func (g *gpsMonitor) Seed(v0 mathx.Vec3) error {
 	return nil
 }
 
+// addWindow feeds a window's observation, if it has GPS fixes.
+func (g *gpsMonitor) addWindow(w *window) {
+	if w.hasGPS {
+		g.Add(w.nav)
+	}
+}
+
 // Add feeds one window observation in window order. A hole in the
 // window sequence pauses the monitor: the current segment is closed (a
 // partial alignment phase finishes with monitoring off) and a fresh
@@ -416,11 +416,15 @@ func (g *gpsMonitor) step(o gpsObs) {
 	fused := g.est.Velocity()
 	var running float64
 	if i >= g.alignN {
-		running = g.monitor.Add(fused.Sub(o.gpsVel).Norm())
+		// The running mean skips a non-finite error, so the peak and the
+		// live error stay finite; the alarm does not skip it. An error
+		// that overflows comes from a reported velocity no flight has.
+		e := fused.Sub(o.gpsVel).Norm()
+		running = g.monitor.Add(e)
 		if running > g.verdict.PeakError {
 			g.verdict.PeakError = running
 		}
-		if running > g.threshold && !g.verdict.Attacked {
+		if (running > g.threshold || !finite(e)) && !g.verdict.Attacked {
 			g.verdict.Attacked = true
 			g.verdict.DetectionTime = o.t
 		}

@@ -74,7 +74,7 @@ func NewIMUDetector(model *AcousticModel, benignFlights []*dataset.Flight, cfg I
 // calibrateIMU fits the detector from benign flights' window
 // observations. The per-period statistics come from the detection
 // recursion itself, run with its alarms disabled.
-func calibrateIMU(model *AcousticModel, benignObs [][]windowObs, cfg IMUDetectorConfig) (*IMUDetector, error) {
+func calibrateIMU(model *AcousticModel, benignObs []*flightObs, cfg IMUDetectorConfig) (*IMUDetector, error) {
 	if cfg.StatMargin < 1 {
 		return nil, fmt.Errorf("soundboost: KS stat margin %g must be >= 1", cfg.StatMargin)
 	}
@@ -83,12 +83,10 @@ func calibrateIMU(model *AcousticModel, benignObs [][]windowObs, cfg IMUDetector
 	}
 	span := imuCalibTimer.Start()
 	defer span.Stop()
-	perFlight := make([][]imuWindow, len(benignObs))
 	var pool []float64
-	for i, obs := range benignObs {
-		perFlight[i] = imuWindows(obs, cfg.Stream)
-		for _, w := range perFlight[i] {
-			pool = append(pool, w.vals...)
+	for _, fo := range benignObs {
+		for _, w := range fo.windows {
+			pool = append(pool, w.residuals(cfg.Stream)...)
 		}
 	}
 	benign, err := stats.FitNormal(pool)
@@ -98,13 +96,13 @@ func calibrateIMU(model *AcousticModel, benignObs [][]windowObs, cfg IMUDetector
 	d := &IMUDetector{cfg: cfg, model: model, benign: benign, statThreshold: math.Inf(1), stdThreshold: math.Inf(1)}
 
 	var ksStats, stds []float64
-	for _, ws := range perFlight {
+	for _, fo := range benignObs {
 		m := d.newMonitor()
 		m.onPeriod = func(stat, std float64) {
 			ksStats = append(ksStats, stat)
 			stds = append(stds, std)
 		}
-		m.addAll(ws)
+		m.addAll(fo.windows)
 	}
 	if len(ksStats) == 0 {
 		return nil, fmt.Errorf("soundboost: no benign periods for KS calibration")
@@ -144,77 +142,47 @@ type IMUVerdict struct {
 
 // Detect runs the IMU RCA stage over a flight.
 func (d *IMUDetector) Detect(f *dataset.Flight) (IMUVerdict, error) {
-	v, _, err := d.detectFlight(f, d.newMonitor())
+	v, _, err := d.detectFlight(f, nil, d.newMonitor())
 	return v, err
 }
 
-// detectFlight runs the flight's window pass and feeds stage 1 over it
-// into m, both inside the IMU detect span, and returns the observations
-// too so that Analyze can hand them on to stage 2.
-func (d *IMUDetector) detectFlight(f *dataset.Flight, m *imuMonitor) (IMUVerdict, []windowObs, error) {
+// detectFlight runs the window pass over f (split as rows, or here if
+// nil) and feeds stage 1 into m, both inside the IMU detect span, and
+// returns the windows for Analyze to hand on to stage 2.
+func (d *IMUDetector) detectFlight(f *dataset.Flight, rows *flightRows, m *imuMonitor) (IMUVerdict, *flightObs, error) {
 	span := imuDetectTimer.Start()
 	defer span.Stop()
-	obs, err := observeFlight(d.model, f)
+	fo, err := observeFlight(d.model, f, rows)
 	if err != nil {
 		return IMUVerdict{}, nil, err
 	}
-	m.addAll(imuWindows(obs, d.cfg.Stream))
-	return m.Verdict(), obs, nil
+	m.addAll(fo.windows)
+	return m.Verdict(), fo, nil
 }
 
 // ResidualHistogram builds the Fig. 6 residual histogram (z-axis residuals
 // of the primary IMU pooled over the whole flight).
 func (d *IMUDetector) ResidualHistogram(f *dataset.Flight, lo, hi float64, bins int) (*stats.Histogram, error) {
-	obs, err := observeFlight(d.model, f)
+	fo, err := observeFlight(d.model, f, nil)
 	if err != nil {
 		return nil, err
 	}
 	h := stats.NewHistogram(lo, hi, bins)
-	for _, w := range imuWindows(obs, 0) {
-		for _, v := range w.vals {
+	for _, w := range fo.windows {
+		for _, v := range w.resid {
 			h.Add(v)
 		}
 	}
 	return h, nil
 }
 
-// imuWindow is the IMU stage's input for one window: its start time and
-// per-IMU-sample prediction residuals. A monitor's ring also keeps the
-// residuals sorted, so each window is sorted once however many periods
-// pool it.
+// imuWindow is one window in a monitor's ring: its start time and
+// per-IMU-sample prediction residuals, also kept sorted, so each window
+// is sorted once however many periods pool it.
 type imuWindow struct {
 	start  float64
 	vals   []float64
 	sorted []float64
-}
-
-// imuWindows reduces a flight's observations to z-axis residuals against
-// the selected IMU stream (0 = primary, k > 0 = redundant unit k-1),
-// dropping windows left without any.
-func imuWindows(obs []windowObs, stream int) []imuWindow {
-	out := make([]imuWindow, 0, len(obs))
-	for _, o := range obs {
-		// z-axis (downward) residuals only: the thrust axis is the one the
-		// acoustic channel predicts in every flight regime, and it is the
-		// axis the paper's IMU attacks tamper with (Fig. 6). Horizontal
-		// residuals shift with airspeed-dependent drag and would alias
-		// aggressive-but-benign maneuvers into attacks.
-		vals := make([]float64, 0, len(o.tel))
-		for _, s := range o.tel {
-			z := s.IMUAccel.Z
-			if stream > 0 {
-				if stream-1 >= len(s.AuxIMUAccel) {
-					continue
-				}
-				z = s.AuxIMUAccel[stream-1].Z
-			}
-			vals = append(vals, o.pred.Z-z)
-		}
-		if len(vals) > 0 {
-			out = append(out, imuWindow{start: o.t0, vals: vals})
-		}
-	}
-	return out
 }
 
 // maxRejectedVals bounds the residual pool retained for the AttackStd
@@ -320,9 +288,17 @@ func (m *imuMonitor) AddWindow(start float64, vals []float64) {
 	}
 }
 
-func (m *imuMonitor) addAll(ws []imuWindow) {
+// addWindow feeds a window's residuals against the configured IMU
+// unit; a window without any is not fed.
+func (m *imuMonitor) addWindow(w *window) {
+	if vals := w.residuals(m.cfg.Stream); len(vals) > 0 {
+		m.AddWindow(w.t0, vals)
+	}
+}
+
+func (m *imuMonitor) addAll(ws []*window) {
 	for _, w := range ws {
-		m.AddWindow(w.start, w.vals)
+		m.addWindow(w)
 	}
 }
 

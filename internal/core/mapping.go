@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 
 	"soundboost/internal/acoustics"
@@ -13,6 +12,7 @@ import (
 	"soundboost/internal/mathx"
 	"soundboost/internal/nn"
 	"soundboost/internal/parallel"
+	"soundboost/internal/stats"
 )
 
 // MappingConfig controls the sensory-mapping (training) stage (§III-B).
@@ -46,63 +46,13 @@ func DefaultMappingConfig(sig SignatureConfig) MappingConfig {
 	}
 }
 
-// normalizer standardises features and labels.
-type normalizer struct {
-	Mean []float64 `json:"mean"`
-	Std  []float64 `json:"std"`
-}
-
-func fitNormalizer(xs [][]float64) normalizer {
-	if len(xs) == 0 {
-		return normalizer{}
-	}
-	dim := len(xs[0])
-	n := normalizer{Mean: make([]float64, dim), Std: make([]float64, dim)}
-	for _, x := range xs {
-		for i, v := range x {
-			n.Mean[i] += v
-		}
-	}
-	for i := range n.Mean {
-		n.Mean[i] /= float64(len(xs))
-	}
-	for _, x := range xs {
-		for i, v := range x {
-			d := v - n.Mean[i]
-			n.Std[i] += d * d
-		}
-	}
-	for i := range n.Std {
-		n.Std[i] = sqrt(n.Std[i] / float64(len(xs)))
-		if n.Std[i] < 1e-9 {
-			n.Std[i] = 1
-		}
-	}
-	return n
-}
-
-func (n normalizer) apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = (v - n.Mean[i]) / n.Std[i]
-	}
-	return out
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
-}
-
 // AcousticModel is the trained signature → acceleration regressor plus the
 // normalisation needed to apply it.
 type AcousticModel struct {
 	cfg      MappingConfig
 	net      *nn.Sequential
-	featNorm normalizer
-	labNorm  normalizer
+	featNorm stats.ZScore
+	labNorm  stats.ZScore
 	p64      *program[float64]
 	p32      *program[float32]
 }
@@ -116,7 +66,7 @@ type program[F mathx.Float] struct {
 	featMean, featStd []F
 }
 
-func compileProgram[F mathx.Float](net *nn.Sequential, featNorm normalizer) (*program[F], error) {
+func compileProgram[F mathx.Float](net *nn.Sequential, featNorm stats.ZScore) (*program[F], error) {
 	n, err := nn.Compile[F](net)
 	if err != nil {
 		return nil, err
@@ -131,7 +81,7 @@ func compileProgram[F mathx.Float](net *nn.Sequential, featNorm normalizer) (*pr
 // predict normalises features as (x-mean)/std in F — at float64 exactly
 // the training-time normalizer — zeroes the masked indices, runs the
 // network and de-normalises the output in float64.
-func (p *program[F]) predict(features []float64, masked []int, labNorm normalizer) mathx.Vec3 {
+func (p *program[F]) predict(features []float64, masked []int, labNorm stats.ZScore) mathx.Vec3 {
 	x := make([]F, len(features))
 	for i, v := range features {
 		x[i] = (F(v) - p.featMean[i]) / p.featStd[i]
@@ -151,7 +101,7 @@ func (p *program[F]) predict(features []float64, masked []int, labNorm normalize
 
 // newAcousticModel assembles a model and compiles its inference
 // programs at both precisions.
-func newAcousticModel(cfg MappingConfig, net *nn.Sequential, featNorm, labNorm normalizer) (*AcousticModel, error) {
+func newAcousticModel(cfg MappingConfig, net *nn.Sequential, featNorm, labNorm stats.ZScore) (*AcousticModel, error) {
 	p64, err := compileProgram[float64](net, featNorm)
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: compile model: %w", err)
@@ -202,28 +152,6 @@ type WindowSample struct {
 	Label mathx.Vec3
 }
 
-// windowFeatures builds the full feature vector for a window: the acoustic
-// signature plus, when configured, the mean attitude (roll, pitch) of tel,
-// the telemetry rows of the base window at t0. Returns nil when the
-// window is unusable.
-func windowFeatures(ex *Extractor, tel []dataset.TelemetrySample, t0, windowSeconds float64) []float64 {
-	feat := ex.Features(t0, windowSeconds)
-	if feat == nil || !ex.Config().AttitudeFeatures {
-		return feat
-	}
-	if len(tel) == 0 {
-		return nil
-	}
-	var roll, pitch float64
-	for _, s := range tel {
-		r, p, _ := s.EstAtt.Euler()
-		roll += r
-		pitch += p
-	}
-	n := float64(len(tel))
-	return append(feat, roll/n, pitch/n)
-}
-
 // BuildWindows extracts aligned windows from a flight. augment > 1 extracts
 // the stretched-window variant instead of the base window (time-shift
 // augmentation); the label stays the IMU mean over the base window, since
@@ -238,7 +166,7 @@ func BuildWindows(f *dataset.Flight, cfg SignatureConfig, flightIndex int, augme
 	}
 	baseWin := cfg.WindowSeconds
 	exWin := baseWin * augment
-	rows := telemetryRows(f)
+	rows := splitFlight(f)
 	// Windows are independent reads of the shared extractor and telemetry;
 	// fan them out and keep results in start-time order so the parallel
 	// path is byte-identical to the serial one.
@@ -247,20 +175,16 @@ func BuildWindows(f *dataset.Flight, cfg SignatureConfig, flightIndex int, augme
 		t0 := starts[i]
 		// Label: mean IMU accel over the *base* window at the start of the
 		// stretched window (the actuation outcome the sound leads to).
-		tel := rows(t0, t0+baseWin)
-		feat := windowFeatures(ex, tel, t0, exWin)
-		if feat == nil || len(tel) == 0 {
+		imu, _, _ := rows.between(t0, t0+baseWin)
+		feat := ex.Features(t0, exWin)
+		if feat == nil || len(imu) == 0 {
 			return nil
-		}
-		var sum mathx.Vec3
-		for _, s := range tel {
-			sum = sum.Add(s.IMUAccel)
 		}
 		return &WindowSample{
 			FlightIndex: flightIndex,
 			Start:       t0,
-			Features:    feat,
-			Label:       sum.Scale(1 / float64(len(tel))),
+			Features:    cfg.withAttitude(feat, imu),
+			Label:       meanAccel(imu),
 		}
 	})
 	var out []WindowSample
@@ -310,21 +234,21 @@ func TrainModelFromSamples(xs, ys, valX, valY [][]float64, cfg MappingConfig) (*
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return nil, nn.TrainHistory{}, fmt.Errorf("soundboost: bad training set: %d features, %d labels", len(xs), len(ys))
 	}
-	featNorm := fitNormalizer(xs)
-	labNorm := fitNormalizer(ys)
+	featNorm := stats.FitZScore(xs)
+	labNorm := stats.FitZScore(ys)
 	normX := make([][]float64, len(xs))
 	normY := make([][]float64, len(ys))
 	for i := range xs {
-		normX[i] = featNorm.apply(xs[i])
-		normY[i] = labNorm.apply(ys[i])
+		normX[i] = featNorm.Apply(xs[i])
+		normY[i] = labNorm.Apply(ys[i])
 	}
 	trainCfg := cfg.Train
 	if len(valX) > 0 {
 		vx := make([][]float64, len(valX))
 		vy := make([][]float64, len(valY))
 		for i := range valX {
-			vx[i] = featNorm.apply(valX[i])
-			vy[i] = labNorm.apply(valY[i])
+			vx[i] = featNorm.Apply(valX[i])
+			vy[i] = labNorm.Apply(valY[i])
 		}
 		trainCfg.ValX = vx
 		trainCfg.ValY = vy
@@ -459,8 +383,8 @@ func EvaluateMSE(m *AcousticModel, flights []*dataset.Flight) (float64, error) {
 // modelFile is the serialised AcousticModel.
 type modelFile struct {
 	Cfg      MappingConfig   `json:"config"`
-	FeatNorm normalizer      `json:"feat_norm"`
-	LabNorm  normalizer      `json:"label_norm"`
+	FeatNorm stats.ZScore    `json:"feat_norm"`
+	LabNorm  stats.ZScore    `json:"label_norm"`
 	Net      json.RawMessage `json:"net"`
 }
 

@@ -96,8 +96,7 @@ func TestDetectorStageTimers(t *testing.T) {
 	usable := 0
 	win := fx.model.Config().Signature.WindowSeconds
 	for _, t0 := range ex.WindowStarts(win) {
-		tel := f.TelemetryBetween(t0, t0+win)
-		if windowFeatures(ex, tel, t0, win) != nil && len(tel) > 0 {
+		if ex.Features(t0, win) != nil && len(f.TelemetryBetween(t0, t0+win)) > 0 {
 			usable++
 		}
 	}

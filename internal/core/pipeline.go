@@ -113,11 +113,11 @@ func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight) (*Analyz
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: IMU detector: %w", err)
 	}
-	audioOnly, err := calibrateGPS(model, benignFlights, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioOnly))
+	audioOnly, err := calibrateGPS(model, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioOnly))
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: audio-only GPS detector: %w", err)
 	}
-	audioIMU, err := calibrateGPS(model, benignFlights, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
+	audioIMU, err := calibrateGPS(model, benignObs, DefaultGPSDetectorConfig(kalman.ModeAudioIMU))
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: audio+IMU GPS detector: %w", err)
 	}
@@ -214,9 +214,12 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	}
 	// Screening tier: a flight whose every window is confident-benign
 	// skips both detector stages. The screen only ever concludes "none",
-	// so the verdict cannot flip relative to the full pipeline.
+	// so the verdict cannot flip relative to the full pipeline. The
+	// flight's split telemetry serves the screen and the window pass.
+	var rows *flightRows
 	if a.Triage != nil {
-		if benign, _ := a.screenFlight(f); benign {
+		var benign bool
+		if benign, _, rows = a.screenFlight(f); benign {
 			reportsFastpath.Inc()
 			return FastBenignReport(f.Name, a), nil
 		}
@@ -225,7 +228,7 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	run := a.NewRun()
 
 	// One window pass serves both stages; it runs inside stage 1's span.
-	imuVerdict, obs, err := a.IMU.detectFlight(f, run.imu)
+	imuVerdict, obs, err := a.IMU.detectFlight(f, rows, run.imu)
 	if err != nil {
 		return report, fmt.Errorf("soundboost: IMU stage: %w", err)
 	}
@@ -236,7 +239,7 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	// Stage 2 steps only the KF variant stage 1 picked; the stream steps
 	// both, since it cannot know the pick in advance.
 	gpsSpan := gpsDetectTimer.Start()
-	err = gps.observe(f, obs, a.Model.cfg.Signature.WindowSeconds)
+	err = gps.observe(obs)
 	var full Report
 	if err == nil {
 		full, err = run.report(f.Name, imuVerdict)

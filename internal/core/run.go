@@ -5,11 +5,11 @@ import (
 	"soundboost/internal/triage"
 )
 
-// Run is one flight's two-stage RCA (paper §III-C), fed window by
-// window: the stage-1 IMU KS monitor and both stage-2 GPS KF variants,
-// stepped side by side so the verdict can switch variant the moment
-// stage 1 alarms. Analyze and the stream engine both drive one and
-// build their Report from it.
+// Run is one flight's two-stage RCA (paper §III-C): the stage-1 IMU KS
+// monitor and both stage-2 GPS KF variants. The stream engine feeds it
+// through Add, both variants side by side so the verdict can switch
+// variant the moment stage 1 alarms; Analyze feeds the same windows
+// stage by stage. Both build their Report from it.
 type Run struct {
 	an    *Analyzer
 	imu   *imuMonitor
@@ -37,20 +37,18 @@ func (r *Run) SeedGPS(v0 mathx.Vec3) error {
 	return err
 }
 
-// AddIMU feeds stage 1 one window's z-axis IMU residuals (prediction
-// minus measurement, one per IMU row), in window order.
-func (r *Run) AddIMU(start float64, residuals []float64) {
-	r.imu.AddWindow(start, residuals)
-}
-
-// AddGPS feeds both KF variants a window with GPS rows: its index on
-// the WindowStarts grid (a gap is a hole), end time, mid-window
-// attitude, body-frame prediction and mean IMU specific force, and mean
-// GPS velocity.
-func (r *Run) AddGPS(winIdx int, end float64, att mathx.Quat, pred, imuMean, gpsVel mathx.Vec3) {
-	o := newGPSObs(winIdx, end, att, pred, imuMean, gpsVel)
-	r.gpsAO.Add(o)
-	r.gpsAI.Add(o)
+// Add reduces one window — its index on the WindowStarts grid (a gap
+// is a hole), start time, acoustic signature and admitted rows — as
+// batch Analyze does, and feeds it to stage 1 and both KF variants, in
+// window order. It reports whether the window was usable.
+func (r *Run) Add(winIdx int, t0 float64, sig []float64, imu []triage.IMUPoint, gps []triage.GPSPoint) bool {
+	w, ok := r.an.Model.observeWindow(winIdx, t0, sig, imu, gps)
+	if ok {
+		r.imu.addWindow(&w)
+		r.gpsAO.addWindow(&w)
+		r.gpsAI.addWindow(&w)
+	}
+	return ok
 }
 
 // trusted returns the KF variant stage 2 trusts (paper §III-C2):

@@ -33,11 +33,10 @@ type triageWindow struct {
 // forEachTriageWindow enumerates the flight's screening windows exactly
 // as the streaming engine decides them: the same window grid, the same
 // per-mic causal low-pass on the primary mic, and the same half-open
-// [t0, t1) telemetry selection with rows shed by AdmitIMU and AdmitGPS,
-// the engine's ingest rules. Mirroring the stream bit for bit keeps
-// batch, streamed, and served triage decisions identical for the same
-// flight. fn returns false to stop early.
-func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fn func(w triageWindow) bool) error {
+// [t0, t1) selection of the flight's admitted rows. Mirroring the stream
+// bit for bit keeps batch, streamed, and served triage decisions
+// identical for the same flight. fn returns false to stop early.
+func forEachTriageWindow(f *dataset.Flight, rows *flightRows, sig SignatureConfig, fn func(w triageWindow) bool) error {
 	rec := f.Audio
 	if rec == nil || rec.Samples() == 0 {
 		return fmt.Errorf("soundboost: triage: flight %q has no audio", f.Name)
@@ -57,25 +56,10 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fn func(w triag
 		audio = lp.ProcessAll(audio)
 	}
 
-	// Rows are already time-sorted.
-	imuRows := make([]triage.IMUPoint, 0, len(f.Telemetry))
-	imuTimes := make([]float64, 0, len(f.Telemetry))
-	gpsRows := make([]triage.GPSPoint, 0, len(f.Telemetry))
-	for _, s := range f.Telemetry {
-		if AdmitIMU(s.Time, s.IMUAccel, s.EstAtt) {
-			imuRows = append(imuRows, triage.IMUPoint{Accel: s.IMUAccel, Gyro: s.IMUGyro})
-			imuTimes = append(imuTimes, s.Time)
-		}
-		if AdmitGPS(s.Time, s.GPSPos, s.GPSVel) {
-			gpsRows = append(gpsRows, triage.GPSPoint{Time: s.Time, Pos: s.GPSPos, Vel: s.GPSVel})
-		}
-	}
-
 	win := sig.WindowSeconds
 	hop := sig.HopSeconds
 	total := int(win * rate)
 	written := len(audio)
-	imuLo, gpsLo := 0, 0
 	for i := 0; ; i++ {
 		t0 := float64(i) * hop
 		start := int(t0 * rate)
@@ -83,22 +67,8 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fn func(w triag
 		if start+total > written || t1 > float64(written)/rate {
 			return nil
 		}
-		for imuLo < len(imuRows) && imuTimes[imuLo] < t0 {
-			imuLo++
-		}
-		imuHi := imuLo
-		for imuHi < len(imuRows) && imuTimes[imuHi] < t1 {
-			imuHi++
-		}
-		for gpsLo < len(gpsRows) && gpsRows[gpsLo].Time < t0 {
-			gpsLo++
-		}
-		gpsHi := gpsLo
-		for gpsHi < len(gpsRows) && gpsRows[gpsHi].Time < t1 {
-			gpsHi++
-		}
-		w := triageWindow{t0: t0, t1: t1, audio: audio[start : start+total], imu: imuRows[imuLo:imuHi], gps: gpsRows[gpsLo:gpsHi]}
-		if !fn(w) {
+		imu, gps, _ := rows.between(t0, t1)
+		if !fn(triageWindow{t0: t0, t1: t1, audio: audio[start : start+total], imu: imu, gps: gps}) {
 			return nil
 		}
 	}
@@ -107,8 +77,8 @@ func forEachTriageWindow(f *dataset.Flight, sig SignatureConfig, fn func(w triag
 // AdmitIMU reports whether an IMU row may enter a window: its time,
 // specific force and attitude are finite. AdmitGPS does the same for a
 // GPS fix's time, position and velocity. The stream engine sheds rows
-// at ingest by these rules and the batch screen applies them to a
-// recorded flight, so both see the same windows.
+// at ingest by these rules and splitFlight applies them to a recorded
+// flight, so both paths see the same windows.
 func AdmitIMU(t float64, accel mathx.Vec3, att mathx.Quat) bool {
 	q := att.W + att.X + att.Y + att.Z
 	return finite(t) && accel.IsFinite() && finite(q)
@@ -126,19 +96,17 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // unusable or doubtful window escalates. maxDist is the largest
 // neighbour distance among benign-screened windows — the verification
 // pass tightens the radius to just below it to force a flight off the
-// fast path.
-func (a *Analyzer) screenFlight(f *dataset.Flight) (benign bool, maxDist float64) {
-	if a.Triage == nil {
-		return false, 0
-	}
+// fast path. rows is the flight's split, made inside the screen's span,
+// for the full pipeline to reuse.
+func (a *Analyzer) screenFlight(f *dataset.Flight) (benign bool, maxDist float64, rows *flightRows) {
 	span := triageScreenTimer.Start()
 	defer span.Stop()
+	rows = splitFlight(f)
 	benign = true
 	windows := 0
-	rate := f.Audio.SampleRate
-	err := forEachTriageWindow(f, a.Model.cfg.Signature, func(w triageWindow) bool {
+	err := forEachTriageWindow(f, rows, a.Model.cfg.Signature, func(w triageWindow) bool {
 		windows++
-		d := a.ScreenWindow(w.audio, rate, w.imu, w.gps)
+		d := a.ScreenWindow(w.audio, f.Audio.SampleRate, w.imu, w.gps)
 		if !d.Benign {
 			benign = false
 			return false
@@ -149,9 +117,9 @@ func (a *Analyzer) screenFlight(f *dataset.Flight) (benign bool, maxDist float64
 		return true
 	})
 	if err != nil || windows == 0 {
-		return false, maxDist
+		return false, maxDist, rows
 	}
-	return benign, maxDist
+	return benign, maxDist, rows
 }
 
 // FastBenignReport is the cheap verdict emitted when the triage tier
@@ -237,7 +205,7 @@ func TrainTriage(flights []*dataset.Flight, sig SignatureConfig, cfg triage.Conf
 		if f.Audio == nil || f.Audio.Samples() == 0 {
 			continue
 		}
-		err := forEachTriageWindow(f, sig, func(w triageWindow) bool {
+		err := forEachTriageWindow(f, splitFlight(f), sig, func(w triageWindow) bool {
 			if len(w.imu) == 0 {
 				return true
 			}
@@ -275,7 +243,7 @@ func (a *Analyzer) VerifyTriage(flights []*dataset.Flight) (fastpath, escalated 
 			continue
 		}
 		for {
-			benign, maxDist := a.screenFlight(f)
+			benign, maxDist, _ := a.screenFlight(f)
 			if !benign {
 				break
 			}
@@ -288,7 +256,7 @@ func (a *Analyzer) VerifyTriage(flights []*dataset.Flight) (fastpath, escalated 
 		}
 	}
 	for _, f := range flights {
-		if benign, _ := a.screenFlight(f); benign {
+		if benign, _, _ := a.screenFlight(f); benign {
 			fastpath++
 		} else {
 			escalated++

@@ -73,6 +73,56 @@ func (n Normal) PDF(v float64) float64 {
 	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
 }
 
+// ZScore standardises vectors dimension by dimension: (x - Mean) / Std.
+// The acoustic model's features and labels and the triage tier's
+// features are standardised by it, and saved models store it as is.
+type ZScore struct {
+	Mean []float64 `json:"mean"`
+	Std  []float64 `json:"std"`
+}
+
+// FitZScore fits the per-dimension mean and population standard
+// deviation of xs, which must share one length. A dimension whose
+// deviation is below 1e-9 gets Std 1, so constant features pass through
+// centred instead of blowing up. No vectors fit the zero ZScore.
+func FitZScore(xs [][]float64) ZScore {
+	if len(xs) == 0 {
+		return ZScore{}
+	}
+	dim := len(xs[0])
+	z := ZScore{Mean: make([]float64, dim), Std: make([]float64, dim)}
+	for _, x := range xs {
+		for i, v := range x {
+			z.Mean[i] += v
+		}
+	}
+	for i := range z.Mean {
+		z.Mean[i] /= float64(len(xs))
+	}
+	for _, x := range xs {
+		for i, v := range x {
+			d := v - z.Mean[i]
+			z.Std[i] += d * d
+		}
+	}
+	for i := range z.Std {
+		z.Std[i] = math.Sqrt(z.Std[i] / float64(len(xs)))
+		if z.Std[i] < 1e-9 {
+			z.Std[i] = 1
+		}
+	}
+	return z
+}
+
+// Apply returns x standardised into a fresh slice.
+func (z ZScore) Apply(x []float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = (v - z.Mean[i]) / z.Std[i]
+	}
+	return out
+}
+
 // KSResult is the outcome of a one-sample Kolmogorov-Smirnov test.
 type KSResult struct {
 	// Statistic is the maximum CDF deviation D_n.

@@ -14,9 +14,7 @@ import (
 	"soundboost/internal/dsp"
 	"soundboost/internal/faults"
 	"soundboost/internal/kalman"
-	"soundboost/internal/mathx"
 	"soundboost/internal/mavbus"
-	"soundboost/internal/triage"
 )
 
 // maxGapFillSeconds caps how much audio silence a single timestamp jump
@@ -68,9 +66,10 @@ type Status struct {
 }
 
 // Engine is the online RCA engine. It consumes AudioFrame, IMUSample,
-// and GPSSample messages and incrementally runs the same calibrated
-// two-stage analysis as Analyzer.Analyze; on a clean, ordered, lossless
-// stream the final Report is equivalent to the batch one.
+// and GPSSample messages, buffers the admitted rows, and hands each
+// window's signature and rows to a core Run, the same window reduction
+// and monitors Analyzer.Analyze runs; on an ordered, lossless stream
+// the final Report equals the batch one.
 //
 // An engine is driven one of two ways, by one goroutine at a time.
 // Directly, as the server's sessions do:
@@ -110,7 +109,7 @@ type Engine struct {
 	written int
 	invalid []sampleRange
 
-	// Telemetry buffers, time-sorted, with high-water marks.
+	// Admitted telemetry buffers, time-sorted, with high-water marks.
 	imu rows[IMUSample]
 	gps rows[GPSSample]
 
@@ -128,10 +127,6 @@ type Engine struct {
 	// path-independent benign report.
 	triFullWin   int
 	triEscalated bool
-
-	// imuPts and gpsPts are screenWindow's reused telemetry views.
-	imuPts []triage.IMUPoint
-	gpsPts []triage.GPSPoint
 
 	// run is the two-stage RCA the full pipeline feeds window by window.
 	run *soundboost.Run
@@ -177,8 +172,8 @@ func newEngine(an *soundboost.Analyzer, sampleRate float64, cfg Config) (*Engine
 		cfg:  cfg.withDefaults(),
 		sig:  sig,
 		rate: sampleRate,
-		imu:  rows[IMUSample]{wm: math.Inf(-1)},
-		gps:  rows[GPSSample]{wm: math.Inf(-1)},
+		imu:  rows[IMUSample]{wm: math.Inf(-1), at: func(s IMUSample) float64 { return s.Time }},
+		gps:  rows[GPSSample]{wm: math.Inf(-1), at: func(s GPSSample) float64 { return s.Time }},
 	}
 	// Mirror NewExtractor's four-lane low-pass: the same filter stepped
 	// sample by sample is bit-identical to the batch ProcessAll.
@@ -394,8 +389,8 @@ func (e *Engine) onIMU(s IMUSample) {
 	}
 }
 
-// onGPS ingests one GPS fix like onIMU; the first finite fix seeds both
-// KF variants (the batch pipeline's v0 = Telemetry[0].GPSVel).
+// onGPS ingests one GPS fix like onIMU; the first admitted fix seeds
+// both KF variants, as in batch Analyze.
 func (e *Engine) onGPS(s GPSSample) {
 	telemetryGPS.Inc()
 	if !soundboost.AdmitGPS(s.Time, s.Pos, s.Vel) {
@@ -417,13 +412,11 @@ func (e *Engine) decided() float64 { return float64(e.nextWin) * e.sig.HopSecond
 
 // rows is one telemetry stream's buffer, time-sorted, with its
 // high-water mark (the latest time ingested).
-type rows[T interface{ at() float64 }] struct {
+type rows[T any] struct {
 	buf []T
 	wm  float64
+	at  func(T) float64 // the row's time
 }
-
-func (s IMUSample) at() float64 { return s.Time }
-func (s GPSSample) at() float64 { return s.Time }
 
 // add files s in time order. A late row whose windows were already
 // decided (it is older than decided) is dropped. add reports whether
@@ -431,7 +424,7 @@ func (s GPSSample) at() float64 { return s.Time }
 // might need would break replay exactness, so the caller leaves the
 // fast path first (which prunes the backlog), then calls evict.
 func (r *rows[T]) add(s T, decided float64) (full bool) {
-	if t := s.at(); t >= r.wm {
+	if t := r.at(s); t >= r.wm {
 		r.buf = append(r.buf, s)
 		r.wm = t
 	} else {
@@ -440,7 +433,7 @@ func (r *rows[T]) add(s T, decided float64) (full bool) {
 			return false
 		}
 		i := len(r.buf)
-		for i > 0 && r.buf[i-1].at() > t {
+		for i > 0 && r.at(r.buf[i-1]) > t {
 			i--
 		}
 		r.buf = slices.Insert(r.buf, i, s)
@@ -473,7 +466,7 @@ func (r *rows[T]) cut(t float64) {
 
 // from returns the index of the first row at or after t.
 func (r *rows[T]) from(t float64) int {
-	return sort.Search(len(r.buf), func(i int) bool { return r.buf[i].at() >= t })
+	return sort.Search(len(r.buf), func(i int) bool { return r.at(r.buf[i]) >= t })
 }
 
 // advance processes every window that has become decidable. A window is
@@ -548,15 +541,7 @@ func (e *Engine) screenWindow(t0 float64, start, total int) bool {
 		return false
 	}
 	endT := t0 + e.sig.WindowSeconds
-	e.imuPts = e.imuPts[:0]
-	for _, s := range e.imu.between(t0, endT) {
-		e.imuPts = append(e.imuPts, triage.IMUPoint{Accel: s.Accel, Gyro: s.Gyro})
-	}
-	e.gpsPts = e.gpsPts[:0]
-	for _, s := range e.gps.between(t0, endT) {
-		e.gpsPts = append(e.gpsPts, triage.GPSPoint{Time: s.Time, Pos: s.Pos, Vel: s.Vel})
-	}
-	return e.an.ScreenWindow(e.audio.view(0, start, total), e.rate, e.imuPts, e.gpsPts).Benign
+	return e.an.ScreenWindow(e.audio.view(0, start, total), e.rate, e.imu.between(t0, endT), e.gps.between(t0, endT)).Benign
 }
 
 // escalate permanently abandons the fast path: every screened window is
@@ -582,10 +567,9 @@ func (e *Engine) escalate() {
 }
 
 // processWindow runs one signature window (index winIdx, start time t0)
-// through both RCA stages. Live processing passes winIdx = e.nextWin;
-// an escalation replay passes the historical index.
+// through Run.Add. Live processing passes winIdx = e.nextWin; an
+// escalation replay passes the historical index.
 func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
-	endT := t0 + e.sig.WindowSeconds
 	if !e.cfg.GapFill && e.overlapsInvalid(start, start+total) {
 		windowsSkippedGap.Inc()
 		e.bumpSkipped()
@@ -598,47 +582,13 @@ func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
 	}
 	feat := e.sig.AcousticWindow(chans, e.rate)
 	span.Stop()
-	imuWin := e.imu.between(t0, endT)
-	if feat == nil || len(imuWin) == 0 {
-		// Too short a window, or one without telemetry, which the batch
-		// pipeline skips in both stages too.
+	endT := t0 + e.sig.WindowSeconds
+	if !e.run.Add(winIdx, t0, feat, e.imu.between(t0, endT), e.gps.between(t0, endT)) {
+		// Too short a window, or one without IMU rows, which the batch
+		// window pass drops too.
 		windowsRejected.Inc()
 		e.bumpSkipped()
 		return
-	}
-	if e.sig.AttitudeFeatures {
-		var roll, pitch float64
-		for _, s := range imuWin {
-			r, p, _ := s.Att.Euler()
-			roll += r
-			pitch += p
-		}
-		n := float64(len(imuWin))
-		feat = append(feat, roll/n, pitch/n)
-	}
-	pred := e.an.Model.Predict(feat)
-
-	// Stage 1 takes the per-row z-axis residuals, stage 2 the window
-	// means; the run steps both KF variants.
-	vals := make([]float64, len(imuWin))
-	for i, s := range imuWin {
-		vals[i] = pred.Z - s.Accel.Z
-	}
-	span = imuPeriodTimer.Start()
-	e.run.AddIMU(t0, vals)
-	span.Stop()
-	if gpsWin := e.gps.between(t0, endT); len(gpsWin) > 0 {
-		var imuSum, gpsSum mathx.Vec3
-		for _, s := range imuWin {
-			imuSum = imuSum.Add(s.Accel)
-		}
-		for _, s := range gpsWin {
-			gpsSum = gpsSum.Add(s.Vel)
-		}
-		span = gpsStepTimer.Start()
-		e.run.AddGPS(winIdx, endT, imuWin[len(imuWin)/2].Att, pred,
-			imuSum.Scale(1/float64(len(imuWin))), gpsSum.Scale(1/float64(len(gpsWin))))
-		span.Stop()
 	}
 	windowsEmitted.Inc()
 

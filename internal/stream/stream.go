@@ -3,28 +3,28 @@
 // "imu", "gps" — message by message through Engine.Ingest, or from a
 // mavbus through Engine.Run) and runs the calibrated two-stage
 // analysis incrementally — a block-buffered windower emits acoustic
-// signatures as each hop of audio completes and feeds them, window by
-// window, to a core Run (the IMU KS monitor and both GPS Kalman
-// variants), with the active KF variant switching live when the IMU
-// verdict flips. Triage windows go to the analyzer's ScreenWindow.
+// signatures as each hop of audio completes and hands each, with the
+// window's rows, to a core Run, whose Add reduces the window exactly as
+// batch Analyze does and feeds the IMU KS monitor and both GPS Kalman
+// variants, the active variant switching live when the IMU verdict
+// flips. Triage windows go to the analyzer's ScreenWindow.
 //
 // The engine's contract with the batch pipeline is equivalence: on an
-// in-order, lossless replay of a recorded flight the final verdict (root
-// cause, IMU and GPS verdicts) is identical to Analyzer.Analyze over
-// that flight, even when its telemetry has holes, because both paths
-// share the feature kernel (SignatureConfig.AcousticWindow), the model
-// inference, the triage screen and the Run itself — batch Analyze
-// drives the same Run over a finished flight's windows and builds its
-// report there too. Under degraded input — out-of-order, dropped, or
-// NaN telemetry, audio dropouts — the engine degrades gracefully:
-// corrupt samples are shed (by AdmitIMU and AdmitGPS in core) and
-// counted, audio gaps are zero-filled to preserve timing with the
-// affected windows skipped, and memory stays bounded by the lag horizon.
+// in-order, lossless replay of a recorded flight the final report is
+// identical to Analyzer.Analyze over that flight, even when its
+// telemetry has holes or non-finite rows, because both paths admit rows
+// by AdmitIMU and AdmitGPS (the first admitted fix seeds the KF) and
+// share the feature kernel, the window function, the triage screen and
+// the monitors. Under degraded input — out-of-order, dropped, or NaN
+// telemetry, audio dropouts — the engine degrades gracefully: corrupt
+// rows are shed and counted, audio gaps are zero-filled to preserve
+// timing with the affected windows skipped, and memory stays bounded by
+// the lag horizon.
 package stream
 
 import (
-	"soundboost/internal/mathx"
 	"soundboost/internal/obs"
+	"soundboost/internal/triage"
 )
 
 // Default topic names, matching the MAVLink-style streams the bus carries.
@@ -49,26 +49,15 @@ type AudioFrame struct {
 	Samples [][]float64
 }
 
-// IMUSample is one logged inertial row, published at the IMU rate.
-type IMUSample struct {
-	// Time is the flight timestamp (s).
-	Time float64
-	// Accel is the accelerometer specific force (body frame).
-	Accel mathx.Vec3
-	// Gyro is the gyroscope rate (body frame).
-	Gyro mathx.Vec3
-	// Att is the autopilot attitude estimate (trusted per threat model).
-	Att mathx.Quat
-}
+// IMUSample is one logged inertial row (time, specific force, gyro
+// rate, attitude estimate), published at the IMU rate. It is the core's
+// and the triage tier's row type, so the engine's buffers hand a
+// window's rows to Run.Add and ScreenWindow without a copy.
+type IMUSample = triage.IMUPoint
 
-// GPSSample is one GPS fix (NED).
-type GPSSample struct {
-	// Time is the flight timestamp (s).
-	Time float64
-	// Pos and Vel are the reported NED position and velocity.
-	Pos mathx.Vec3
-	Vel mathx.Vec3
-}
+// GPSSample is one GPS fix (time, NED position and velocity), shared
+// with the core like IMUSample.
+type GPSSample = triage.GPSPoint
 
 // Config tunes the streaming engine. The zero value selects the
 // defaults noted on each field.
@@ -117,7 +106,5 @@ var (
 	triageEscalations  = obs.Default.Counter("stream.triage.escalations")
 	triageFastReports  = obs.Default.Counter("stream.triage.fast_reports")
 	featureTimer       = obs.Default.Timer("stream.window.features")
-	imuPeriodTimer     = obs.Default.Timer("stream.imu.period")
-	gpsStepTimer       = obs.Default.Timer("stream.gps.step")
 	lagGauge           = obs.Default.Gauge("stream.lag_seconds")
 )

@@ -2,10 +2,13 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -140,12 +143,12 @@ func gpsAttackFlight(t testing.TB, seed int64) *dataset.Flight {
 }
 
 // runStream replays a flight through a bus into a fresh engine with
-// default options, as the benchmark's engine row does, and returns the
-// streaming report.
-func runStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, rcfg ReplayConfig) (soundboost.Report, *Engine) {
+// default options (as the benchmark's engine row does) plus opts, and
+// returns the streaming report.
+func runStream(t *testing.T, an *soundboost.Analyzer, f *dataset.Flight, rcfg ReplayConfig, opts ...Option) (soundboost.Report, *Engine) {
 	t.Helper()
 	bus := mavbus.NewBus(0)
-	eng, err := New(an, f.Audio.SampleRate, WithFlightName(f.Name))
+	eng, err := New(an, f.Audio.SampleRate, append([]Option{WithFlightName(f.Name)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,12 +368,15 @@ func TestStreamTelemetryDropRobustness(t *testing.T) {
 	}
 }
 
-// TestStreamAudioDropoutSkipsWindows drops whole audio frames: affected
-// windows must be skipped (not synthesized from silence) and the verdict
-// must stay benign.
+// TestStreamAudioDropoutSkipsWindows drops whole audio frames: by
+// default the affected windows must be skipped (not synthesized from
+// silence) and the verdict must stay benign. Opted in with
+// WithGapFill, the same replay processes those windows from the
+// zero-filled gap: none is skipped, and more are processed.
 func TestStreamAudioDropoutSkipsWindows(t *testing.T) {
 	fx := getFixture(t)
-	report, eng := runStream(t, fx.analyzer, fx.calib[0], ReplayConfig{Speed: 0, AudioDropRate: 0.05, Seed: 7})
+	rcfg := ReplayConfig{Speed: 0, AudioDropRate: 0.05, Seed: 7}
+	report, eng := runStream(t, fx.analyzer, fx.calib[0], rcfg)
 	if report.Cause != soundboost.CauseNone {
 		t.Errorf("benign flight with audio dropouts attributed cause %q", report.Cause)
 	}
@@ -380,6 +386,12 @@ func TestStreamAudioDropoutSkipsWindows(t *testing.T) {
 	}
 	if st.Windows == 0 {
 		t.Error("no windows processed at all")
+	}
+
+	_, filled := runStream(t, fx.analyzer, fx.calib[0], rcfg, WithGapFill(true))
+	if fst := filled.Status(); fst.Skipped != 0 || fst.Windows <= st.Windows {
+		t.Errorf("gap fill: %d windows processed, %d skipped; without it %d processed, %d skipped",
+			fst.Windows, fst.Skipped, st.Windows, st.Skipped)
 	}
 }
 
@@ -485,13 +497,36 @@ func withTelemetry(f *dataset.Flight, name string, keep func(s dataset.Telemetry
 	return &g
 }
 
+// withRows returns a copy of f whose telemetry rows at or after time
+// from and before time to are edited (audio untouched).
+func withRows(f *dataset.Flight, name string, from, to float64, edit func(s *dataset.TelemetrySample)) *dataset.Flight {
+	g := *f
+	g.Name = name
+	g.Telemetry = slices.Clone(f.Telemetry)
+	for i := range g.Telemetry {
+		if s := &g.Telemetry[i]; s.Time >= from && s.Time < to {
+			edit(s)
+		}
+	}
+	return &g
+}
+
+// withRow edits the first telemetry row at or after time at.
+func withRow(f *dataset.Flight, name string, at float64, edit func(s *dataset.TelemetrySample)) *dataset.Flight {
+	i := sort.Search(len(f.Telemetry), func(i int) bool { return f.Telemetry[i].Time >= at })
+	return withRows(f, name, f.Telemetry[i].Time, math.Nextafter(f.Telemetry[i].Time, math.Inf(1)), edit)
+}
+
 // TestBatchStreamEquivalenceDegraded extends the equivalence contract to
-// flights whose telemetry is degraded in the two ways the batch and
+// flights whose telemetry is degraded in the ways the batch and
 // streaming paths historically disagreed on: a telemetry hole long
 // enough to leave whole windows without rows (the GPS stage restarts
-// its segment there), and sparse early telemetry that leaves the first
-// KS periods under MinResiduals (the attack spread must pool the right
-// windows). The batch report must equal the clean-replay stream report.
+// its segment there), sparse early telemetry that leaves the first KS
+// periods under MinResiduals (the attack spread must pool the right
+// windows), and one non-finite row, which both paths drop (the GPS
+// stage seeds from the first finite fix). A GPS velocity so large that
+// the velocity error overflows must raise the alarm on both. The batch
+// report must equal the clean-replay stream report.
 func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 	fx := getFixture(t)
 	hole := withTelemetry(gpsAttackFlight(t, 4200), "gps-drift-hole", func(s dataset.TelemetrySample) bool {
@@ -510,10 +545,16 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 		}
 		return false
 	})
-	for _, tc := range []struct {
+	// 1e200 m/s across the drift: valid /v1 JSON, and an overflowing
+	// velocity error, which the running mean skips.
+	overflow := withRows(gpsAttackFlight(t, 4200), "gps-drift-overflow", 6, 18, func(s *dataset.TelemetrySample) {
+		s.GPSVel.X = 1e200
+	})
+	type testCase struct {
 		f     *dataset.Flight
-		check func(t *testing.T, r soundboost.Report)
-	}{
+		check func(t *testing.T, r soundboost.Report) // nil: equality only
+	}
+	cases := []testCase{
 		{hole, func(t *testing.T, r soundboost.Report) {
 			if !r.GPS.Attacked {
 				t.Errorf("GPS drift across a telemetry hole not detected: %+v", r.GPS)
@@ -524,7 +565,31 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 				t.Errorf("IMU DoS on sparse telemetry not detected with a spread: %+v", r.IMU)
 			}
 		}},
-	} {
+		{overflow, func(t *testing.T, r soundboost.Report) {
+			if !r.GPS.Attacked || r.GPS.DetectionTime < 6 {
+				t.Errorf("overflowing GPS velocity did not alarm in the attack window: %+v", r.GPS)
+			}
+			if _, err := json.Marshal(r); err != nil {
+				t.Errorf("report does not encode: %v", err)
+			}
+		}},
+	}
+	nan := math.NaN()
+	for _, base := range []*dataset.Flight{fx.calib[0], imuAttackFlight(t, 4100), gpsAttackFlight(t, 4200)} {
+		for _, c := range []struct {
+			name string
+			at   float64
+			edit func(s *dataset.TelemetrySample)
+		}{
+			{"nan-accel", 2, func(s *dataset.TelemetrySample) { s.IMUAccel.Z = nan }},
+			{"nan-att", 2, func(s *dataset.TelemetrySample) { s.EstAtt.X = nan }},
+			{"nan-gps-vel", 7, func(s *dataset.TelemetrySample) { s.GPSVel.Y = nan }},
+			{"nan-first-fix", 0, func(s *dataset.TelemetrySample) { s.GPSVel.X = nan }},
+		} {
+			cases = append(cases, testCase{f: withRow(base, base.Scenario.Kind+"-"+c.name, c.at, c.edit)})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.f.Name, func(t *testing.T) {
 			batch, err := fx.analyzer.Analyze(tc.f)
 			if err != nil {
@@ -534,7 +599,9 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 			if got != batch {
 				t.Errorf("stream report\n  %+v\nbatch report\n  %+v", got, batch)
 			}
-			tc.check(t, batch)
+			if tc.check != nil {
+				tc.check(t, batch)
+			}
 		})
 	}
 }

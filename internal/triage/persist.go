@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"soundboost/internal/dsp"
+	"soundboost/internal/stats"
 )
 
 // SchemaVersion identifies the serialized triage model format. Bump it
@@ -57,8 +58,8 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 			RadiusMargin:    m.cfg.RadiusMargin,
 			StrictFactor:    m.cfg.StrictFactor,
 		},
-		Mean:         m.mean,
-		Std:          m.std,
+		Mean:         m.norm.Mean,
+		Std:          m.norm.Std,
 		Prototypes:   m.protos,
 		Labels:       m.labels,
 		K:            m.k,
@@ -128,8 +129,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("triage: non-positive benign radius %g", f.BenignRadius)
 	}
 	m.cfg = cfg.withDefaults()
-	m.mean = f.Mean
-	m.std = f.Std
+	m.norm = stats.ZScore{Mean: f.Mean, Std: f.Std}
 	m.protos = f.Prototypes
 	m.labels = f.Labels
 	m.k = f.K

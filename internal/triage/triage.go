@@ -23,22 +23,28 @@ import (
 
 	"soundboost/internal/dsp"
 	"soundboost/internal/mathx"
+	"soundboost/internal/stats"
 )
 
-// IMUPoint is one telemetry row's inertial reading inside a window.
+// IMUPoint is one logged IMU row. It is the one IMU row type of the
+// repository: the core's flight split, the stream engine's buffers
+// (stream.IMUSample) and the triage features all hold it, so a window's
+// rows pass between them without a copy.
 type IMUPoint struct {
-	Accel mathx.Vec3
-	Gyro  mathx.Vec3
+	Time  float64    // flight timestamp (s)
+	Accel mathx.Vec3 // accelerometer specific force (body frame)
+	Gyro  mathx.Vec3 // gyroscope rate (body frame)
+	Att   mathx.Quat // autopilot attitude estimate (trusted per threat model)
 }
 
-// GPSPoint is one telemetry row's GPS fix inside a window. Rows arrive
-// at the IMU rate with the latest fix repeated, identically on the
-// batch and streaming paths, so features derived from consecutive rows
-// are path-independent.
+// GPSPoint is one GPS fix (NED), shared like IMUPoint (stream.GPSSample
+// is the same type). Rows arrive at the IMU rate with the latest fix
+// repeated, identically on the batch and streaming paths, so features
+// derived from consecutive rows are path-independent.
 type GPSPoint struct {
-	Time float64
-	Pos  mathx.Vec3
-	Vel  mathx.Vec3
+	Time float64    // flight timestamp (s)
+	Pos  mathx.Vec3 // reported NED position
+	Vel  mathx.Vec3 // reported NED velocity
 }
 
 // FeatureConfig controls the per-window triage feature vector.
@@ -293,8 +299,7 @@ type Sample struct {
 // apart from Tighten, and safe for concurrent Classify calls.
 type Model struct {
 	cfg    Config
-	mean   []float64
-	std    []float64
+	norm   stats.ZScore
 	protos [][]float64 // z-score normalised
 	labels []int       // 0 benign, 1 anomalous
 	k      int
@@ -353,7 +358,11 @@ func Train(samples []Sample, cfg Config) (*Model, error) {
 	}
 
 	m := &Model{cfg: cfg}
-	m.fitNormalizer(samples, dim)
+	xs := make([][]float64, len(samples))
+	for i, s := range samples {
+		xs[i] = s.Features
+	}
+	m.norm = stats.FitZScore(xs)
 
 	// Stratified deterministic subsample: class quotas proportional to
 	// class sizes (each at least 1 when the class is non-empty), picked
@@ -374,11 +383,11 @@ func Train(samples []Sample, cfg Config) (*Model, error) {
 		}
 	}
 	for _, x := range stride(benign, quotaB) {
-		m.protos = append(m.protos, m.normalize(x))
+		m.protos = append(m.protos, m.norm.Apply(x))
 		m.labels = append(m.labels, 0)
 	}
 	for _, x := range stride(anom, quotaA) {
-		m.protos = append(m.protos, m.normalize(x))
+		m.protos = append(m.protos, m.norm.Apply(x))
 		m.labels = append(m.labels, 1)
 	}
 
@@ -398,7 +407,7 @@ func Train(samples []Sample, cfg Config) (*Model, error) {
 	// distance to its k nearest benign prototypes, widened by the margin.
 	dists := make([]float64, 0, len(benign))
 	for _, x := range benign {
-		dists = append(dists, m.meanBenignDistance(m.normalize(x)))
+		dists = append(dists, m.meanBenignDistance(m.norm.Apply(x)))
 	}
 	sort.Float64s(dists)
 	idx := int(cfg.BenignQuantile * float64(len(dists)-1))
@@ -415,7 +424,7 @@ func Train(samples []Sample, cfg Config) (*Model, error) {
 	// anomalous neighbourhood always escalates.
 	votes := make([]int, 0, len(benign))
 	for _, x := range benign {
-		_, v := m.neighbours(m.normalize(x))
+		_, v := m.neighbours(m.norm.Apply(x))
 		votes = append(votes, v)
 	}
 	sort.Ints(votes)
@@ -449,40 +458,6 @@ func stride(xs [][]float64, quota int) [][]float64 {
 	out := make([][]float64, 0, quota)
 	for i := 0; i < quota; i++ {
 		out = append(out, xs[i*len(xs)/quota])
-	}
-	return out
-}
-
-func (m *Model) fitNormalizer(samples []Sample, dim int) {
-	m.mean = make([]float64, dim)
-	m.std = make([]float64, dim)
-	n := float64(len(samples))
-	for _, s := range samples {
-		for j, v := range s.Features {
-			m.mean[j] += v
-		}
-	}
-	for j := range m.mean {
-		m.mean[j] /= n
-	}
-	for _, s := range samples {
-		for j, v := range s.Features {
-			d := v - m.mean[j]
-			m.std[j] += d * d
-		}
-	}
-	for j := range m.std {
-		m.std[j] = math.Sqrt(m.std[j] / n)
-		if m.std[j] < 1e-9 {
-			m.std[j] = 1
-		}
-	}
-}
-
-func (m *Model) normalize(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - m.mean[j]) / m.std[j]
 	}
 	return out
 }
@@ -600,14 +575,14 @@ func (m *Model) neighbours(z []float64) (meanDist float64, votes int) {
 func (m *Model) Classify(feat []float64) Decision {
 	span := classifyTimer.Start()
 	defer span.Stop()
-	if len(feat) != len(m.mean) {
+	if len(feat) != len(m.norm.Mean) {
 		return escalated(Decision{Reason: "unusable window"})
 	}
 	snr := feat[m.cfg.Features.SNRIndex()]
 	if snr < m.snrFloorDB {
 		return escalated(Decision{Reason: "snr below floor"})
 	}
-	z := m.normalize(feat)
+	z := m.norm.Apply(feat)
 
 	dist, votes := m.neighbours(z)
 	d := Decision{Distance: dist, AnomVotes: votes}
@@ -631,23 +606,6 @@ func (m *Model) Classify(feat []float64) Decision {
 func escalated(d Decision) Decision {
 	recordEscalated()
 	return d
-}
-
-// MaxBenignDistance returns the largest mean k-nearest distance over
-// the given raw vectors — the radius below which at least one of them
-// stops screening benign. Calibration uses it to tighten the radius
-// until a must-escalate flight escalates.
-func (m *Model) MaxBenignDistance(feats [][]float64) float64 {
-	maxD := 0.0
-	for _, f := range feats {
-		if len(f) != len(m.mean) {
-			continue
-		}
-		if d := m.meanBenignDistance(m.normalize(f)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
 }
 
 // Tighten lowers the benign radius to below (no-op when the current

@@ -48,7 +48,7 @@ parent=$(git rev-parse --verify "$1^{commit}")
 # throughput IQR then reached 0.27 of its median, past its 0.25 bound,
 # so a halved offline-f32 came out `unresolved` and self-test 2 failed.
 PAIRS=10
-WORKLOADS="offline-f64 offline-f32 serve-live"
+WORKLOADS="offline-f64 offline-f32 serve-live fleet-live"
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_gate.XXXXXX")
 cleanup() {
