@@ -240,9 +240,9 @@ type FramesRequest struct {
 	// wire holds the body bytes DecodeStrict parsed this request from,
 	// nil for a request built in code or released (see EncodeChunk).
 	wire []byte
-	// body is the pooled buffer DecodeRequest read wire into, nil
-	// otherwise (see Release).
-	body *[]byte
+	// body is the pooled buffer DecodeRequest read wire into, the zero
+	// Body otherwise (see Release).
+	body Body
 }
 
 // FramesResponse is the POST /v1/sessions/{id}/frames response.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"slices"
 	"strconv"
 	"sync"
 )
@@ -62,11 +61,11 @@ func DecodeStrict(r io.Reader, v any) error {
 // buffer grows only as bytes actually arrive, so a client claiming a
 // huge body it never sends costs no more than the bytes it sent.
 //
-// A *FramesRequest or *CheckedAppend body is read into a buffer from a
-// pool. When the fast path keeps the body's bytes, the target holds the
-// buffer until its Release method returns it; otherwise the buffer goes
-// back before DecodeRequest returns. A target that is never released
-// leaves its buffer to the garbage collector.
+// A *FramesRequest, *CheckedChunk or *CheckedAppend body is read into a
+// buffer from the chunk pool. When the fast path keeps the body's bytes,
+// the target holds the buffer until its Release method returns it;
+// otherwise the buffer goes back before DecodeRequest returns. A target
+// that is never released leaves its buffer to the garbage collector.
 func DecodeRequest(r *http.Request, v any) error {
 	return decodeStrict(r.Body, r.ContentLength, v, true)
 }
@@ -81,7 +80,7 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 	var (
 		fast  func(p *parser) bool
 		slow  func(src io.Reader) error
-		owner **[]byte
+		owner *Body
 	)
 	switch v := v.(type) {
 	case *FramesRequest:
@@ -97,6 +96,7 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 		if v != nil {
 			*v = CheckedChunk{}
 			fast = func(p *parser) bool { return p.checkFrames(v) }
+			owner = &v.body
 			slow = func(src io.Reader) (err error) {
 				var req FramesRequest
 				if err := decodeJSON(src, &req); err != nil {
@@ -110,7 +110,7 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 		if v != nil {
 			*v = CheckedAppend{}
 			fast = func(p *parser) bool { return p.checkAppend(v) }
-			owner = &v.body
+			owner = &v.Chunk.body
 			slow = func(src io.Reader) error {
 				var a JournalAppend
 				if err := decodeJSON(src, &a); err != nil {
@@ -125,16 +125,12 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 	if fast == nil {
 		return decodeJSON(r, v)
 	}
-	var buf *[]byte
-	var body []byte
+	var buf Body
 	if pooled && owner != nil {
-		buf = getBody()
-		body = *buf
+		buf = chunkClass.get()
 	}
-	body, err := readBody(r, size, body)
-	if buf != nil {
-		*buf = body
-	}
+	body, err := readBody(r, size, buf.Bytes(), chunkClass.presize)
+	buf.set(body)
 	var src io.Reader
 	if err != nil {
 		// encoding/json meets the same bytes followed by the same error,
@@ -149,7 +145,7 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 		p.b = nil
 		parsers.Put(p)
 		if ok {
-			if buf != nil {
+			if owner != nil {
 				*owner = buf
 			}
 			return nil
@@ -161,9 +157,7 @@ func decodeStrict(r io.Reader, size int64, v any, pooled bool) error {
 	}
 	// encoding/json copies what it keeps, so the body is free once it
 	// returns.
-	if buf != nil {
-		defer putBody(buf)
-	}
+	defer buf.Release()
 	if slow != nil {
 		return slow(src)
 	}
@@ -188,61 +182,6 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// maxPresize caps the allocation made from a declared body length
-// before any byte has arrived. It covers a 0.5 s four-microphone chunk
-// at 16 kHz (about 0.7 MB) with room to spare; larger bodies grow from
-// there by doubling.
-const maxPresize = 1 << 20
-
-// maxPooledBody caps the buffers the body pool keeps, so one oversized
-// body cannot pin its memory.
-const maxPooledBody = 2 << 20
-
-// bodies pools the buffers DecodeRequest reads chunk bodies into.
-var bodies sync.Pool
-
-func getBody() *[]byte {
-	if buf, ok := bodies.Get().(*[]byte); ok {
-		return buf
-	}
-	return new([]byte)
-}
-
-func putBody(buf *[]byte) {
-	if cap(*buf) <= maxPooledBody {
-		bodies.Put(buf)
-	}
-}
-
-// readBody reads r to EOF into buf, reusing its capacity when it is at
-// least the size hint (the declared length, or negative when unknown).
-// It returns what it read along with any error other than io.EOF.
-func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
-	n := int64(512)
-	if size >= 0 {
-		n = size
-	}
-	if n > maxPresize {
-		n = maxPresize
-	}
-	// One spare byte lets the final, empty read that reports EOF run
-	// without growing an exactly sized buffer.
-	buf = slices.Grow(buf[:0], int(n)+1)
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, cap(buf))
-		}
-		m, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
 // EncodeChunk returns the JSON body of req. A request DecodeStrict
 // decoded on its fast path returns the body bytes it was decoded from,
 // unchanged and shared — the caller must not modify them — so a chunk
@@ -263,10 +202,7 @@ func EncodeChunk(req FramesRequest) ([]byte, error) {
 // holds: any slice EncodeChunk returned before is then invalid.
 func (req *FramesRequest) Release() {
 	req.wire = nil
-	if req.body != nil {
-		putBody(req.body)
-		req.body = nil
-	}
+	req.body.Release()
 }
 
 // CheckedChunk is a FramesRequest body that DecodeStrict has checked
@@ -283,12 +219,26 @@ type CheckedChunk struct {
 	// checked in when the fast path took it, EncodeChunk's bytes of the
 	// decoded request otherwise.
 	wire []byte
+	// body is the pooled buffer DecodeRequest read wire into, as a
+	// chunk or inside an append; the zero Body otherwise.
+	body Body
 }
 
 // Bytes returns the chunk's JSON body — the bytes EncodeChunk returns
 // for the same body decoded into a FramesRequest. They are shared: the
 // caller must not modify them.
 func (c CheckedChunk) Bytes() []byte { return c.wire }
+
+// Release is FramesRequest.Release for a checked chunk: its Bytes
+// become nil, so forwarding or journalling a released chunk fails
+// instead of sending bytes the pool has handed to another body. Call it
+// once the bytes have gone where they go — for a chunk forwarded with
+// httpretry.Client.Do, once the last Do that sends them has returned —
+// and on one copy only: copies of a CheckedChunk share its buffer.
+func (c *CheckedChunk) Release() {
+	c.wire = nil
+	c.body.Release()
+}
 
 // CheckChunk returns the checked form of req, carrying EncodeChunk's
 // bytes.
@@ -304,38 +254,32 @@ type CheckedAppend struct {
 	SchemaVersion string
 	Seq           int
 	Request       SessionRequest
-	Chunk         CheckedChunk
-
-	// body is the pooled buffer DecodeRequest read the append into, nil
-	// otherwise; the chunk's bytes are a sub-slice of it.
-	body *[]byte
+	// Chunk holds the pooled buffer DecodeRequest read the whole append
+	// into; its bytes are a sub-slice of it.
+	Chunk CheckedChunk
 }
 
-// Release is FramesRequest.Release for a checked append: the chunk's
-// Bytes become nil, so journalling a released append fails instead of
-// writing bytes the pool has handed to another body.
-func (a *CheckedAppend) Release() {
-	a.Chunk.wire = nil
-	if a.body != nil {
-		putBody(a.body)
-		a.body = nil
-	}
-}
+// Release is CheckedChunk.Release of the append's chunk.
+func (a *CheckedAppend) Release() { a.Chunk.Release() }
 
-// EncodeJournalAppend returns the JSON body of a: json.Marshal of the
+// EncodeJournalAppend sets b to the JSON body of a: json.Marshal of the
 // equivalent JournalAppend, except that the chunk is spliced in as its
-// Bytes, so a chunk checked in a client's body goes on as received.
-func EncodeJournalAppend(a CheckedAppend) ([]byte, error) {
-	chunk := a.Chunk.Bytes()
+// Bytes, so a chunk checked in a client's body goes on as received. It
+// reuses b's buffer, taking one from the chunk pool when b holds none,
+// so a loop encoding one append after another fills one buffer.
+func (b *Body) EncodeJournalAppend(a CheckedAppend) error {
 	version, err := json.Marshal(a.SchemaVersion)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req, err := json.Marshal(a.Request)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, 0, len(version)+len(req)+len(chunk)+64)
+	if b.buf == nil {
+		*b = chunkClass.get()
+	}
+	out := (*b.buf)[:0]
 	out = append(out, `{"schema_version":`...)
 	out = append(out, version...)
 	out = append(out, `,"seq":`...)
@@ -343,8 +287,9 @@ func EncodeJournalAppend(a CheckedAppend) ([]byte, error) {
 	out = append(out, `,"request":`...)
 	out = append(out, req...)
 	out = append(out, `,"chunk":`...)
-	out = append(out, chunk...)
-	return append(out, '}'), nil
+	out = append(out, a.Chunk.Bytes()...)
+	b.set(append(out, '}'))
+	return nil
 }
 
 // parser is the fast path of DecodeStrict: a single-pass reader of one

@@ -215,7 +215,8 @@ var fallbackBodies = []string{
 
 // TestDecodeJournalAppendSplice pins the replication body: a spliced
 // client chunk decodes to the same append as the re-encoded one, and
-// for a chunk built in code EncodeJournalAppend is json.Marshal exactly.
+// for a chunk built in code Body.EncodeJournalAppend is json.Marshal
+// exactly.
 func TestDecodeJournalAppendSplice(t *testing.T) {
 	reqs, err := ChunkFlight(varyingFlight(), 0.05, 0.25)
 	if err != nil {
@@ -231,11 +232,12 @@ func TestDecodeJournalAppendSplice(t *testing.T) {
 	if checked.Chunk, err = CheckChunk(a.Chunk); err != nil {
 		t.Fatal(err)
 	}
-	encoded, err := EncodeJournalAppend(checked)
-	if err != nil {
+	var body Body
+	defer body.Release()
+	if err := body.EncodeJournalAppend(checked); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encoded, marshalled) {
+	if encoded := body.Bytes(); !bytes.Equal(encoded, marshalled) {
 		t.Fatalf("EncodeJournalAppend differs from json.Marshal:\n%s\n%s", encoded, marshalled)
 	}
 
@@ -247,10 +249,11 @@ func TestDecodeJournalAppendSplice(t *testing.T) {
 	if err := DecodeStrict(bytes.NewReader(pretty.Bytes()), &checked.Chunk); err != nil {
 		t.Fatal(err)
 	}
-	spliced, err := EncodeJournalAppend(checked)
-	if err != nil {
+	// The second append is encoded into the first one's buffer.
+	if err := body.EncodeJournalAppend(checked); err != nil {
 		t.Fatal(err)
 	}
+	spliced := body.Bytes()
 	if !bytes.Contains(spliced, pretty.Bytes()) {
 		t.Fatal("the client's chunk bytes were not spliced in")
 	}

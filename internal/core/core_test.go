@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -513,6 +514,17 @@ func TestGPSDetectorNeedsCalibration(t *testing.T) {
 	fx := getFixture(t)
 	if _, err := NewGPSDetector(fx.model, nil, DefaultGPSDetectorConfig(kalman.ModeAudioIMU)); err == nil {
 		t.Error("no calibration flights accepted")
+	}
+	// A benign flight with no usable GPS window gives calibration
+	// nothing to measure, even though Analyze reports one clean.
+	noGPS := *fx.calib[0]
+	noGPS.Telemetry = slices.Clone(noGPS.Telemetry)
+	for i := range noGPS.Telemetry {
+		noGPS.Telemetry[i].GPSVel.X = math.NaN()
+	}
+	calib := append([]*dataset.Flight{&noGPS}, fx.calib[1:]...)
+	if _, err := NewGPSDetectors(fx.model, calib, DefaultGPSDetectorConfig(kalman.ModeAudioIMU)); err == nil {
+		t.Error("a calibration flight without a usable GPS window accepted")
 	}
 }
 

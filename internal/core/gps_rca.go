@@ -210,12 +210,17 @@ func (d *GPSDetector) Trace(f *dataset.Flight) (*GPSTrace, error) {
 }
 
 // verdict drives one GPS monitor over a flight's windows. A non-nil
-// trace records every KF step.
+// trace records every KF step. A flight with no window holding a GPS
+// fix fails: there is nothing to calibrate on or to trace. Analyze
+// instead reports such a flight clean, as the stream engine does.
 func (d *GPSDetector) verdict(fo *flightObs, trace *GPSTrace) (GPSVerdict, error) {
 	m := d.newMonitor()
 	m.trace = trace
 	if err := m.observe(fo); err != nil {
 		return GPSVerdict{}, err
+	}
+	if !m.seen {
+		return GPSVerdict{}, fmt.Errorf("soundboost: no usable windows for GPS RCA")
 	}
 	return m.Verdict()
 }
@@ -233,9 +238,6 @@ func (g *gpsMonitor) observe(fo *flightObs) error {
 	}
 	for _, w := range fo.windows {
 		g.addWindow(w)
-	}
-	if !g.seen {
-		return fmt.Errorf("soundboost: no usable windows for GPS RCA")
 	}
 	return nil
 }

@@ -62,10 +62,16 @@ func (r Report) String() string {
 	} else {
 		fmt.Fprintf(&b, "  IMU: intact (%d/%d windows rejected)\n", r.IMU.WindowsRejected, r.IMU.WindowsTested)
 	}
-	if r.GPS.Attacked {
+	switch {
+	case r.GPS.Attacked && r.GPS.PeakError > r.GPS.Threshold:
 		fmt.Fprintf(&b, "  GPS: SPOOFED (detected at t=%.1fs via %s KF, peak error %.2f > threshold %.2f)\n",
 			r.GPS.DetectionTime, r.GPSMode, r.GPS.PeakError, r.GPS.Threshold)
-	} else {
+	case r.GPS.Attacked:
+		// The running mean and its peak skip a non-finite error, so an
+		// alarm whose peak stayed under the threshold was raised by one.
+		fmt.Fprintf(&b, "  GPS: SPOOFED (velocity error not finite at t=%.1fs via %s KF, threshold %.2f)\n",
+			r.GPS.DetectionTime, r.GPSMode, r.GPS.Threshold)
+	default:
 		fmt.Fprintf(&b, "  GPS: clean (peak error %.2f <= threshold %.2f via %s KF)\n",
 			r.GPS.PeakError, r.GPS.Threshold, r.GPSMode)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -778,14 +777,17 @@ func (g *Gateway) handleFlights(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusServiceUnavailable, api.CodeShuttingDown, "gateway: shutting down")
 		return
 	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	// The upload's pooled buffer goes back once the last PostFlight
+	// sending it has returned.
+	sbf, err := api.ReadUpload(r)
+	if err != nil {
 		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
+	defer sbf.Release()
 	var lastErr error
 	for _, name := range g.healthyOrder() {
-		out, err := g.client.PostFlight(g.base(name), buf.Bytes())
+		out, err := g.client.PostFlight(g.base(name), sbf.Bytes())
 		if err == nil {
 			routedTo(name).Inc()
 			g.writeJSON(w, http.StatusOK, out)
@@ -872,12 +874,15 @@ func (g *Gateway) handleFrames(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The gateway reads no sample: it checks the chunk, and the owner
-	// (which decodes it) and the followers get the client's bytes.
+	// (which decodes it) and the followers get the client's bytes. Its
+	// pooled buffer goes back once the forward, a failover re-forward
+	// included, and the replication have returned.
 	var chunk api.CheckedChunk
 	if err := api.DecodeRequest(r, &chunk); err != nil {
 		g.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
+	defer chunk.Release()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if !g.ensureLiveLocked(rt, w) {

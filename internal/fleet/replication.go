@@ -48,11 +48,11 @@ func (g *Gateway) pickFollowers(rt *route, owner, exclude string) []string {
 	return out
 }
 
-// appendBody is the JournalAppend body replicating chunk as the
+// appendBody sets body to the JournalAppend replicating chunk as the
 // session's seq-th append. A chunk the gateway checked in its client's
 // body is spliced in as the client sent it, never re-encoded.
-func appendBody(rt *route, seq int, chunk api.CheckedChunk) ([]byte, error) {
-	return api.EncodeJournalAppend(api.CheckedAppend{
+func appendBody(body *api.Body, rt *route, seq int, chunk api.CheckedChunk) error {
+	return body.EncodeJournalAppend(api.CheckedAppend{
 		SchemaVersion: api.Version,
 		Seq:           seq,
 		Request:       rt.req,
@@ -69,7 +69,9 @@ func (g *Gateway) appendFollower(rt *route, follower string, body []byte) error 
 // replicateLocked streams one newly owner-acknowledged chunk to the
 // session's followers. Caller holds rt.mu; duplicate is the owner's
 // verdict on the chunk (an absorbed resend carries nothing new — unless
-// a reseed is pending, in which case the full export covers it).
+// a reseed is pending, in which case the full export covers it). All
+// followers get one append body, in a pooled buffer released once the
+// last Do sending it has returned.
 func (g *Gateway) replicateLocked(rt *route, chunk api.CheckedChunk, duplicate bool) {
 	if g.cfg.Replication <= 1 {
 		return
@@ -91,8 +93,9 @@ func (g *Gateway) replicateLocked(rt *route, chunk api.CheckedChunk, duplicate b
 		return
 	}
 	rt.repSeq++
-	body, err := appendBody(rt, rt.repSeq, chunk)
-	if err != nil {
+	var body api.Body
+	defer body.Release()
+	if err := appendBody(&body, rt, rt.repSeq, chunk); err != nil {
 		replicationErrors.Inc()
 		g.logf("session %s: encode seq %d: %v", rt.gwID, rt.repSeq, err)
 		g.updateLagLocked(rt)
@@ -102,7 +105,7 @@ func (g *Gateway) replicateLocked(rt *route, chunk api.CheckedChunk, duplicate b
 		if f == rt.replica || !g.health.Up(f) {
 			continue // lag accrues; a later reseed or append catches up
 		}
-		if err := g.appendFollower(rt, f, body); err != nil {
+		if err := g.appendFollower(rt, f, body.Bytes()); err != nil {
 			replicationErrors.Inc()
 			var se *httpretry.StatusError
 			if errors.As(err, &se) && se.Code == api.CodeConflict {
@@ -123,7 +126,8 @@ func (g *Gateway) replicateLocked(rt *route, chunk api.CheckedChunk, duplicate b
 // seedFollowersLocked replays a full journal export into every
 // follower, bringing each copy to the owner's high-water mark.
 // Duplicates absorb on the follower side, so seeding over a partial
-// copy is safe. Caller holds rt.mu.
+// copy is safe. Every append is encoded into one pooled buffer. Caller
+// holds rt.mu.
 func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 	if g.cfg.Replication <= 1 {
 		return
@@ -136,6 +140,8 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 	}
 	rt.repSeq = len(exp.Chunks)
 	rt.needReseed = false
+	var body api.Body
+	defer body.Release()
 	for _, f := range rt.followers {
 		if f == rt.replica || !g.health.Up(f) {
 			continue
@@ -143,12 +149,11 @@ func (g *Gateway) seedFollowersLocked(rt *route, exp api.SessionJournal) {
 		seeded := true
 		for i, c := range exp.Chunks {
 			chunk, err := api.CheckChunk(c)
-			var body []byte
 			if err == nil {
-				body, err = appendBody(rt, i+1, chunk)
+				err = appendBody(&body, rt, i+1, chunk)
 			}
 			if err == nil {
-				err = g.appendFollower(rt, f, body)
+				err = g.appendFollower(rt, f, body.Bytes())
 			}
 			if err != nil {
 				replicationErrors.Inc()

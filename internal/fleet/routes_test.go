@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,8 +18,9 @@ import (
 
 // stubReplica serves the /v1 session surface with canned answers and
 // no engine: every session opens, takes its chunks, finishes on the
-// spot and reports cause "none".
-func stubReplica(t *testing.T) *httptest.Server {
+// spot and reports cause "none". It reads each chunk and follower
+// append whole, as a replica does, and discards it.
+func stubReplica(t testing.TB) *httptest.Server {
 	t.Helper()
 	var ids atomic.Int64
 	reply := func(w http.ResponseWriter, status int, v any) {
@@ -36,7 +38,12 @@ func stubReplica(t *testing.T) *httptest.Server {
 		})
 	})
 	mux.HandleFunc("POST /v1/sessions/{id}/frames", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
 		reply(w, http.StatusOK, api.FramesResponse{SchemaVersion: api.Version, State: api.SessionDone})
+	})
+	mux.HandleFunc("POST /v1/sessions/{id}/journal/append", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		reply(w, http.StatusOK, api.JournalAppendResponse{SchemaVersion: api.Version})
 	})
 	mux.HandleFunc("GET /v1/sessions/{id}/status", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusOK, api.SessionStatus{SchemaVersion: api.Version, ID: r.PathValue("id"), State: api.SessionDone})

@@ -5,7 +5,10 @@
 // seeded jitter on transport errors and on retryable statuses (429 and
 // the gateway-ish 502/503/504), a server-supplied Retry-After overrides
 // the computed backoff, and bodies are held as []byte so every resend
-// is byte-identical. A plain 500 is never retried — the server uses it for
+// is byte-identical. Do returns only once the transport has closed every
+// request body it was handed, so the caller owns its bytes again — the
+// fleet gateway forwards bodies from pooled buffers and recycles them
+// straight after. A plain 500 is never retried — the server uses it for
 // permanent outcomes (session_failed), where a retry can only waste the
 // budget.
 //
@@ -95,6 +98,14 @@ func retryableStatus(status int) bool {
 
 // Do round-trips one JSON request with retries. body may be nil; out may
 // be nil to discard the response.
+//
+// Do returns only after the transport has closed every request body it
+// was handed, on every attempt: success, error and retry alike. A
+// RoundTripper may read and close the body after it has returned the
+// response, so without this wait the caller could not tell when the
+// transport is done with body's bytes. Once Do returns, the caller may
+// reuse body at once. The request declares len(body) as its
+// Content-Length, so the body is never sent chunked.
 func (c *Client) Do(method, url string, body []byte, out any) error {
 	for attempt := 0; ; attempt++ {
 		retryAfter, permanent, err := c.attempt(method, url, body, out)
@@ -126,16 +137,29 @@ func (c *Client) Do(method, url string, body []byte, out any) error {
 // more to honor the server's ask — an explicit `Retry-After: 0` means
 // "retry immediately", which is distinct from no header at all.
 func (c *Client) attempt(method, url string, body []byte, out any) (retryAfter time.Duration, permanent bool, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		return -1, true, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if len(body) > 0 {
+		// Every reader handed to the transport — the body and any
+		// GetBody gives for a replay on a stale connection — counts in
+		// sent until the transport closes it, and the attempt waits for
+		// all of them, after the response body is closed.
+		var sent sync.WaitGroup
+		open := func() (io.ReadCloser, error) {
+			sent.Add(1)
+			b := &sentBody{done: sent.Done}
+			b.Reset(body)
+			return b, nil
+		}
+		req.Body, _ = open()
+		req.GetBody = open
+		req.ContentLength = int64(len(body))
+		defer sent.Wait()
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -173,6 +197,19 @@ func (c *Client) attempt(method, url string, body []byte, out any) (retryAfter t
 		}
 	}
 	return -1, false, err
+}
+
+// sentBody is one request body in the transport's hands: it reads the
+// caller's bytes and calls done on its first Close.
+type sentBody struct {
+	bytes.Reader
+	done func()
+	once sync.Once
+}
+
+func (b *sentBody) Close() error {
+	b.once.Do(b.done)
+	return nil
 }
 
 // parseRetryAfter decodes both RFC 9110 forms of Retry-After: a

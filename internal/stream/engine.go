@@ -381,6 +381,7 @@ func (e *Engine) onIMU(s IMUSample) {
 	telemetryIMU.Inc()
 	if !soundboost.AdmitIMU(s.Time, s.Accel, s.Att) {
 		telemetryNaN.Inc()
+		e.imu.pass(s.Time)
 		return
 	}
 	if e.imu.add(s, e.decided()) {
@@ -395,6 +396,7 @@ func (e *Engine) onGPS(s GPSSample) {
 	telemetryGPS.Inc()
 	if !soundboost.AdmitGPS(s.Time, s.Pos, s.Vel) {
 		telemetryNaN.Inc()
+		e.gps.pass(s.Time)
 		return
 	}
 	if err := e.run.SeedGPS(s.Vel); err != nil && e.err == nil {
@@ -439,6 +441,16 @@ func (r *rows[T]) add(s T, decided float64) (full bool) {
 		r.buf = slices.Insert(r.buf, i, s)
 	}
 	return len(r.buf) > maxTelemetryBuffer
+}
+
+// pass moves the high-water mark to a row that was not admitted: the
+// stream has still reached its time, so a window ending before it need
+// not wait for the next admitted row — which, for a GPS that never
+// gets a finite fix, never comes. A non-finite time says nothing.
+func (r *rows[T]) pass(t float64) {
+	if t > r.wm && !math.IsInf(t, 1) {
+		r.wm = t
+	}
 }
 
 // evict drops the oldest row while the buffer is still over its cap.

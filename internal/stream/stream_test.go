@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -525,8 +526,10 @@ func withRow(f *dataset.Flight, name string, at float64, edit func(s *dataset.Te
 // periods under MinResiduals (the attack spread must pool the right
 // windows), and one non-finite row, which both paths drop (the GPS
 // stage seeds from the first finite fix). A GPS velocity so large that
-// the velocity error overflows must raise the alarm on both. The batch
-// report must equal the clean-replay stream report.
+// the velocity error overflows must raise the alarm on both, and the
+// text report must say so. A benign hover with no finite GPS velocity
+// at all must read clean on both, at the calibrated threshold. The
+// batch report must equal the clean-replay stream report.
 func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 	fx := getFixture(t)
 	hole := withTelemetry(gpsAttackFlight(t, 4200), "gps-drift-hole", func(s dataset.TelemetrySample) bool {
@@ -550,6 +553,10 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 	overflow := withRows(gpsAttackFlight(t, 4200), "gps-drift-overflow", 6, 18, func(s *dataset.TelemetrySample) {
 		s.GPSVel.X = 1e200
 	})
+	nan := math.NaN()
+	noGPS := withRows(fx.calib[0], "hover-nan-gps-all", math.Inf(-1), math.Inf(1), func(s *dataset.TelemetrySample) {
+		s.GPSVel.X = nan
+	})
 	type testCase struct {
 		f     *dataset.Flight
 		check func(t *testing.T, r soundboost.Report) // nil: equality only
@@ -572,9 +579,18 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 			if _, err := json.Marshal(r); err != nil {
 				t.Errorf("report does not encode: %v", err)
 			}
+			want := fmt.Sprintf("velocity error not finite at t=%.1fs", r.GPS.DetectionTime)
+			if text := r.String(); r.GPS.PeakError > r.GPS.Threshold || !strings.Contains(text, want) || strings.Contains(text, "peak error") {
+				t.Errorf("text report does not say a non-finite error raised the alarm (want %q):\n%s", want, text)
+			}
+		}},
+		{noGPS, func(t *testing.T, r soundboost.Report) {
+			if r.Cause != soundboost.CauseNone || r.GPS.Attacked || r.GPS.Threshold != fx.analyzer.GPSAudioIMU.Threshold() {
+				t.Errorf("benign hover without GPS velocity: cause %q, GPS %+v, want none and clean at threshold %v",
+					r.Cause, r.GPS, fx.analyzer.GPSAudioIMU.Threshold())
+			}
 		}},
 	}
-	nan := math.NaN()
 	for _, base := range []*dataset.Flight{fx.calib[0], imuAttackFlight(t, 4100), gpsAttackFlight(t, 4200)} {
 		for _, c := range []struct {
 			name string
@@ -597,7 +613,7 @@ func TestBatchStreamEquivalenceDegraded(t *testing.T) {
 			}
 			got, _ := runStream(t, fx.analyzer, tc.f, ReplayConfig{Speed: 0})
 			if got != batch {
-				t.Errorf("stream report\n  %+v\nbatch report\n  %+v", got, batch)
+				t.Errorf("stream report\n  %#v\nbatch report\n  %#v", got, batch)
 			}
 			if tc.check != nil {
 				tc.check(t, batch)
