@@ -26,6 +26,13 @@ type flightHeader struct {
 
 const audioMagic = "SBAU"
 
+// Save writes the payload audioBlock frames at a time; a frame is one
+// float32 sample per microphone.
+const (
+	audioBlock = 1024
+	frameBytes = 4 * acoustics.NumMics
+)
+
 // Save writes the flight to w: a JSON header line followed by the raw
 // little-endian float32 audio payload (channel-interleaved). float32 halves
 // the footprint with no measurable effect on band energies.
@@ -53,13 +60,17 @@ func (f *Flight) Save(w io.Writer) error {
 		return err
 	}
 	if f.Audio != nil {
-		buf := make([]byte, 4)
-		for i := 0; i < samples; i++ {
-			for m := range f.Audio.Channels {
-				binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(f.Audio.Channels[m][i])))
-				if _, err := bw.Write(buf); err != nil {
-					return fmt.Errorf("dataset: write audio: %w", err)
+		ch := &f.Audio.Channels
+		buf := make([]byte, audioBlock*frameBytes)
+		for start := 0; start < samples; start += audioBlock {
+			n := min(audioBlock, samples-start)
+			for i := 0; i < n; i++ {
+				for m := range ch {
+					binary.LittleEndian.PutUint32(buf[(i*len(ch)+m)*4:], math.Float32bits(float32(ch[m][start+i])))
 				}
+			}
+			if _, err := bw.Write(buf[:n*frameBytes]); err != nil {
+				return fmt.Errorf("dataset: write audio: %w", err)
 			}
 		}
 	}
@@ -95,14 +106,27 @@ func Load(r io.Reader) (*Flight, error) {
 		for m := range rec.Channels {
 			rec.Channels[m] = make([]float64, hdr.AudioSamples)
 		}
-		buf := make([]byte, 4)
-		for i := 0; i < hdr.AudioSamples; i++ {
-			for m := range rec.Channels {
-				if _, err := io.ReadFull(br, buf); err != nil {
-					return nil, fmt.Errorf("dataset: read audio sample %d: %w", i, err)
+		// The payload converts straight out of the reader's buffer, as
+		// many whole frames at a time as it holds.
+		ch := &rec.Channels
+		for start := 0; start < hdr.AudioSamples; {
+			n := min(br.Size()/frameBytes, hdr.AudioSamples-start)
+			buf, err := br.Peek(n * frameBytes)
+			if err != nil {
+				// Name the first sample cut short, with the error reading
+				// its values one at a time would give.
+				if err == io.EOF && len(buf)%4 != 0 {
+					err = io.ErrUnexpectedEOF
 				}
-				rec.Channels[m][i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf)))
+				return nil, fmt.Errorf("dataset: read audio sample %d: %w", start+len(buf)/frameBytes, err)
 			}
+			for i := 0; i < n; i++ {
+				for m := range ch {
+					ch[m][start+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[(i*len(ch)+m)*4:])))
+				}
+			}
+			br.Discard(len(buf))
+			start += n
 		}
 		f.Audio = rec
 	}

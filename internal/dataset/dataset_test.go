@@ -2,12 +2,17 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"soundboost/internal/acoustics"
 	"soundboost/internal/attack"
 	"soundboost/internal/mathx"
 	"soundboost/internal/sim"
@@ -249,5 +254,104 @@ func TestTelemetryBetween(t *testing.T) {
 	empty := &Flight{}
 	if empty.Duration() != 0 || empty.IMUSampleRate() != 0 {
 		t.Error("empty flight stats wrong")
+	}
+}
+
+// payloadFlight is a flight whose audio spans several payload blocks
+// and ends inside one, with a distinct value in every sample.
+func payloadFlight() *Flight {
+	rec := &acoustics.Recording{SampleRate: 16000}
+	for m := range rec.Channels {
+		rec.Channels[m] = make([]float64, 2*audioBlock+123)
+		for i := range rec.Channels[m] {
+			rec.Channels[m][i] = float64(i*len(rec.Channels)+m) / 7
+		}
+	}
+	return &Flight{Name: "payload", Mission: "hover", Audio: rec}
+}
+
+// TestSavePayloadBytes pins the .sbf layout: after the header line and
+// the magic, one little-endian float32 per microphone per sample, in
+// sample order.
+func TestSavePayloadBytes(t *testing.T) {
+	f := payloadFlight()
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	header, payload, ok := bytes.Cut(buf.Bytes(), []byte("\n"+audioMagic))
+	if !ok {
+		t.Fatal("no audio magic after the header line")
+	}
+	var want []byte
+	for i := 0; i < f.Audio.Samples(); i++ {
+		for m := range f.Audio.Channels {
+			want = binary.LittleEndian.AppendUint32(want, math.Float32bits(float32(f.Audio.Channels[m][i])))
+		}
+	}
+	if !bytes.Equal(payload, want) {
+		t.Fatalf("payload of %d bytes differs from the %d expected", len(payload), len(want))
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("load after %d header bytes: %v", len(header), err)
+	}
+	for m := range f.Audio.Channels {
+		for i, v := range loaded.Audio.Channels[m] {
+			if v != float64(float32(f.Audio.Channels[m][i])) {
+				t.Fatalf("mic %d sample %d: %v, want %v", m, i, v, float32(f.Audio.Channels[m][i]))
+			}
+		}
+	}
+}
+
+// TestLoadTruncatedPayload cuts a saved flight inside its payload: the
+// error names the first sample cut short, with io.EOF when the cut
+// falls between two values and io.ErrUnexpectedEOF inside one.
+func TestLoadTruncatedPayload(t *testing.T) {
+	var buf bytes.Buffer
+	if err := payloadFlight().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	payload := bytes.Index(full, []byte(audioMagic)) + len(audioMagic)
+	for _, tc := range []struct {
+		keep   int // payload bytes kept
+		sample int
+		err    error
+	}{
+		{0, 0, io.EOF},
+		{3, 0, io.ErrUnexpectedEOF},
+		{4, 0, io.EOF},
+		{frameBytes, 1, io.EOF},
+		{audioBlock * frameBytes, audioBlock, io.EOF},
+		{audioBlock*frameBytes + 6, audioBlock, io.ErrUnexpectedEOF},
+		{(2*audioBlock+122)*frameBytes + 13, 2*audioBlock + 122, io.ErrUnexpectedEOF},
+	} {
+		_, err := Load(bytes.NewReader(full[:payload+tc.keep]))
+		want := fmt.Sprintf("dataset: read audio sample %d: %v", tc.sample, tc.err)
+		if err == nil || err.Error() != want || !errors.Is(err, tc.err) {
+			t.Errorf("cut after %d payload bytes: err %v, want %s", tc.keep, err, want)
+		}
+	}
+}
+
+// BenchmarkLoad loads a 15 s, 16 kHz, four-microphone hover flight, as
+// flightgen writes it, from memory.
+func BenchmarkLoad(b *testing.B) {
+	f, err := Generate(DefaultGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 15}, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -383,5 +384,43 @@ func TestRunKFAblation(t *testing.T) {
 	}
 	if r.String() == "" {
 		t.Error("empty rendering")
+	}
+}
+
+// TestLabSeedsDisjoint pins that no generator seed is shared between a
+// lab's training, validation, calibration and GPS-calibration flights,
+// the Tab. II periods and the §IV-B flights, at every scale. The
+// offsets keep them apart only for these flight counts: a 39th training
+// flight would reuse the 7th validation flight's seed.
+func TestLabSeedsDisjoint(t *testing.T) {
+	for _, s := range []Scale{QuickScale(), BenchScale(), PaperScale()} {
+		owner := map[int64]string{}
+		add := func(seed int64, name string, i int) {
+			who := fmt.Sprintf("%s %d", name, i)
+			if prev, ok := owner[seed]; ok {
+				t.Errorf("%s scale: seed %d used by %s and %s", s.Name, seed, prev, who)
+			}
+			owner[seed] = who
+		}
+		for _, c := range []struct {
+			name string
+			n    int
+			seed func(int) int64
+		}{
+			{"train", s.TrainFlights, s.trainSeed},
+			{"val", s.ValFlights, s.valSeed},
+			{"calib", s.CalibFlights, s.calibSeed},
+			{"gps-calib", s.gpsCalibFlights(), s.gpsCalibSeed},
+		} {
+			for i := 0; i < c.n; i++ {
+				add(c.seed(i), c.name, i)
+			}
+		}
+		for i, p := range s.GPSPeriods() {
+			add(p.Seed, "gps-period", i)
+		}
+		for i, f := range s.IMUFlights() {
+			add(f.Seed, "imu-flight", i)
+		}
 	}
 }

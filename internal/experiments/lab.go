@@ -113,7 +113,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	trainParts, err := parallel.MapErr(0, scale.TrainFlights, func(i int) (flightPairs, error) {
 		missions := trainingMissions(scale, i)
 		mission := missions[i%len(missions)]
-		cfg := scale.genConfig(mission, scale.Seed+100+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(mission, scale.trainSeed(i), windCycle(i))
 		cfg.Name = fmt.Sprintf("train-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {
@@ -139,7 +139,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	lab.Val, err = parallel.MapErr(0, scale.ValFlights, func(i int) (*dataset.Flight, error) {
 		missions := trainingMissions(scale, i+1)
 		mission := missions[(i*2+1)%len(missions)]
-		cfg := scale.genConfig(mission, scale.Seed+300+int64(i)*11, windCycle(i+1))
+		cfg := scale.genConfig(mission, scale.valSeed(i), windCycle(i+1))
 		cfg.Name = fmt.Sprintf("val-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {
@@ -186,7 +186,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	lab.Calib, err = parallel.MapErr(0, scale.CalibFlights, func(i int) (*dataset.Flight, error) {
 		missions := trainingMissions(scale, i+2)
 		mission := missions[i%len(missions)]
-		cfg := scale.genConfig(mission, scale.Seed+500+int64(i)*13, windCycle(i))
+		cfg := scale.genConfig(mission, scale.calibSeed(i), windCycle(i))
 		cfg.Name = fmt.Sprintf("calib-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {
@@ -203,14 +203,10 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 
 	// --- GPS calibration corpus: benign periods with the same duration
 	// profile as the Tab. II periods.
-	nGPSCalib := scale.CalibFlights
-	if nGPSCalib < 8 {
-		nGPSCalib = 8
-	}
-	lab.GPSCalib, err = parallel.MapErr(0, nGPSCalib, func(i int) (*dataset.Flight, error) {
+	lab.GPSCalib, err = parallel.MapErr(0, scale.gpsCalibFlights(), func(i int) (*dataset.Flight, error) {
 		spec := PeriodSpec{
 			Index:    i,
-			Seed:     scale.Seed + 700 + int64(i)*29,
+			Seed:     scale.gpsCalibSeed(i),
 			Duration: scale.GPSPeriodMin + float64(i%3)/2*(scale.GPSPeriodMax-scale.GPSPeriodMin),
 			Mission:  map[bool]string{true: "square", false: "hover"}[i%2 == 1],
 		}
@@ -296,6 +292,19 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 		lab.BuildSeconds, lab.TrainMSE, lab.ValMSE, lab.TestMSE)
 	return lab, nil
 }
+
+// Generator seeds of flight i of each lab corpus. No two flights of a
+// lab, the Tab. II periods and the §IV-B flights included, may share a
+// seed (TestLabSeedsDisjoint): a shared seed would replay one session
+// in two roles.
+func (s Scale) trainSeed(i int) int64    { return s.Seed + 100 + int64(i)*7 }
+func (s Scale) valSeed(i int) int64      { return s.Seed + 300 + int64(i)*11 }
+func (s Scale) calibSeed(i int) int64    { return s.Seed + 500 + int64(i)*13 }
+func (s Scale) gpsCalibSeed(i int) int64 { return s.Seed + 700 + int64(i)*29 }
+
+// gpsCalibFlights is the size of the GPS calibration corpus: the
+// calibration corpus's, and at least 8.
+func (s Scale) gpsCalibFlights() int { return max(s.CalibFlights, 8) }
 
 // Analyzer assembles the full two-stage RCA pipeline from the lab's
 // detectors.
