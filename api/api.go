@@ -126,14 +126,10 @@ type Report struct {
 	// GPSMode is the KF variant stage 2 used ("audio-only" when the IMU
 	// was flagged, "audio+imu" otherwise).
 	GPSMode string `json:"gps_mode"`
-	// Precision is the arithmetic the signature/inference hot path ran
-	// under: "float64" (the exact default) or "float32" (the opt-in fast
-	// path). Omitted by servers predating the field, which only ever ran
-	// float64.
+	// Precision is always "float64", the pipeline's one arithmetic.
+	// Omitted by servers predating the field, which also ran float64.
 	Precision string `json:"precision,omitempty"`
-	// Tolerance is the documented per-feature absolute error bound of
-	// the precision mode relative to exact float64 — 0 for float64
-	// itself, so it is omitted there.
+	// Tolerance is always 0 and so omitted; removal waits for a /v2.
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
@@ -160,10 +156,9 @@ type SessionRequest struct {
 	// GapFill processes dropout windows from zero-filled audio instead
 	// of skipping them.
 	GapFill bool `json:"gap_fill,omitempty"`
-	// Precision selects the arithmetic of the session's hot path:
-	// "float64" (default, also for the empty string) or "float32" (the
-	// opt-in fast path; the session's report echoes the mode and its
-	// tolerance). Unknown values are rejected with 422.
+	// Precision is accepted, no effect: "", "float64" and "float32" all
+	// run float64; any other value is rejected with 422. Removal waits
+	// for a /v2.
 	Precision string `json:"precision,omitempty"`
 }
 

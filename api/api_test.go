@@ -37,8 +37,7 @@ func sampleCoreReport() soundboost.Report {
 			PeakError:     2.125,
 			Threshold:     1.0625,
 		},
-		GPSMode:   kalman.ModeAudioOnly,
-		Precision: soundboost.Float32,
+		GPSMode: kalman.ModeAudioOnly,
 	}
 }
 
@@ -64,49 +63,36 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportPrecisionWire pins the precision fields' wire behaviour:
-// float32 reports carry the mode and its documented tolerance; float64
-// reports name their mode but omit the zero tolerance; reports from
-// code predating the field (zero-value Precision) omit both, so their
-// serialized bytes are identical to the pre-field schema.
+// TestReportPrecisionWire pins the /v1 precision fields of a report:
+// every report names "float64" and omits tolerance, and reports written
+// by servers that predate the fields or ran float32 still decode
+// strictly to the same internal report.
 func TestReportPrecisionWire(t *testing.T) {
 	r := sampleCoreReport()
-	r.Precision = soundboost.Float32
 	raw, err := json.Marshal(ReportFromCore(r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"precision":"float32"`) {
-		t.Errorf("float32 report missing precision field: %s", raw)
-	}
-	if !strings.Contains(string(raw), `"tolerance":0.001`) {
-		t.Errorf("float32 report missing tolerance field: %s", raw)
-	}
-	r.Precision = soundboost.Float64
-	raw, err = json.Marshal(ReportFromCore(r))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(string(raw), `"precision":"float64"`) {
-		t.Errorf("float64 report missing precision field: %s", raw)
+		t.Errorf("report missing precision field: %s", raw)
 	}
 	if strings.Contains(string(raw), "tolerance") {
-		t.Errorf("float64 report must omit the zero tolerance: %s", raw)
+		t.Errorf("report must omit the zero tolerance: %s", raw)
 	}
-	r.Precision = ""
-	raw, err = json.Marshal(ReportFromCore(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "precision") || strings.Contains(string(raw), "tolerance") {
-		t.Errorf("zero-precision report must omit precision/tolerance: %s", raw)
-	}
-	var decoded Report
-	if err := DecodeStrict(bytes.NewReader(raw), &decoded); err != nil {
-		t.Fatalf("strict decode: %v", err)
-	}
-	if got := decoded.ToCore().Precision; got != "" {
-		t.Errorf("omitted precision decoded as %q, want the zero value", got)
+	for _, old := range []string{
+		strings.Replace(string(raw), `,"precision":"float64"`, "", 1),
+		strings.Replace(string(raw), `"precision":"float64"`, `"precision":"float32","tolerance":0.001`, 1),
+	} {
+		if old == string(raw) {
+			t.Fatalf("precision field not found in %s", raw)
+		}
+		var decoded Report
+		if err := DecodeStrict(strings.NewReader(old), &decoded); err != nil {
+			t.Fatalf("strict decode of %s: %v", old, err)
+		}
+		if got := decoded.ToCore(); got != r {
+			t.Errorf("%s decoded as %+v, want %+v", old, got, r)
+		}
 	}
 }
 

@@ -32,8 +32,7 @@ func ReportFromCore(r soundboost.Report) Report {
 			Threshold:        r.GPS.Threshold,
 		},
 		GPSMode:   string(r.GPSMode),
-		Precision: string(r.Precision),
-		Tolerance: r.Precision.Tolerance(),
+		Precision: string(soundboost.Float64),
 	}
 }
 
@@ -56,8 +55,6 @@ func (r Report) ToCore() soundboost.Report {
 			Threshold:     r.GPS.Threshold,
 		},
 		GPSMode: kalman.Mode(r.GPSMode),
-		// Tolerance is derived from Precision, never stored separately.
-		Precision: soundboost.Precision(r.Precision),
 	}
 }
 

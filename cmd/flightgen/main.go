@@ -1,6 +1,6 @@
 // Command flightgen simulates UAV flights — benign or under GPS/IMU
 // attacks — and writes them to disk in the SoundBoost flight format
-// (JSON telemetry header + float32 audio payload).
+// (JSON telemetry header + single-precision audio payload).
 //
 // Usage:
 //

@@ -48,7 +48,6 @@ type analyzerFlags struct {
 	modelPath    *string
 	calibDir     *string
 	noTriage     *bool
-	precision    *string
 }
 
 func addAnalyzerFlags(fs *flag.FlagSet) *analyzerFlags {
@@ -57,7 +56,6 @@ func addAnalyzerFlags(fs *flag.FlagSet) *analyzerFlags {
 		modelPath:    fs.String("model", "model.json", "trained model path (when no -analyzer)"),
 		calibDir:     fs.String("calib", "flights", "directory of benign calibration flights (when no -analyzer)"),
 		noTriage:     fs.Bool("no-triage", false, "run the full pipeline on every window even when the analyzer carries a triage tier"),
-		precision:    fs.String("precision", "", "hot-path arithmetic: float64 (exact default) or float32 (fast path; reports carry the documented tolerance)"),
 	}
 }
 
@@ -69,18 +67,6 @@ func (a *analyzerFlags) load() (*soundboost.Analyzer, error) {
 	}
 	if *a.noTriage {
 		an = an.WithoutTriage()
-	}
-	if *a.precision != "" {
-		p, err := soundboost.ParsePrecision(*a.precision)
-		if err != nil {
-			return nil, err
-		}
-		// Threshold-preserving re-precision: calibration (whether loaded
-		// or just run) stays authoritative, only the hot path switches.
-		an, err = an.WithPrecision(p)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return an, nil
 }
@@ -94,5 +80,5 @@ func (a *analyzerFlags) loadRaw() (*soundboost.Analyzer, error) {
 		defer af.Close()
 		return soundboost.LoadAnalyzer(af)
 	}
-	return buildAnalyzer(*a.modelPath, *a.calibDir, "")
+	return buildAnalyzer(*a.modelPath, *a.calibDir)
 }

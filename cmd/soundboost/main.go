@@ -259,7 +259,6 @@ func runCalibrate(args []string) error {
 		calibDir   = fs.String("calib", "flights", "directory of benign calibration flights")
 		triagePath = fs.String("triage", "", "trained triage tier to embed (from `soundboost train -triage`); verified flip-free against the calibration corpus")
 		outPath    = fs.String("out", "analyzer.json", "output analyzer path")
-		precision  = fs.String("precision", "", "hot-path arithmetic baked into the persisted analyzer: float64 (exact default) or float32 (fast path; thresholds calibrate under float32 features)")
 	)
 	rt := addRuntimeFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -268,7 +267,7 @@ func runCalibrate(args []string) error {
 	if err := rt.apply(); err != nil {
 		return err
 	}
-	analyzer, err := buildAnalyzer(*modelPath, *calibDir, *precision)
+	analyzer, err := buildAnalyzer(*modelPath, *calibDir)
 	if err != nil {
 		return err
 	}
@@ -317,10 +316,8 @@ func runCalibrate(args []string) error {
 }
 
 // buildAnalyzer loads the model and calibrates detectors on a benign
-// flight directory. A precision other than "" re-precisions the model
-// first, so the thresholds are fitted under the arithmetic the analyzer
-// runs.
-func buildAnalyzer(modelPath, calibDir, precision string) (*soundboost.Analyzer, error) {
+// flight directory.
+func buildAnalyzer(modelPath, calibDir string) (*soundboost.Analyzer, error) {
 	mf, err := os.Open(modelPath)
 	if err != nil {
 		return nil, err
@@ -329,15 +326,6 @@ func buildAnalyzer(modelPath, calibDir, precision string) (*soundboost.Analyzer,
 	model, err := soundboost.LoadModel(mf)
 	if err != nil {
 		return nil, err
-	}
-	if precision != "" {
-		p, err := soundboost.ParsePrecision(precision)
-		if err == nil {
-			model, err = model.WithPrecision(p)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	calib, err := loadFlightDir(calibDir)
 	if err != nil {

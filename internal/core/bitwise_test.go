@@ -25,9 +25,9 @@ const bitwiseWindows = 5
 // TestBitwiseGolden pins the exact output of the RCA pipeline — every
 // Report field, the leading signature vectors, the triage distances and
 // the calibrated thresholds — for a benign, an IMU-attacked and a
-// GPS-attacked flight at both precisions. Floats print with %v, the
-// shortest text that round-trips, so any change to a kernel's
-// arithmetic, however small, changes the file. Kernel rewrites must
+// GPS-attacked flight. Floats print with %v, the shortest text that
+// round-trips, so any change to a kernel's arithmetic, however small,
+// changes the file. Kernel rewrites must
 // leave it unchanged; regenerate it (go test -run TestBitwiseGolden
 // -update) only for an intended change of results.
 func TestBitwiseGolden(t *testing.T) {
@@ -44,64 +44,44 @@ func TestBitwiseGolden(t *testing.T) {
 		{"imu-attack", imuAttackFlight(t, attack.IMUAccelDoS, 2100)},
 		{"gps-attack", gpsAttackFlight(t, 2200)},
 	}
-	an32, err := an.WithPrecision(Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m32, err := fx.model.WithPrecision(Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calib32, err := NewAnalyzer(m32, fx.calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "triage k=%v prototypes=%v radius=%v votes=%v\n",
 		an.Triage.K(), an.Triage.Prototypes(), an.Triage.BenignRadius(), an.Triage.VoteLimit())
-	for _, c := range []struct {
-		label string
-		an    *Analyzer
-	}{{"float64", an}, {"float32-calibrated", calib32}} {
-		fmt.Fprintf(&b, "%s imu stat=%v std=%v gps audio-only=%v audio+imu=%v\n", c.label,
-			c.an.IMU.StatThreshold(), c.an.IMU.StdThreshold(),
-			c.an.GPSAudioOnly.Threshold(), c.an.GPSAudioIMU.Threshold())
-	}
-	for _, a := range []*Analyzer{an, an32} {
-		sig := a.Model.Config().Signature
-		for _, fl := range flights {
-			prefix := fmt.Sprintf("%s %s", fl.label, a.Precision())
-			for _, tri := range []struct {
-				label string
-				an    *Analyzer
-			}{{"triage", a}, {"full", a.WithoutTriage()}} {
-				rep, err := tri.an.Analyze(fl.f)
-				if err != nil {
-					t.Fatalf("%s %s: %v", prefix, tri.label, err)
-				}
-				// plainReport drops Report's String method, so %+v prints
-				// every field at full precision.
-				type plainReport Report
-				fmt.Fprintf(&b, "%s %s report %+v\n", prefix, tri.label, plainReport(rep))
-			}
-			ex, err := NewExtractor(fl.f.Audio, sig)
+	fmt.Fprintf(&b, "float64 imu stat=%v std=%v gps audio-only=%v audio+imu=%v\n",
+		an.IMU.StatThreshold(), an.IMU.StdThreshold(),
+		an.GPSAudioOnly.Threshold(), an.GPSAudioIMU.Threshold())
+	sig := an.Model.Config().Signature
+	for _, fl := range flights {
+		prefix := fl.label + " float64"
+		for _, tri := range []struct {
+			label string
+			an    *Analyzer
+		}{{"triage", an}, {"full", an.WithoutTriage()}} {
+			rep, err := tri.an.Analyze(fl.f)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s %s: %v", prefix, tri.label, err)
 			}
-			for i, t0 := range ex.WindowStarts(sig.WindowSeconds)[:bitwiseWindows] {
-				fmt.Fprintf(&b, "%s window %d signature %v\n", prefix, i, ex.Features(t0, sig.WindowSeconds))
-			}
-			var dists []float64
-			err = forEachTriageWindow(fl.f, splitFlight(fl.f), sig, func(w triageWindow) bool {
-				dists = append(dists, a.ScreenWindow(w.audio, fl.f.Audio.SampleRate, w.imu, w.gps).Distance)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "%s triage distances %v\n", prefix, dists)
+			// plainReport drops Report's String method, so %+v prints
+			// every field at full precision.
+			type plainReport Report
+			fmt.Fprintf(&b, "%s %s report %+v\n", prefix, tri.label, plainReport(rep))
 		}
+		ex, err := NewExtractor(fl.f.Audio, sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, t0 := range ex.WindowStarts(sig.WindowSeconds)[:bitwiseWindows] {
+			fmt.Fprintf(&b, "%s window %d signature %v\n", prefix, i, ex.Features(t0, sig.WindowSeconds))
+		}
+		var dists []float64
+		err = forEachTriageWindow(fl.f, splitFlight(fl.f), sig, func(w triageWindow) bool {
+			dists = append(dists, an.ScreenWindow(w.audio, fl.f.Audio.SampleRate, w.imu, w.gps).Distance)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s triage distances %v\n", prefix, dists)
 	}
 
 	got := []byte(b.String())

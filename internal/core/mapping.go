@@ -53,92 +53,21 @@ type AcousticModel struct {
 	net      *nn.Sequential
 	featNorm stats.ZScore
 	labNorm  stats.ZScore
-	p64      *program[float64]
-	p32      *program[float32]
-}
-
-// program is the model's network and feature normaliser lowered to
-// element type F. Both instantiations are compiled once per trained
-// model and shared by every precision clone (WithPrecision copies the
-// pointers); the precision only picks which one Predict runs.
-type program[F mathx.Float] struct {
-	net               *nn.Net[F]
-	featMean, featStd []F
-}
-
-func compileProgram[F mathx.Float](net *nn.Sequential, featNorm stats.ZScore) (*program[F], error) {
-	n, err := nn.Compile[F](net)
-	if err != nil {
-		return nil, err
-	}
-	p := &program[F]{net: n, featMean: make([]F, len(featNorm.Mean)), featStd: make([]F, len(featNorm.Std))}
-	for i := range featNorm.Mean {
-		p.featMean[i], p.featStd[i] = F(featNorm.Mean[i]), F(featNorm.Std[i])
-	}
-	return p, nil
-}
-
-// predict normalises features as (x-mean)/std in F — at float64 exactly
-// the training-time normalizer — zeroes the masked indices, runs the
-// network and de-normalises the output in float64.
-func (p *program[F]) predict(features []float64, masked []int, labNorm stats.ZScore) mathx.Vec3 {
-	x := make([]F, len(features))
-	for i, v := range features {
-		x[i] = (F(v) - p.featMean[i]) / p.featStd[i]
-	}
-	for _, i := range masked {
-		if i >= 0 && i < len(x) {
-			x[i] = 0
-		}
-	}
-	out := p.net.Infer(x)
-	return mathx.Vec3{
-		X: float64(out[0])*labNorm.Std[0] + labNorm.Mean[0],
-		Y: float64(out[1])*labNorm.Std[1] + labNorm.Mean[1],
-		Z: float64(out[2])*labNorm.Std[2] + labNorm.Mean[2],
-	}
+	prog     *nn.Net // net lowered for inference
 }
 
 // newAcousticModel assembles a model and compiles its inference
-// programs at both precisions.
+// program.
 func newAcousticModel(cfg MappingConfig, net *nn.Sequential, featNorm, labNorm stats.ZScore) (*AcousticModel, error) {
-	p64, err := compileProgram[float64](net, featNorm)
+	prog, err := nn.Compile(net)
 	if err != nil {
 		return nil, fmt.Errorf("soundboost: compile model: %w", err)
 	}
-	p32, err := compileProgram[float32](net, featNorm)
-	if err != nil {
-		return nil, fmt.Errorf("soundboost: compile model: %w", err)
-	}
-	return &AcousticModel{cfg: cfg, net: net, featNorm: featNorm, labNorm: labNorm, p64: p64, p32: p32}, nil
+	return &AcousticModel{cfg: cfg, net: net, featNorm: featNorm, labNorm: labNorm, prog: prog}, nil
 }
 
 // Config returns the model's mapping configuration.
 func (m *AcousticModel) Config() MappingConfig { return m.cfg }
-
-// Precision returns the model's hot-path arithmetic mode (the zero
-// value reads as the float64 default).
-func (m *AcousticModel) Precision() Precision { return m.cfg.Signature.Precision }
-
-// WithPrecision returns a model sharing this model's weights and
-// normalisation but computing signatures and predictions under the
-// given precision. The receiver is unchanged; clones share the compiled
-// programs.
-func (m *AcousticModel) WithPrecision(p Precision) (*AcousticModel, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	// The zero value and Float64 are the same mode: never clone (or
-	// stamp an explicit "float64" into the config, which would change
-	// the saved-model JSON) when the mode is not actually changing.
-	cur := m.cfg.Signature.Precision
-	if cur == p || (cur == "" && p == Float64) || (cur == Float64 && p == "") {
-		return m, nil
-	}
-	clone := *m
-	clone.cfg.Signature.Precision = p
-	return &clone, nil
-}
 
 // WindowSample is one aligned (signature, IMU label) training pair.
 type WindowSample struct {
@@ -297,9 +226,8 @@ func TrainModel(trainFlights, valFlights []*dataset.Flight, cfg MappingConfig) (
 }
 
 // Predict maps a raw signature to the predicted body-frame specific force.
-// It runs the compiled network program of the model's precision — at
-// float64 bitwise equal to the training network's cache-free inference
-// path — and is safe for concurrent use.
+// It runs the compiled network program — bitwise equal to the training
+// network's cache-free inference path — and is safe for concurrent use.
 func (m *AcousticModel) Predict(features []float64) mathx.Vec3 {
 	span := predictTimer.Start()
 	defer span.Stop()
@@ -312,11 +240,25 @@ func (m *AcousticModel) PredictMasked(features []float64, masked []int) mathx.Ve
 	return m.predict(features, masked)
 }
 
+// predict normalises features as (x-mean)/std — the training-time
+// normalizer — zeroes the masked indices, runs the network and
+// de-normalises the output.
 func (m *AcousticModel) predict(features []float64, masked []int) mathx.Vec3 {
-	if m.cfg.Signature.Precision == Float32 {
-		return m.p32.predict(features, masked, m.labNorm)
+	x := make([]float64, len(features))
+	for i, v := range features {
+		x[i] = (v - m.featNorm.Mean[i]) / m.featNorm.Std[i]
 	}
-	return m.p64.predict(features, masked, m.labNorm)
+	for _, i := range masked {
+		if i >= 0 && i < len(x) {
+			x[i] = 0
+		}
+	}
+	out := m.prog.Infer(x)
+	return mathx.Vec3{
+		X: out[0]*m.labNorm.Std[0] + m.labNorm.Mean[0],
+		Y: out[1]*m.labNorm.Std[1] + m.labNorm.Mean[1],
+		Z: out[2]*m.labNorm.Std[2] + m.labNorm.Mean[2],
+	}
 }
 
 // EvaluateMSEBandRemoved computes the model's MSE over a flight set after

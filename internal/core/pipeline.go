@@ -44,11 +44,6 @@ type Report struct {
 	// GPSMode records which KF variant stage 2 used (audio-only when the
 	// IMU was flagged, audio+IMU otherwise).
 	GPSMode kalman.Mode
-	// Precision records the arithmetic the signature/inference hot path
-	// ran under. The zero value means the bitwise-pinned Float64 default;
-	// Float32 marks a report produced by the opt-in fast path, whose
-	// per-feature error bound is Precision.Tolerance().
-	Precision Precision
 }
 
 // String renders a human-readable RCA summary.
@@ -101,9 +96,8 @@ type Analyzer struct {
 
 // NewAnalyzer calibrates all detectors from benign flights at their
 // default configurations. Each flight gets one window pass on the
-// worker pool, shared by the three calibrations. To calibrate under
-// another precision, re-precision the model first
-// (AcousticModel.WithPrecision); to screen flights, set Triage.
+// worker pool, shared by the three calibrations. To screen flights,
+// set Triage.
 func NewAnalyzer(model *AcousticModel, benignFlights []*dataset.Flight) (*Analyzer, error) {
 	if model == nil {
 		return nil, fmt.Errorf("soundboost: nil model")
@@ -158,65 +152,17 @@ func (a *Analyzer) WithGPSMargin(mode kalman.Mode, margin float64) (*Analyzer, e
 	return &clone, nil
 }
 
-// Precision reports the arithmetic mode the analyzer's model runs
-// under (the zero value of the model config reads back as Float64).
-func (a *Analyzer) Precision() Precision {
-	if a.Model == nil {
-		return Float64
-	}
-	if p := a.Model.Precision(); p != "" {
-		return p
-	}
-	return Float64
-}
-
-// WithPrecision returns a shallow copy of the analyzer whose signature
-// extraction and inference hot path runs under the given precision. The
-// calibrated thresholds are preserved exactly — no recalibration — so
-// the copy is directly comparable to the receiver: the float32 path is
-// verified corpus-wide to flip zero verdicts against float64 under the
-// per-feature bound p.Tolerance(). The receiver stays usable unchanged;
-// detector clones share everything but the re-precisioned model.
-func (a *Analyzer) WithPrecision(p Precision) (*Analyzer, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	model, err := a.Model.WithPrecision(p)
-	if err != nil {
-		return nil, err
-	}
-	if model == a.Model {
-		return a, nil
-	}
-	clone := *a
-	clone.Model = model
-	if a.IMU != nil {
-		imu := *a.IMU
-		imu.model = model
-		clone.IMU = &imu
-	}
-	if a.GPSAudioOnly != nil {
-		d := *a.GPSAudioOnly
-		d.model = model
-		clone.GPSAudioOnly = &d
-	}
-	if a.GPSAudioIMU != nil {
-		d := *a.GPSAudioIMU
-		d.model = model
-		clone.GPSAudioIMU = &d
-	}
-	return &clone, nil
-}
-
 // Analyze runs the full two-stage RCA over a flight. A nil or empty
 // flight returns ErrNoFlight. On a stage error the partial report still
 // carries a coherent GPSMode: the variant stage 2 would have used given
-// what stage 1 concluded (audio+IMU until the IMU is flagged).
+// what stage 1 concluded (audio+IMU until the IMU is flagged). A KF
+// error in stage 2 comes with the report over the windows before it,
+// as the stream engine's Finish returns it.
 func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	span := analyzeTimer.Start()
 	defer span.Stop()
 	if f == nil || (len(f.Telemetry) == 0 && (f.Audio == nil || f.Audio.Samples() == 0)) {
-		return Report{GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}, ErrNoFlight
+		return Report{GPSMode: a.GPSAudioIMU.Mode()}, ErrNoFlight
 	}
 	// Screening tier: a flight whose every window is confident-benign
 	// skips both detector stages. The screen only ever concludes "none",
@@ -230,7 +176,7 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 			return FastBenignReport(f.Name, a), nil
 		}
 	}
-	report := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode(), Precision: a.Precision()}
+	report := Report{Flight: f.Name, GPSMode: a.GPSAudioIMU.Mode()}
 	run := a.NewRun()
 
 	// One window pass serves both stages; it runs inside stage 1's span.
@@ -246,19 +192,18 @@ func (a *Analyzer) Analyze(f *dataset.Flight) (Report, error) {
 	// both, since it cannot know the pick in advance.
 	gpsSpan := gpsDetectTimer.Start()
 	err = gps.observe(obs)
-	var full Report
 	if err == nil {
-		full, err = run.report(f.Name, imuVerdict)
+		report, err = run.report(f.Name, imuVerdict)
 	}
 	gpsSpan.Stop()
 	if err != nil {
 		return report, fmt.Errorf("soundboost: GPS stage: %w", err)
 	}
-	if full.IMU.Attacked {
+	if report.IMU.Attacked {
 		reportsIMU.Inc()
 	}
-	if full.GPS.Attacked {
+	if report.GPS.Attacked {
 		reportsGPS.Inc()
 	}
-	return full, nil
+	return report, nil
 }

@@ -83,12 +83,11 @@ func (r *Run) report(flight string, imu IMUVerdict) (Report, error) {
 
 func (r *Run) assemble(flight string, imu IMUVerdict, gps GPSVerdict) Report {
 	return Report{
-		Flight:    flight,
-		Cause:     causeOf(imu.Attacked, gps.Attacked),
-		IMU:       imu,
-		GPS:       gps,
-		GPSMode:   r.trusted(imu.Attacked).cfg.Mode,
-		Precision: r.an.Precision(),
+		Flight:  flight,
+		Cause:   causeOf(imu.Attacked, gps.Attacked),
+		IMU:     imu,
+		GPS:     gps,
+		GPSMode: r.trusted(imu.Attacked).cfg.Mode,
 	}
 }
 
@@ -111,8 +110,7 @@ func causeOf(imu, gps bool) RootCause {
 func (a *Analyzer) ScreenWindow(audio []float64, rate float64, imu []triage.IMUPoint, gps []triage.GPSPoint) triage.Decision {
 	var feat []float64
 	if len(imu) > 0 {
-		features := a.Model.cfg.Signature.Precision.TriageFeatures(a.Triage.Config().Features)
-		feat = features(audio, rate, imu, gps)
+		feat = a.Triage.Config().Features.Features(audio, rate, imu, gps)
 	}
 	return a.Triage.Classify(feat)
 }

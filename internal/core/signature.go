@@ -14,7 +14,6 @@ import (
 
 	"soundboost/internal/acoustics"
 	"soundboost/internal/dsp"
-	"soundboost/internal/mathx"
 )
 
 // SignatureConfig controls acoustic signature generation (paper §III-A).
@@ -39,11 +38,6 @@ type SignatureConfig struct {
 	// determines steady-state aerodynamic drag, the one body-frame force
 	// component rotor sound alone cannot resolve.
 	AttitudeFeatures bool
-	// Precision selects the hot-path arithmetic. The zero value is the
-	// bitwise-pinned Float64 default; Float32 opts into the
-	// single-precision fast path (see Precision). omitempty keeps
-	// models saved before the field existed byte-identical on re-save.
-	Precision Precision `json:",omitempty"`
 }
 
 // DefaultSignatureConfig derives the analysis layout from the synthesiser
@@ -92,7 +86,7 @@ func (c SignatureConfig) Validate() error {
 			return fmt.Errorf("soundboost: band %q is empty or inverted (%g..%g Hz)", b.Name, b.Low, b.High)
 		}
 	}
-	return c.Precision.validate()
+	return nil
 }
 
 // ValidateForRate validates the config against a concrete sample rate:
@@ -162,8 +156,7 @@ type Extractor struct {
 	// keyed by exact integer sample offsets. Consecutive signature
 	// windows overlap (hop < window), so their sub-frame grids land on
 	// identical sample ranges; recomputing those FFTs yields
-	// bit-identical values, making the memo a pure dedupe at either
-	// precision.
+	// bit-identical values, making the memo a pure dedupe.
 	memo subFrameMemo
 }
 
@@ -253,25 +246,16 @@ func (c SignatureConfig) AcousticWindow(chans [acoustics.NumMics][]float64, rate
 	return c.acousticWindow(chans, 0, len(chans[0]), rate, nil)
 }
 
-// acousticWindow runs the signature kernel at the configured precision
-// over samples [start, start+total) of chans, through memo when
-// non-nil.
-func (c SignatureConfig) acousticWindow(chans [acoustics.NumMics][]float64, start, total int, rate float64, memo *subFrameMemo) []float64 {
-	if c.Precision == Float32 {
-		return acousticWindow[float32](c, chans, start, total, rate, memo)
-	}
-	return acousticWindow[float64](c, chans, start, total, rate, memo)
-}
-
-// acousticWindow is the signature kernel in element type F. Per
-// sub-frame, one fused pass converts, Hann-windows and accumulates the
-// RMS of the samples into a pooled buffer, a packed real-input FFT
+// acousticWindow is the signature kernel over samples
+// [start, start+total) of chans, through memo when non-nil. Per
+// sub-frame, one fused pass Hann-windows and accumulates the RMS of the
+// samples into a pooled buffer, a packed real-input FFT
 // produces the half spectrum, and band powers sum squared bins directly
 // off it — no magnitude slice, one square root per band. Band energies
 // are normalised by sqrt(nfft) so augmented (longer) windows remain
 // comparable to the base window. Sub-frames already in memo (keyed by
 // absolute sample offset) are copied instead of recomputed.
-func acousticWindow[F mathx.Float](c SignatureConfig, chans [acoustics.NumMics][]float64, start, total int, rate float64, memo *subFrameMemo) []float64 {
+func (c SignatureConfig) acousticWindow(chans [acoustics.NumMics][]float64, start, total int, rate float64, memo *subFrameMemo) []float64 {
 	if total <= 0 {
 		return nil
 	}
@@ -284,14 +268,14 @@ func acousticWindow[F mathx.Float](c SignatureConfig, chans [acoustics.NumMics][
 	// Acoustic part only; attitude features (when configured) are appended
 	// by the window builders, which have telemetry access.
 	out := make([]float64, c.AcousticDim())
-	plan := dsp.PlanFFT[F](nfft)
+	plan := dsp.PlanFFT(nfft)
 	// re[sub:] stays zero: the arena hands buffers out zeroed and
 	// ForwardReal leaves its input untouched.
-	re := dsp.Acquire[F](nfft)
+	re := dsp.Acquire(nfft)
 	defer dsp.Release(re)
-	spec := dsp.AcquireSpectrum[F](plan.SpectrumLen())
+	spec := dsp.AcquireSpectrum(plan.SpectrumLen())
 	defer dsp.ReleaseSpectrum(spec)
-	win := dsp.CachedHann[F](sub)
+	win := dsp.CachedHann(sub)
 	invSqrtN := 1 / math.Sqrt(float64(nfft))
 	for m := 0; m < acoustics.NumMics; m++ {
 		for s := 0; s < c.SubFrames; s++ {
@@ -302,9 +286,8 @@ func acousticWindow[F mathx.Float](c SignatureConfig, chans [acoustics.NumMics][
 			if memo.load(key, dst) {
 				continue
 			}
-			var sumSq F
-			for i, x := range chans[m][off : off+sub] {
-				v := F(x)
+			var sumSq float64
+			for i, v := range chans[m][off : off+sub] {
 				sumSq += v * v
 				re[i] = v * win[i]
 			}
@@ -312,7 +295,7 @@ func acousticWindow[F mathx.Float](c SignatureConfig, chans [acoustics.NumMics][
 			for b, band := range c.Bands {
 				dst[b] = math.Log1p(dsp.BandPower(spec, nfft, rate, band) * invSqrtN)
 			}
-			dst[len(c.Bands)] = math.Log1p(math.Sqrt(float64(sumSq) / float64(sub)))
+			dst[len(c.Bands)] = math.Log1p(math.Sqrt(sumSq / float64(sub)))
 			memo.store(key, dst)
 		}
 	}

@@ -130,11 +130,10 @@ func (a *Analyzer) screenFlight(f *dataset.Flight) (benign bool, maxDist float64
 // the full pipeline never ran.
 func FastBenignReport(flight string, a *Analyzer) Report {
 	return Report{
-		Flight:    flight,
-		Cause:     CauseNone,
-		GPSMode:   a.GPSAudioIMU.Mode(),
-		GPS:       GPSVerdict{Threshold: a.GPSAudioIMU.Threshold()},
-		Precision: a.Precision(),
+		Flight:  flight,
+		Cause:   CauseNone,
+		GPSMode: a.GPSAudioIMU.Mode(),
+		GPS:     GPSVerdict{Threshold: a.GPSAudioIMU.Threshold()},
 	}
 }
 
@@ -199,7 +198,6 @@ func TrainTriage(flights []*dataset.Flight, sig SignatureConfig, cfg triage.Conf
 	if len(cfg.Features.Bands) == 0 {
 		cfg.Features.Bands = sig.Bands
 	}
-	features := sig.Precision.TriageFeatures(cfg.Features)
 	var samples []triage.Sample
 	for _, f := range flights {
 		if f.Audio == nil || f.Audio.Samples() == 0 {
@@ -210,7 +208,7 @@ func TrainTriage(flights []*dataset.Flight, sig SignatureConfig, cfg triage.Conf
 				return true
 			}
 			if anom, include := triageLabel(f.Scenario, w.t0, w.t1); include {
-				feat := features(w.audio, f.Audio.SampleRate, w.imu, w.gps)
+				feat := cfg.Features.Features(w.audio, f.Audio.SampleRate, w.imu, w.gps)
 				samples = append(samples, triage.Sample{Features: feat, Anomalous: anom})
 			}
 			return true

@@ -3,14 +3,12 @@ package dsp
 import (
 	"math"
 	"testing"
-
-	"soundboost/internal/mathx"
 )
 
 // refButterfly is the plain radix-2 loop the plan's butterfly unrolls:
 // every stage strides through the full twiddle table. It is the
 // bitwise reference for the production kernel.
-func refButterfly[F mathx.Float](p *Plan[F], re, im []F) {
+func refButterfly(p *Plan, re, im []float64) {
 	h := len(re)
 	for size := 2; size <= h; size <<= 1 {
 		half := size >> 1
@@ -30,9 +28,9 @@ func refButterfly[F mathx.Float](p *Plan[F], re, im []F) {
 }
 
 // refForwardReal is ForwardReal spelled out over refButterfly.
-func refForwardReal[F mathx.Float](p *Plan[F], x []F) Spectrum[F] {
+func refForwardReal(p *Plan, x []float64) Spectrum {
 	n := p.n
-	out := Spectrum[F]{Re: make([]F, p.SpectrumLen()), Im: make([]F, p.SpectrumLen())}
+	out := Spectrum{Re: make([]float64, p.SpectrumLen()), Im: make([]float64, p.SpectrumLen())}
 	switch n {
 	case 0:
 		return out
@@ -41,7 +39,7 @@ func refForwardReal[F mathx.Float](p *Plan[F], x []F) Spectrum[F] {
 		return out
 	}
 	h := n / 2
-	zr, zi := make([]F, h), make([]F, h)
+	zr, zi := make([]float64, h), make([]float64, h)
 	for k, j := range p.bitrev {
 		zr[k], zi[k] = x[2*j], x[2*j+1]
 	}
@@ -59,9 +57,9 @@ func refForwardReal[F mathx.Float](p *Plan[F], x []F) Spectrum[F] {
 }
 
 // refInverseReal is InverseReal spelled out over refButterfly.
-func refInverseReal[F mathx.Float](p *Plan[F], spec Spectrum[F]) []F {
+func refInverseReal(p *Plan, spec Spectrum) []float64 {
 	n := p.n
-	out := make([]F, n)
+	out := make([]float64, n)
 	switch n {
 	case 0:
 		return out
@@ -70,7 +68,7 @@ func refInverseReal[F mathx.Float](p *Plan[F], spec Spectrum[F]) []F {
 		return out
 	}
 	h := n / 2
-	zr, zi := make([]F, h), make([]F, h)
+	zr, zi := make([]float64, h), make([]float64, h)
 	for k, j := range p.bitrev {
 		ar, ai := spec.Re[j], spec.Im[j]
 		br, bi := spec.Re[h-j], -spec.Im[h-j]
@@ -81,7 +79,7 @@ func refInverseReal[F mathx.Float](p *Plan[F], spec Spectrum[F]) []F {
 		zr[k], zi[k] = fer-foi, -(fei + for_)
 	}
 	refButterfly(p, zr, zi)
-	scale := 1 / F(h)
+	scale := 1 / float64(h)
 	for k := 0; k < h; k++ {
 		out[2*k] = zr[k] * scale
 		out[2*k+1] = -zi[k] * scale
@@ -90,17 +88,17 @@ func refInverseReal[F mathx.Float](p *Plan[F], spec Spectrum[F]) []F {
 }
 
 // sameBits reports whether a and b hold bit-identical values, signed
-// zeros included (float32 widens to float64 exactly), and returns the
+// zeros included, and returns the
 // first index that differs. Any NaN matches any NaN: x86 propagates the
 // NaN of one particular operand and the compiler may commute an
 // addition's operands, so a NaN's sign and payload depend on code
 // generation even for unchanged source.
-func sameBits[F mathx.Float](a, b []F) (int, bool) {
+func sameBits(a, b []float64) (int, bool) {
 	if len(a) != len(b) {
 		return -1, false
 	}
 	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
+		x, y := a[i], b[i]
 		if math.IsNaN(x) && math.IsNaN(y) {
 			continue
 		}
@@ -114,14 +112,7 @@ func sameBits[F mathx.Float](a, b []F) (int, bool) {
 // bitwiseSignals returns the inputs of the bitwise FFT test at size n:
 // Gaussian noise, an impulse, signed zeros, and noise with a NaN and
 // both infinities planted in it.
-func bitwiseSignals[F mathx.Float](n int) map[string][]F {
-	widen := func(x []float64) []F {
-		out := make([]F, len(x))
-		for i, v := range x {
-			out[i] = F(v)
-		}
-		return out
-	}
+func bitwiseSignals(n int) map[string][]float64 {
 	noise := randSignal(n, int64(n)+31)
 	impulse := make([]float64, n)
 	impulse[n/3] = 1
@@ -135,24 +126,24 @@ func bitwiseSignals[F mathx.Float](n int) map[string][]F {
 	special[n/2] = math.NaN()
 	special[n/4] = math.Inf(1)
 	special[n-1] = math.Inf(-1)
-	return map[string][]F{"noise": widen(noise), "impulse": widen(impulse), "zeros": widen(zeros), "special": widen(special)}
+	return map[string][]float64{"noise": noise, "impulse": impulse, "zeros": zeros, "special": special}
 }
 
-func testTransformsBitwise[F mathx.Float](t *testing.T) {
+func testTransformsBitwise(t *testing.T) {
 	for n := 1; n <= 16384; n <<= 1 {
-		p := PlanFFT[F](n)
-		for name, x := range bitwiseSignals[F](n) {
-			got := p.ForwardReal(x, Spectrum[F]{})
+		p := PlanFFT(n)
+		for name, x := range bitwiseSignals(n) {
+			got := p.ForwardReal(x, Spectrum{})
 			want := refForwardReal(p, x)
 			if i, ok := sameBits(got.Re, want.Re); !ok {
-				t.Fatalf("%T n=%d %s: ForwardReal Re[%d] = %v, reference %v", F(0), n, name, i, got.Re[i], want.Re[i])
+				t.Fatalf("n=%d %s: ForwardReal Re[%d] = %v, reference %v", n, name, i, got.Re[i], want.Re[i])
 			}
 			if i, ok := sameBits(got.Im, want.Im); !ok {
-				t.Fatalf("%T n=%d %s: ForwardReal Im[%d] = %v, reference %v", F(0), n, name, i, got.Im[i], want.Im[i])
+				t.Fatalf("n=%d %s: ForwardReal Im[%d] = %v, reference %v", n, name, i, got.Im[i], want.Im[i])
 			}
 			back := p.InverseReal(want, nil)
 			if i, ok := sameBits(back, refInverseReal(p, want)); !ok {
-				t.Fatalf("%T n=%d %s: InverseReal[%d] differs from the reference", F(0), n, name, i)
+				t.Fatalf("n=%d %s: InverseReal[%d] differs from the reference", n, name, i)
 			}
 		}
 	}
@@ -160,10 +151,9 @@ func testTransformsBitwise[F mathx.Float](t *testing.T) {
 
 // TestFFTBitwiseMatchesRadix2Reference pins the unrolled butterfly and
 // per-stage twiddles to the plain radix-2 loop, bit for bit, at every
-// power of two up to 16384 and both precisions.
+// power of two up to 16384.
 func TestFFTBitwiseMatchesRadix2Reference(t *testing.T) {
-	t.Run("float64", testTransformsBitwise[float64])
-	t.Run("float32", testTransformsBitwise[float32])
+	t.Run("float64", testTransformsBitwise)
 }
 
 // TestBiquad4BitwiseMatchesScalar checks the four-lane biquad against

@@ -1,8 +1,8 @@
 // Package dsp implements the signal-processing substrate SoundBoost needs:
-// a power-of-two real-input FFT generic over float32/float64, analysis
-// windows, short-time Fourier transforms, frequency-band energy extraction
-// (the paper's blade-passing / mechanical / aerodynamic groups), biquad
-// filters, and the Goertzel single-bin DFT. Transforms run over cached
+// a power-of-two real-input FFT, analysis windows, short-time Fourier
+// transforms, frequency-band energy extraction (the paper's
+// blade-passing / mechanical / aerodynamic groups), biquad filters, and
+// the Goertzel single-bin DFT. Transforms run over cached
 // per-size plans (PlanFFT) on pooled scratch; the helpers below work on
 // their spectra.
 package dsp
@@ -11,25 +11,23 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"soundboost/internal/mathx"
 )
 
 // Magnitudes returns |X[k]| for each bin.
-func Magnitudes[F mathx.Float](x Spectrum[F]) []float64 {
+func Magnitudes(x Spectrum) []float64 {
 	out := make([]float64, len(x.Re))
 	for i, re := range x.Re {
-		out[i] = math.Hypot(float64(re), float64(x.Im[i]))
+		out[i] = math.Hypot(re, x.Im[i])
 	}
 	return out
 }
 
 // PowerSpectrum returns |X[k]|^2 for each bin.
-func PowerSpectrum[F mathx.Float](x Spectrum[F]) []float64 {
+func PowerSpectrum(x Spectrum) []float64 {
 	out := make([]float64, len(x.Re))
 	for i, re := range x.Re {
 		im := x.Im[i]
-		out[i] = float64(re*re + im*im)
+		out[i] = re*re + im*im
 	}
 	return out
 }

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"soundboost/internal/mathx"
 )
 
 // naiveDFT is the O(n^2) reference implementation for correctness checks.
@@ -26,15 +24,15 @@ func naiveDFT(x []complex128) []complex128 {
 }
 
 // realSpectrum returns the n/2+1 non-redundant bins of a real signal.
-func realSpectrum(x []float64) Spectrum[float64] {
-	return PlanFFT[float64](len(x)).ForwardReal(x, Spectrum[float64]{})
+func realSpectrum(x []float64) Spectrum {
+	return PlanFFT(len(x)).ForwardReal(x, Spectrum{})
 }
 
-// toComplex widens a split half spectrum to complex128 bins.
-func toComplex[F mathx.Float](s Spectrum[F]) []complex128 {
+// toComplex joins a split half spectrum into complex128 bins.
+func toComplex(s Spectrum) []complex128 {
 	out := make([]complex128, len(s.Re))
 	for i := range out {
-		out[i] = complex(float64(s.Re[i]), float64(s.Im[i]))
+		out[i] = complex(s.Re[i], s.Im[i])
 	}
 	return out
 }
@@ -72,11 +70,11 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 }
 
 func TestFFTEmpty(t *testing.T) {
-	p := PlanFFT[float64](0)
-	if got := p.ForwardReal(nil, Spectrum[float64]{}); len(got.Re) != 0 || len(got.Im) != 0 {
+	p := PlanFFT(0)
+	if got := p.ForwardReal(nil, Spectrum{}); len(got.Re) != 0 || len(got.Im) != 0 {
 		t.Errorf("ForwardReal(nil) = %v, want empty", got)
 	}
-	if got := p.InverseReal(Spectrum[float64]{}, nil); len(got) != 0 {
+	if got := p.InverseReal(Spectrum{}, nil); len(got) != 0 {
 		t.Errorf("InverseReal(empty) = %v, want empty", got)
 	}
 }
@@ -84,7 +82,7 @@ func TestFFTEmpty(t *testing.T) {
 func TestIFFTInvertsFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 16, 64, 1024} {
 		x := randSignal(n, int64(n)+4)
-		got := PlanFFT[float64](n).InverseReal(realSpectrum(x), nil)
+		got := PlanFFT(n).InverseReal(realSpectrum(x), nil)
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-8*float64(n) {
 				t.Fatalf("n=%d: inverse(forward(x))[%d] = %g, want %g", n, i, got[i], x[i])
@@ -218,7 +216,7 @@ func TestGoertzelEmpty(t *testing.T) {
 }
 
 func TestPowerSpectrum(t *testing.T) {
-	x := Spectrum[float64]{Re: []float64{3, 0, 1}, Im: []float64{4, 0, 0}}
+	x := Spectrum{Re: []float64{3, 0, 1}, Im: []float64{4, 0, 0}}
 	got := PowerSpectrum(x)
 	want := []float64{25, 0, 1}
 	for i := range want {

@@ -6,9 +6,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
-	"soundboost/internal/mathx"
 	"soundboost/internal/obs"
 )
 
@@ -20,71 +18,58 @@ var (
 )
 
 // Spectrum is the non-redundant half spectrum X[0..n/2] of a real
-// signal of length n, stored as split real and imaginary parts (Go's
-// real/imag/complex builtins do not accept type parameters).
-type Spectrum[F mathx.Float] struct {
-	Re, Im []F
+// signal of length n, stored as split real and imaginary parts.
+type Spectrum struct {
+	Re, Im []float64
 }
 
 // Plan holds everything size-dependent a real-input FFT of length n
-// needs, in element type F: the bit-reversal permutation of the
-// half-length complex transform, the twiddle table exp(-2*pi*i*k/n),
-// k < n/2, of the packed-real untangle, and the same twiddles regrouped
-// stage by stage for the half-length butterflies. Sizes are powers of
+// needs: the bit-reversal permutation of the half-length complex
+// transform, the twiddle table exp(-2*pi*i*k/n), k < n/2, of the
+// packed-real untangle, and the same twiddles regrouped stage by stage
+// for the half-length butterflies. Sizes are powers of
 // two. Plans are immutable after construction and safe for concurrent
-// use; PlanFFT caches one plan per (size, F), so every session, stream
+// use; PlanFFT caches one plan per size, so every session, stream
 // engine and fleet replica in the process shares one table set.
-type Plan[F mathx.Float] struct {
+type Plan struct {
 	n          int
 	bitrev     []int // permutation of the n/2-point complex transform
-	twRe, twIm []F
+	twRe, twIm []float64
 	// stageRe, stageIm hold the butterfly twiddles stage after stage:
 	// the stage of half-size m reads entries [m-1, 2m-1), entry m-1+k
 	// being twiddle k*n/(2m). Each stage walks its twiddles
 	// contiguously instead of striding through twRe/twIm.
-	stageRe, stageIm []F
+	stageRe, stageIm []float64
 }
 
-// poolKey identifies a per-size cache entry of one element type;
-// elemBytes separates the float32 and float64 instantiations.
-type poolKey struct {
-	n, elemBytes int
-}
-
-func keyOf[F mathx.Float](n int) poolKey {
-	var zero F
-	return poolKey{n: n, elemBytes: int(unsafe.Sizeof(zero))}
-}
-
-// planCache maps poolKey -> *Plan[F].
+// planCache maps size -> *Plan.
 var planCache sync.Map
 
-// PlanFFT returns the cached real-input transform plan for size n in
-// element type F, building it on first use. n must be zero or a power
-// of two (callers size transforms with NextPow2). The returned plan is
-// shared and read-only.
-func PlanFFT[F mathx.Float](n int) *Plan[F] {
-	key := keyOf[F](n)
-	if p, ok := planCache.Load(key); ok {
-		return p.(*Plan[F])
+// PlanFFT returns the cached real-input transform plan for size n,
+// building it on first use. n must be zero or a power of two (callers
+// size transforms with NextPow2). The returned plan is shared and
+// read-only.
+func PlanFFT(n int) *Plan {
+	if p, ok := planCache.Load(n); ok {
+		return p.(*Plan)
 	}
 	if n < 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
 	}
-	p := &Plan[F]{n: n}
+	p := &Plan{n: n}
 	if h := n / 2; h >= 1 {
 		shift := 64 - uint(bits.TrailingZeros(uint(h)))
 		p.bitrev = make([]int, h)
-		p.twRe = make([]F, h)
-		p.twIm = make([]F, h)
+		p.twRe = make([]float64, h)
+		p.twIm = make([]float64, h)
 		for k := 0; k < h; k++ {
 			p.bitrev[k] = int(bits.Reverse64(uint64(k)) >> shift)
 			angle := 2 * math.Pi * float64(k) / float64(n)
 			s, c := math.Sincos(-angle)
-			p.twRe[k], p.twIm[k] = F(c), F(s)
+			p.twRe[k], p.twIm[k] = c, s
 		}
-		p.stageRe = make([]F, 0, h-1)
-		p.stageIm = make([]F, 0, h-1)
+		p.stageRe = make([]float64, 0, h-1)
+		p.stageIm = make([]float64, 0, h-1)
 		for m := 1; m < h; m <<= 1 {
 			stride := n / (2 * m)
 			for k := 0; k < m; k++ {
@@ -93,17 +78,17 @@ func PlanFFT[F mathx.Float](n int) *Plan[F] {
 			}
 		}
 	}
-	actual, _ := planCache.LoadOrStore(key, p)
+	actual, _ := planCache.LoadOrStore(n, p)
 	fftPlanCount.Inc()
-	return actual.(*Plan[F])
+	return actual.(*Plan)
 }
 
 // Size returns the transform length the plan was built for.
-func (p *Plan[F]) Size() int { return p.n }
+func (p *Plan) Size() int { return p.n }
 
 // SpectrumLen returns the number of non-redundant spectrum bins:
 // Size()/2 + 1 (0 for the empty transform).
-func (p *Plan[F]) SpectrumLen() int {
+func (p *Plan) SpectrumLen() int {
 	if p.n == 0 {
 		return 0
 	}
@@ -111,10 +96,9 @@ func (p *Plan[F]) SpectrumLen() int {
 }
 
 // butterfly is the iterative in-place forward Cooley-Tukey transform of
-// the bit-reversed half-length complex sequence (re, im). It is spelled
-// out in F component arithmetic: complex64 multiplication evaluates
-// through complex128, which would forfeit the single-precision speedup,
-// and at float64 the component form rounds exactly like complex128.
+// the bit-reversed half-length complex sequence (re, im), spelled out
+// in component arithmetic over the split layout; it rounds exactly like
+// complex128.
 //
 // The size-2 and size-4 stages, whose groups hold one and two
 // butterflies, run as flat loops over the whole sequence with their
@@ -122,7 +106,7 @@ func (p *Plan[F]) SpectrumLen() int {
 // twiddles. Every butterfly evaluates the same expression on the same
 // table values as the plain radix-2 loop, so the result is bitwise
 // identical to it.
-func (p *Plan[F]) butterfly(re, im []F) {
+func (p *Plan) butterfly(re, im []float64) {
 	h := len(re)
 	im = im[:h]
 	if h < 2 {
@@ -188,7 +172,7 @@ func (p *Plan[F]) butterfly(re, im []F) {
 // untangled in place. The result is written into out when its slices
 // have capacity for SpectrumLen() bins, otherwise fresh slices are
 // allocated. x is left untouched.
-func (p *Plan[F]) ForwardReal(x []F, out Spectrum[F]) Spectrum[F] {
+func (p *Plan) ForwardReal(x []float64, out Spectrum) Spectrum {
 	if len(x) != p.n {
 		panic("dsp: plan/input size mismatch")
 	}
@@ -228,7 +212,7 @@ func (p *Plan[F]) ForwardReal(x []F, out Spectrum[F]) Spectrum[F] {
 
 // untangle returns bin k of the real spectrum from Z[k] = (zr, zi) and
 // Z[h-k] = (cr, ci) of the packed half-length transform.
-func (p *Plan[F]) untangle(k int, zr, zi, cr, ci F) (F, F) {
+func (p *Plan) untangle(k int, zr, zi, cr, ci float64) (float64, float64) {
 	ci = -ci
 	fer, fei := (zr+cr)*0.5, (zi+ci)*0.5
 	// Fo = (Z[k]-conj(Z[h-k]))/2i
@@ -241,7 +225,7 @@ func (p *Plan[F]) untangle(k int, zr, zi, cr, ci F) (F, F) {
 // spectrum produced by ForwardReal, including the 1/N normalization.
 // The result is written into out when cap(out) >= Size(), otherwise a
 // fresh slice is allocated. spec is left untouched.
-func (p *Plan[F]) InverseReal(spec Spectrum[F], out []F) []F {
+func (p *Plan) InverseReal(spec Spectrum, out []float64) []float64 {
 	if len(spec.Re) != p.SpectrumLen() || len(spec.Im) != p.SpectrumLen() {
 		panic("dsp: plan/spectrum size mismatch")
 	}
@@ -256,7 +240,7 @@ func (p *Plan[F]) InverseReal(spec Spectrum[F], out []F) []F {
 	span := fftTimer.Start()
 	defer span.Stop()
 	h := p.n / 2
-	buf := Acquire[F](p.n)
+	buf := Acquire(p.n)
 	defer Release(buf)
 	zr, zi := buf[:h], buf[h:]
 	// Re-tangle Z[k] = Fe[k] + i*Fo[k] with Fe = (X[k]+conj(X[h-k]))/2
@@ -275,7 +259,7 @@ func (p *Plan[F]) InverseReal(spec Spectrum[F], out []F) []F {
 	p.butterfly(zr, zi)
 	// The 1/(n/2) normalization of the half-length inverse is exactly
 	// the 1/N the packed pair of real samples per bin needs.
-	scale := 1 / F(h)
+	scale := 1 / float64(h)
 	for k := 0; k < h; k++ {
 		out[2*k] = zr[k] * scale
 		out[2*k+1] = -zi[k] * scale
@@ -285,78 +269,75 @@ func (p *Plan[F]) InverseReal(spec Spectrum[F], out []F) []F {
 
 // fit returns s resliced to length n when its capacity allows,
 // otherwise a fresh slice.
-func fit[F mathx.Float](s []F, n int) []F {
+func fit(s []float64, n int) []float64 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]F, n)
+	return make([]float64, n)
 }
 
 // BandPower sums spectral power over a band of a half spectrum of an
 // nfft-point transform and returns the band magnitude
 // sqrt(sum |X[k]|^2) — per-bin magnitudes and BandEnergy fused into one
-// pass with no intermediate slice and one square root per band. The
-// sum accumulates in F.
-func BandPower[F mathx.Float](spec Spectrum[F], nfft int, sampleRate float64, b Band) float64 {
+// pass with no intermediate slice and one square root per band.
+func BandPower(spec Spectrum, nfft int, sampleRate float64, b Band) float64 {
 	lo := FrequencyBin(b.Low, nfft, sampleRate)
 	hi := FrequencyBin(b.High, nfft, sampleRate)
 	if hi >= len(spec.Re) {
 		hi = len(spec.Re) - 1
 	}
-	var sum F
+	var sum float64
 	for k := lo; k <= hi; k++ {
 		re, im := spec.Re[k], spec.Im[k]
 		sum += re*re + im*im
 	}
-	return math.Sqrt(float64(sum))
+	return math.Sqrt(sum)
 }
 
 // --- Scratch-buffer arena.
 
-// pools maps poolKey -> *sync.Pool of *[]F. Transform sizes in a run
-// form a tiny set (a few window/NFFT sizes per precision), so the map
-// stays small.
+// pools maps length -> *sync.Pool of *[]float64. Transform sizes in a
+// run form a tiny set (a few window/NFFT sizes), so the map stays
+// small.
 var pools sync.Map
 
-// Acquire returns a zeroed scratch []F of length n from the arena.
+// Acquire returns a zeroed scratch []float64 of length n from the arena.
 // Release it with Release when done.
-func Acquire[F mathx.Float](n int) []F {
-	key := keyOf[F](n)
-	arenaAcquire(key.elemBytes * n)
-	poolAny, ok := pools.Load(key)
+func Acquire(n int) []float64 {
+	arenaAcquire(n)
+	poolAny, ok := pools.Load(n)
 	if !ok {
-		poolAny, _ = pools.LoadOrStore(key, &sync.Pool{})
+		poolAny, _ = pools.LoadOrStore(n, &sync.Pool{})
 	}
 	if v := poolAny.(*sync.Pool).Get(); v != nil {
-		buf := *(v.(*[]F))
+		buf := *(v.(*[]float64))
 		clear(buf)
 		return buf
 	}
-	return make([]F, n)
+	return make([]float64, n)
 }
 
 // Release returns a buffer obtained from Acquire to the arena. The
 // caller must not use the slice afterwards.
-func Release[F mathx.Float](buf []F) {
+func Release(buf []float64) {
 	if buf == nil {
 		return
 	}
-	key := keyOf[F](len(buf))
-	arenaRelease(key.elemBytes * len(buf))
-	if poolAny, ok := pools.Load(key); ok {
+	arenaRelease(len(buf))
+	if poolAny, ok := pools.Load(len(buf)); ok {
 		poolAny.(*sync.Pool).Put(&buf)
 	}
 }
 
 // AcquireSpectrum returns a zeroed scratch half spectrum of m bins from
 // the arena. Release it with ReleaseSpectrum when done.
-func AcquireSpectrum[F mathx.Float](m int) Spectrum[F] {
-	return Spectrum[F]{Re: Acquire[F](m), Im: Acquire[F](m)}
+func AcquireSpectrum(m int) Spectrum {
+	return Spectrum{Re: Acquire(m), Im: Acquire(m)}
 }
 
 // ReleaseSpectrum returns a spectrum obtained from AcquireSpectrum to
 // the arena.
-func ReleaseSpectrum[F mathx.Float](s Spectrum[F]) {
+func ReleaseSpectrum(s Spectrum) {
 	Release(s.Re)
 	Release(s.Im)
 }
@@ -377,8 +358,9 @@ var (
 	arenaPeakGauge  = obs.Default.Gauge("dsp.arena.peak_bytes")
 )
 
-func arenaAcquire(bytes int) {
-	v := arenaInUse.Add(int64(bytes))
+// arenaAcquire and arenaRelease account n float64 elements.
+func arenaAcquire(n int) {
+	v := arenaInUse.Add(int64(8 * n))
 	arenaInUseGauge.Set(float64(v))
 	for {
 		peak := arenaPeak.Load()
@@ -392,8 +374,8 @@ func arenaAcquire(bytes int) {
 	}
 }
 
-func arenaRelease(bytes int) {
-	v := arenaInUse.Add(-int64(bytes))
+func arenaRelease(n int) {
+	v := arenaInUse.Add(-int64(8 * n))
 	arenaInUseGauge.Set(float64(v))
 }
 
@@ -405,22 +387,16 @@ func ArenaPeakBytes() int64 { return arenaPeak.Load() }
 
 // --- Cached analysis windows.
 
-// hannCache maps poolKey -> shared []F Hann table.
+// hannCache maps length -> shared []float64 Hann table.
 var hannCache sync.Map
 
-// CachedHann returns the shared Hann window table of length n in
-// element type F. The float32 table narrows the float64 one, so both
-// precisions window with the same curve. The slice is cached and must
-// be treated as read-only; use Hann for a private copy.
-func CachedHann[F mathx.Float](n int) []F {
-	key := keyOf[F](n)
-	if w, ok := hannCache.Load(key); ok {
-		return w.([]F)
+// CachedHann returns the shared Hann window table of length n. The
+// slice is cached and must be treated as read-only; use Hann for a
+// private copy.
+func CachedHann(n int) []float64 {
+	if w, ok := hannCache.Load(n); ok {
+		return w.([]float64)
 	}
-	w := make([]F, n)
-	for i, v := range Hann(n) {
-		w[i] = F(v)
-	}
-	actual, _ := hannCache.LoadOrStore(key, w)
-	return actual.([]F)
+	actual, _ := hannCache.LoadOrStore(n, Hann(n))
+	return actual.([]float64)
 }

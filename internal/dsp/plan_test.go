@@ -6,61 +6,37 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"soundboost/internal/mathx"
 )
-
-// checkAgainstNaive compares the F-instantiated real FFT of x with the
-// naive complex DFT within tol per bin.
-func checkAgainstNaive[F mathx.Float](t *testing.T, x []float64, tol float64) {
-	t.Helper()
-	n := len(x)
-	xf := make([]F, n)
-	for i, v := range x {
-		xf[i] = F(v)
-	}
-	got := toComplex(PlanFFT[F](n).ForwardReal(xf, Spectrum[F]{}))
-	want := naiveDFT(asComplex(x))[:n/2+1]
-	if !complexSliceApproxEq(got, want, tol) {
-		t.Errorf("n=%d: %T plan disagrees with naive DFT (tol %g)", n, F(0), tol)
-	}
-}
 
 func TestPlanMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 128, 512} {
 		x := randSignal(n, int64(n)+11)
-		checkAgainstNaive[float64](t, x, 1e-7*float64(n))
-		// float32 error grows ~sqrt(n)*eps relative to the spectrum scale
-		// (|X| ~ sqrt(n) for unit-variance noise).
-		checkAgainstNaive[float32](t, x, 1e-5*float64(n))
+		got := toComplex(PlanFFT(n).ForwardReal(x, Spectrum{}))
+		want := naiveDFT(asComplex(x))[:n/2+1]
+		if tol := 1e-7 * float64(n); !complexSliceApproxEq(got, want, tol) {
+			t.Errorf("n=%d: plan disagrees with naive DFT (tol %g)", n, tol)
+		}
 	}
 }
 
 func TestPlanInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{2, 8, 16, 64, 1024} {
 		x := randSignal(n, int64(n)+12)
-		x32 := make([]float32, n)
-		for i, v := range x {
-			x32[i] = float32(v)
-		}
-		p := PlanFFT[float32](n)
-		back := p.InverseReal(p.ForwardReal(x32, Spectrum[float32]{}), nil)
-		for i := range x32 {
-			if math.Abs(float64(back[i]-x32[i])) > 1e-5*math.Sqrt(float64(n)) {
-				t.Fatalf("n=%d sample %d: float32 round trip %g, want %g", n, i, back[i], x32[i])
+		p := PlanFFT(n)
+		back := p.InverseReal(p.ForwardReal(x, Spectrum{}), nil)
+		for i := range x {
+			if math.Abs(back[i]-x[i]) > 1e-12*math.Sqrt(float64(n)) {
+				t.Fatalf("n=%d sample %d: round trip %g, want %g", n, i, back[i], x[i])
 			}
 		}
 	}
 }
 
 func TestPlanCacheReturnsSameInstance(t *testing.T) {
-	if PlanFFT[float64](256) != PlanFFT[float64](256) {
-		t.Error("PlanFFT[float64](256) not cached")
+	if PlanFFT(256) != PlanFFT(256) {
+		t.Error("PlanFFT(256) not cached")
 	}
-	if PlanFFT[float32](256) != PlanFFT[float32](256) {
-		t.Error("PlanFFT[float32](256) not cached")
-	}
-	if PlanFFT[float64](256).Size() != 256 || PlanFFT[float32](256).Size() != 256 {
+	if PlanFFT(256).Size() != 256 {
 		t.Error("wrong plan size")
 	}
 }
@@ -71,7 +47,7 @@ func TestPlanSizeMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on size mismatch")
 		}
 	}()
-	PlanFFT[float64](8).ForwardReal(make([]float64, 4), Spectrum[float64]{})
+	PlanFFT(8).ForwardReal(make([]float64, 4), Spectrum{})
 }
 
 func TestPlanRejectsNonPowerOfTwo(t *testing.T) {
@@ -80,25 +56,25 @@ func TestPlanRejectsNonPowerOfTwo(t *testing.T) {
 			t.Fatal("no panic for a non-power-of-two size")
 		}
 	}()
-	PlanFFT[float64](12)
+	PlanFFT(12)
 }
 
 func TestPlanConcurrentUseMatchesSerial(t *testing.T) {
 	const n = 256
 	inputs := make([][]float64, 32)
-	want := make([]Spectrum[float64], len(inputs))
+	want := make([]Spectrum, len(inputs))
 	for i := range inputs {
 		inputs[i] = randSignal(n, int64(i)+13)
 		want[i] = realSpectrum(inputs[i])
 	}
-	p := PlanFFT[float64](n)
+	p := PlanFFT(n)
 	var wg sync.WaitGroup
-	got := make([]Spectrum[float64], len(inputs))
+	got := make([]Spectrum, len(inputs))
 	for i := range inputs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = p.ForwardReal(inputs[i], Spectrum[float64]{})
+			got[i] = p.ForwardReal(inputs[i], Spectrum{})
 		}(i)
 	}
 	wg.Wait()
@@ -112,22 +88,22 @@ func TestPlanConcurrentUseMatchesSerial(t *testing.T) {
 }
 
 func TestScratchArenaZeroesBuffers(t *testing.T) {
-	buf := Acquire[float64](64)
+	buf := Acquire(64)
 	for i := range buf {
 		buf[i] = 1
 	}
 	Release(buf)
-	again := Acquire[float64](64)
+	again := Acquire(64)
 	defer Release(again)
 	for i, v := range again {
 		if v != 0 {
 			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
 		}
 	}
-	spec := AcquireSpectrum[float64](32)
+	spec := AcquireSpectrum(32)
 	spec.Re[5], spec.Im[5] = 3, 4
 	ReleaseSpectrum(spec)
-	spec2 := AcquireSpectrum[float64](32)
+	spec2 := AcquireSpectrum(32)
 	defer ReleaseSpectrum(spec2)
 	if spec2.Re[5] != 0 || spec2.Im[5] != 0 {
 		t.Fatal("reused spectrum not zeroed")
@@ -136,7 +112,7 @@ func TestScratchArenaZeroesBuffers(t *testing.T) {
 
 func TestCachedHannMatchesHann(t *testing.T) {
 	for _, n := range []int{1, 8, 125, 256} {
-		got := CachedHann[float64](n)
+		got := CachedHann(n)
 		want := Hann(n)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: length mismatch", n)
@@ -146,7 +122,7 @@ func TestCachedHannMatchesHann(t *testing.T) {
 				t.Fatalf("n=%d: CachedHann[%d] = %v, want %v", n, i, got[i], want[i])
 			}
 		}
-		if &CachedHann[float64](n)[0] != &got[0] {
+		if &CachedHann(n)[0] != &got[0] {
 			t.Fatalf("n=%d: CachedHann not cached", n)
 		}
 	}

@@ -57,17 +57,17 @@ func STFT(x []float64, sampleRate float64, cfg STFTConfig) (*Spectrogram, error)
 	if cfg.Window != nil {
 		win = cfg.Window(cfg.WindowSize)
 	} else {
-		win = CachedHann[float64](cfg.WindowSize)
+		win = CachedHann(cfg.WindowSize)
 	}
 	nfft := cfg.WindowSize
 	if cfg.Pad {
 		nfft = NextPow2(cfg.WindowSize)
 	}
 	var frames [][]float64
-	plan := PlanFFT[float64](nfft)
-	buf := Acquire[float64](nfft)
+	plan := PlanFFT(nfft)
+	buf := Acquire(nfft)
 	defer Release(buf)
-	spec := AcquireSpectrum[float64](plan.SpectrumLen())
+	spec := AcquireSpectrum(plan.SpectrumLen())
 	defer ReleaseSpectrum(spec)
 	for start := 0; start+cfg.WindowSize <= len(x); start += cfg.HopSize {
 		// buf[WindowSize:] stays zero: the arena hands buffers out zeroed.

@@ -27,16 +27,16 @@ func GCCPHAT(a, b []float64) []float64 {
 // PHAT-weighted to unit magnitude, and transforms back.
 func correlate(a, b []float64, phat bool) []float64 {
 	n := NextPow2(len(a) + len(b) - 1)
-	plan := PlanFFT[float64](n)
-	fa := Acquire[float64](n)
+	plan := PlanFFT(n)
+	fa := Acquire(n)
 	defer Release(fa)
-	fb := Acquire[float64](n)
+	fb := Acquire(n)
 	defer Release(fb)
 	copy(fa, a)
 	copy(fb, b)
-	A := plan.ForwardReal(fa, AcquireSpectrum[float64](plan.SpectrumLen()))
+	A := plan.ForwardReal(fa, AcquireSpectrum(plan.SpectrumLen()))
 	defer ReleaseSpectrum(A)
-	B := plan.ForwardReal(fb, AcquireSpectrum[float64](plan.SpectrumLen()))
+	B := plan.ForwardReal(fb, AcquireSpectrum(plan.SpectrumLen()))
 	defer ReleaseSpectrum(B)
 	for i := range A.Re {
 		ar, ai, br, bi := A.Re[i], A.Im[i], B.Re[i], B.Im[i]

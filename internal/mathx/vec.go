@@ -203,11 +203,3 @@ func (m Mat3) Inverse() (inv Mat3, ok bool) {
 func Diag3(a, b, c float64) Mat3 {
 	return Mat3{{a, 0, 0}, {0, b, 0}, {0, 0, c}}
 }
-
-// Float is the element-type constraint of the precision-generic hot
-// path: the signature FFT, network program and feature kernels are
-// written once over F and instantiated at float64 (the exact default)
-// or float32 (the opt-in fast path).
-type Float interface {
-	float32 | float64
-}

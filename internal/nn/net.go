@@ -3,35 +3,33 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-
-	"soundboost/internal/mathx"
 )
 
-// Net is an inference-only lowering of a trained Sequential in element
-// type F: flat row-major weight slabs walked by tight component loops,
-// with pooled activation scratch so concurrent Infer calls never
-// contend or allocate per layer. Its float64 instantiation is bitwise
-// equal to Sequential.Infer (same bias-first, index-order accumulation
-// and the same activations); float32 is the opt-in fast path. Training
-// and the LSTM stay on the Layer interface.
-type Net[F mathx.Float] struct {
+// Net is an inference-only lowering of a trained Sequential: flat
+// row-major weight slabs walked by tight component loops, with pooled
+// activation scratch so concurrent Infer calls never contend or
+// allocate per layer. It is bitwise equal to Sequential.Infer (same
+// bias-first, index-order accumulation and the same activations).
+// Training and the LSTM stay on the Layer interface.
+type Net struct {
 	in, out int
-	ops     []op[F]
+	ops     []op
 	maxDim  int   // widest activation across the program
 	passes  int64 // Sequential.Infer calls one run stands for
 	scratch sync.Pool
 }
 
 // op is one lowered layer; kind selects which fields are used.
-type op[F mathx.Float] struct {
+type op struct {
 	kind    opKind
 	in, out int
-	w       []F     // dense: row-major out x in
-	b       []F     // dense bias
-	inner   *Net[F] // skip: sub-program f
-	steps   int     // skip: forward-Euler steps
-	h       F       // skip: step size
+	w       []float64 // dense: row-major out x in
+	b       []float64 // dense bias
+	inner   *Net      // skip: sub-program f
+	steps   int       // skip: forward-Euler steps
+	h       float64   // skip: step size
 }
 
 type opKind uint8
@@ -49,36 +47,36 @@ const (
 // Compile lowers a trained Sequential into a Net. It understands the
 // concrete layer set NewRegressor emits (Dense, ReLU, Tanh, Residual,
 // ODEBlock); any other Layer implementation is an error.
-func Compile[F mathx.Float](s *Sequential) (*Net[F], error) {
+func Compile(s *Sequential) (*Net, error) {
 	if s == nil {
 		return nil, fmt.Errorf("nn: compile nil network")
 	}
-	n := &Net[F]{in: -1, out: -1, passes: 1}
+	n := &Net{in: -1, out: -1, passes: 1}
 	for i, l := range s.Layers {
 		switch v := l.(type) {
 		case *Dense:
-			n.ops = append(n.ops, op[F]{kind: opDense, in: v.In, out: v.Out, w: convert[F](v.W), b: convert[F](v.B)})
+			n.ops = append(n.ops, op{kind: opDense, in: v.In, out: v.Out, w: slices.Clone(v.W), b: slices.Clone(v.B)})
 			if n.in < 0 {
 				n.in = v.In
 			}
 			n.out = v.Out
 		case *ReLU:
-			n.ops = append(n.ops, op[F]{kind: opReLU})
+			n.ops = append(n.ops, op{kind: opReLU})
 		case *Tanh:
-			n.ops = append(n.ops, op[F]{kind: opTanh})
+			n.ops = append(n.ops, op{kind: opTanh})
 		case *Residual:
-			inner, err := Compile[F](v.Inner)
+			inner, err := Compile(v.Inner)
 			if err != nil {
 				return nil, fmt.Errorf("nn: residual layer %d: %w", i, err)
 			}
-			n.ops = append(n.ops, op[F]{kind: opSkip, inner: inner, steps: 1, h: 1})
+			n.ops = append(n.ops, op{kind: opSkip, inner: inner, steps: 1, h: 1})
 			n.passes += inner.passes
 		case *ODEBlock:
-			inner, err := Compile[F](v.F)
+			inner, err := Compile(v.F)
 			if err != nil {
 				return nil, fmt.Errorf("nn: ODE layer %d: %w", i, err)
 			}
-			n.ops = append(n.ops, op[F]{kind: opSkip, inner: inner, steps: v.Steps, h: F(v.H)})
+			n.ops = append(n.ops, op{kind: opSkip, inner: inner, steps: v.Steps, h: v.H})
 			n.passes += int64(v.Steps) * inner.passes
 		default:
 			return nil, fmt.Errorf("nn: cannot lower layer %d (%T)", i, l)
@@ -89,23 +87,15 @@ func Compile[F mathx.Float](s *Sequential) (*Net[F], error) {
 	}
 	n.maxDim = n.widest(n.in)
 	n.scratch.New = func() any {
-		buf := make([]F, 2*n.maxDim)
+		buf := make([]float64, 2*n.maxDim)
 		return &buf
 	}
 	return n, nil
 }
 
-func convert[F mathx.Float](x []float64) []F {
-	out := make([]F, len(x))
-	for i, v := range x {
-		out[i] = F(v)
-	}
-	return out
-}
-
 // widest computes the maximum activation width of the program starting
 // from an input of width in, including sub-programs.
-func (n *Net[F]) widest(in int) int {
+func (n *Net) widest(in int) int {
 	widest, dim := in, in
 	for _, o := range n.ops {
 		switch o.kind {
@@ -120,27 +110,27 @@ func (n *Net[F]) widest(in int) int {
 }
 
 // InDim and OutDim report the compiled input/output widths.
-func (n *Net[F]) InDim() int  { return n.in }
-func (n *Net[F]) OutDim() int { return n.out }
+func (n *Net) InDim() int  { return n.in }
+func (n *Net) OutDim() int { return n.out }
 
 // Infer runs one sample through the program and returns a fresh output
 // slice. It is safe for concurrent use; all intermediate activations
 // live on pooled scratch. Like Sequential.Infer it counts one
 // nn.infer.calls per (nested) sequential pass.
-func (n *Net[F]) Infer(x []F) []F {
+func (n *Net) Infer(x []float64) []float64 {
 	inferCalls.Add(n.passes)
-	bufp := n.scratch.Get().(*[]F)
+	bufp := n.scratch.Get().(*[]float64)
 	defer n.scratch.Put(bufp)
 	cur := (*bufp)[:len(x)]
 	copy(cur, x)
 	cur = n.run(cur, (*bufp)[n.maxDim:])
-	return append([]F(nil), cur...)
+	return append([]float64(nil), cur...)
 }
 
 // run executes the program in place over cur, using tmp (maxDim wide)
 // for dense outputs. It returns the final activation, which aliases
 // either cur or tmp.
-func (n *Net[F]) run(cur, tmp []F) []F {
+func (n *Net) run(cur, tmp []float64) []float64 {
 	for _, o := range n.ops {
 		switch o.kind {
 		case opDense:
@@ -162,11 +152,11 @@ func (n *Net[F]) run(cur, tmp []F) []F {
 			}
 		case opTanh:
 			for i, v := range cur {
-				cur[i] = F(math.Tanh(float64(v)))
+				cur[i] = math.Tanh(v)
 			}
 		case opSkip:
 			inner := o.inner
-			ibufp := inner.scratch.Get().(*[]F)
+			ibufp := inner.scratch.Get().(*[]float64)
 			for s := 0; s < o.steps; s++ {
 				icur := (*ibufp)[:len(cur)]
 				copy(icur, cur)

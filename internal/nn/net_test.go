@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -24,43 +23,12 @@ func compileAll(t testing.TB) map[ModelKind]*Sequential {
 	return out
 }
 
-func TestCompile32MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for kind, net := range compileAll(t) {
-		n32, err := Compile[float32](net)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", kind, err)
-		}
-		if n32.InDim() != 12 || n32.OutDim() != 3 {
-			t.Fatalf("%s: dims %d->%d, want 12->3", kind, n32.InDim(), n32.OutDim())
-		}
-		for trial := 0; trial < 50; trial++ {
-			x := make([]float64, 12)
-			x32 := make([]float32, 12)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-				x32[i] = float32(x[i])
-			}
-			want := net.Infer(x)
-			got := n32.Infer(x32)
-			if len(got) != len(want) {
-				t.Fatalf("%s: output length %d, want %d", kind, len(got), len(want))
-			}
-			for i := range want {
-				if math.Abs(float64(got[i])-want[i]) > 1e-3*(1+math.Abs(want[i])) {
-					t.Fatalf("%s trial %d out %d: float32 %g, float64 %g", kind, trial, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestNetFloat64MatchesSequential pins the float64 instantiation of the
-// network program bitwise to Sequential.Infer for every model family.
+// TestNetFloat64MatchesSequential pins the network program bitwise to
+// Sequential.Infer for every model family.
 func TestNetFloat64MatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for kind, net := range compileAll(t) {
-		n64, err := Compile[float64](net)
+		n64, err := Compile(net)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", kind, err)
 		}
@@ -73,16 +41,16 @@ func TestNetFloat64MatchesSequential(t *testing.T) {
 			got := n64.Infer(x)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s trial %d out %d: Net[float64] %v, Sequential %v", kind, trial, i, got[i], want[i])
+					t.Fatalf("%s trial %d out %d: Net %v, Sequential %v", kind, trial, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestNetInferCallsBothPrecisions requires one program run to count exactly the
-// nn.infer.calls of Sequential.Infer, nested residual/ODE passes
-// included, at both precisions.
+// TestNetInferCallsBothPrecisions requires one program run to count
+// exactly the nn.infer.calls of Sequential.Infer, nested residual/ODE
+// passes included, at float64, the one precision the program has.
 func TestNetInferCallsBothPrecisions(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable()
@@ -99,11 +67,7 @@ func TestNetInferCallsBothPrecisions(t *testing.T) {
 	}
 	wantPasses := map[ModelKind]int64{ModelMLP: 1, ModelResMLP: 3, ModelODE: 5}
 	for kind, net := range compileAll(t) {
-		n64, err := Compile[float64](net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n32, err := Compile[float32](net)
+		n64, err := Compile(net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,32 +76,29 @@ func TestNetInferCallsBothPrecisions(t *testing.T) {
 			t.Fatalf("%s: Sequential.Infer counted %d, want %d", kind, seq, wantPasses[kind])
 		}
 		if got := count(func() { n64.Infer(make([]float64, 12)) }); got != seq {
-			t.Errorf("%s: Net[float64] counted %d, Sequential %d", kind, got, seq)
-		}
-		if got := count(func() { n32.Infer(make([]float32, 12)) }); got != seq {
-			t.Errorf("%s: Net[float32] counted %d, Sequential %d", kind, got, seq)
+			t.Errorf("%s: Net counted %d, Sequential %d", kind, got, seq)
 		}
 	}
 }
 
-func TestCompile32Concurrent(t *testing.T) {
+func TestCompileConcurrent(t *testing.T) {
 	net := compileAll(t)[ModelODE]
-	n32, err := Compile[float32](net)
+	n, err := Compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float32, 12)
+	x := make([]float64, 12)
 	for i := range x {
-		x[i] = float32(i) * 0.1
+		x[i] = float64(i) * 0.1
 	}
-	want := n32.Infer(x)
+	want := n.Infer(x)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				got := n32.Infer(x)
+				got := n.Infer(x)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Errorf("concurrent Infer diverged at %d: %g vs %g", j, got[j], want[j])
@@ -153,12 +114,12 @@ func TestCompile32Concurrent(t *testing.T) {
 // opaqueLayer is a Layer implementation Compile has no lowering for.
 type opaqueLayer struct{ ReLU }
 
-func TestCompile32RejectsUnknownLayer(t *testing.T) {
+func TestCompileRejectsUnknownLayer(t *testing.T) {
 	net := NewSequential(NewDense(4, 4, rand.New(rand.NewSource(1))), &opaqueLayer{})
-	if _, err := Compile[float32](net); err == nil {
+	if _, err := Compile(net); err == nil {
 		t.Fatal("want error for unsupported layer, got nil")
 	}
-	if _, err := Compile[float32](nil); err == nil {
+	if _, err := Compile(nil); err == nil {
 		t.Fatal("want error for nil network, got nil")
 	}
 }
@@ -173,22 +134,5 @@ func BenchmarkInferFloat64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Infer(x)
-	}
-}
-
-func BenchmarkInferFloat32(b *testing.B) {
-	net := compileAll(b)[ModelMLP]
-	n32, err := Compile[float32](net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, 12)
-	for i := range x {
-		x[i] = float32(i) * 0.1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n32.Infer(x)
 	}
 }

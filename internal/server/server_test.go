@@ -367,10 +367,10 @@ func TestWholeFlightOneChunk(t *testing.T) {
 	}
 }
 
-// TestSessionPrecision opens a float32 session, verifies the served
-// report records the mode it ran under (with its documented tolerance)
-// and still reaches the float64 batch verdict, and checks an unknown
-// precision is rejected at session open with 422 and a fixed message.
+// TestSessionPrecision pins the /v1 precision rule of session open: an
+// unknown precision is rejected with 422 and a fixed message; "",
+// "float64" and "float32" are accepted, have no effect, and serve the
+// float64 batch report exactly.
 func TestSessionPrecision(t *testing.T) {
 	fx := getFixture(t)
 	s := newTestServer(t, Config{})
@@ -385,27 +385,27 @@ func TestSessionPrecision(t *testing.T) {
 		t.Errorf("float16 open = (%q, %q), want (%q, %q)", bad.Code, bad.Error, api.CodeUnprocessable, wantMsg)
 	}
 
-	created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
-		Flight:       f.Name,
-		SampleRateHz: f.Audio.SampleRate,
-		Precision:    string(soundboost.Float32),
-	}), http.StatusCreated)
-	report, err := feedSession(s, "/v1/sessions/"+created.ID, f, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Precision != string(soundboost.Float32) {
-		t.Errorf("report precision = %q, want %q", report.Precision, soundboost.Float32)
-	}
-	if report.Tolerance != soundboost.Float32Tolerance {
-		t.Errorf("report tolerance = %g, want %g", report.Tolerance, soundboost.Float32Tolerance)
-	}
 	batch, err := fx.analyzer.Analyze(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Cause != string(batch.Cause) {
-		t.Errorf("float32 session cause = %q, float64 batch cause = %q", report.Cause, batch.Cause)
+	want := api.ReportFromCore(batch)
+	for _, precision := range []string{"", string(soundboost.Float64), string(soundboost.Float32)} {
+		created := decode[api.SessionResponse](t, do(t, s, "POST", "/v1/sessions", api.SessionRequest{
+			Flight:       f.Name,
+			SampleRateHz: f.Audio.SampleRate,
+			Precision:    precision,
+		}), http.StatusCreated)
+		report, err := feedSession(s, "/v1/sessions/"+created.ID, f, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(report, want) {
+			t.Errorf("precision %q: session report\n got %+v\nwant %+v", precision, report, want)
+		}
+		if report.Precision != string(soundboost.Float64) || report.Tolerance != 0 {
+			t.Errorf("precision %q: report precision %q tolerance %g, want float64 and 0", precision, report.Precision, report.Tolerance)
+		}
 	}
 }
 

@@ -71,8 +71,13 @@ type session struct {
 // newSession builds an open session and its engine from the open
 // request. It is the one mapping of SessionRequest fields onto engine
 // options, shared by creation and journal recovery. Buffer is accepted
-// on the wire but has no effect: the chunk queue never drops.
+// on the wire but has no effect: the chunk queue never drops. Precision
+// is validated but has no effect either: the pipeline runs float64.
 func (s *Server) newSession(id string, req api.SessionRequest) (*session, error) {
+	if err := soundboost.Precision(req.Precision).Validate(); err != nil {
+		// Prefixed like stream.New's errors: both are a 422 at open.
+		return nil, fmt.Errorf("stream: %w", err)
+	}
 	opts := []stream.Option{stream.WithFlightName(req.Flight)}
 	if req.LagHorizonSeconds > 0 {
 		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
@@ -80,15 +85,7 @@ func (s *Server) newSession(id string, req api.SessionRequest) (*session, error)
 	if req.GapFill {
 		opts = append(opts, stream.WithGapFill(true))
 	}
-	an := s.an
-	if req.Precision != "" {
-		var err error
-		if an, err = s.an.WithPrecision(soundboost.Precision(req.Precision)); err != nil {
-			// Prefixed like stream.New's errors: both are a 422 at open.
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-	}
-	eng, err := stream.New(an, req.SampleRateHz, opts...)
+	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -337,9 +334,9 @@ func (s *Server) createSession(req api.SessionRequest) (*session, error) {
 	id := fmt.Sprintf("s-%08d", s.nextID)
 	s.mu.Unlock()
 
-	// Engine construction validates the sample rate and precision
-	// against the calibrated model (422 on a mismatch) outside the table
-	// lock (it allocates filters).
+	// Session construction validates the precision, and the sample rate
+	// against the calibrated model (422 on a mismatch), outside the
+	// table lock (it allocates filters).
 	sess, err := s.newSession(id, req)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", faults.ErrUnprocessable, err)

@@ -40,8 +40,28 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
+// StdDev returns the sample standard deviation. When the squared
+// deviations of finite samples overflow, it rescales the samples by
+// their largest magnitude first, so a spread that is representable
+// stays finite.
+func StdDev(x []float64) float64 {
+	v := Variance(x)
+	if !math.IsInf(v, 1) {
+		return math.Sqrt(v)
+	}
+	var scale float64
+	for _, xi := range x {
+		scale = max(scale, math.Abs(xi))
+	}
+	if math.IsInf(scale, 1) {
+		return v
+	}
+	y := make([]float64, len(x))
+	for i, xi := range x {
+		y[i] = xi / scale
+	}
+	return scale * math.Sqrt(Variance(y))
+}
 
 // Normal is a fitted normal distribution.
 type Normal struct {

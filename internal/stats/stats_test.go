@@ -26,6 +26,23 @@ func TestMeanVarianceStd(t *testing.T) {
 	}
 }
 
+// TestStdDevHugeSamples requires a representable spread of finite
+// samples to come out finite even where their squared deviations
+// overflow, and an infinite sample to give an infinite spread.
+func TestStdDevHugeSamples(t *testing.T) {
+	x := []float64{1e200, -1e200, 1e200, -1e200}
+	want := 1e200 * StdDev([]float64{1, -1, 1, -1})
+	if got := StdDev(x); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("StdDev = %v, want %v", got, want)
+	}
+	if got := StdDev([]float64{math.MaxFloat64, math.MaxFloat64}); got != 0 {
+		t.Errorf("StdDev of equal huge samples = %v, want 0", got)
+	}
+	if got := StdDev([]float64{1, math.Inf(1)}); !math.IsInf(got, 1) && !math.IsNaN(got) {
+		t.Errorf("StdDev with an infinite sample = %v, want non-finite", got)
+	}
+}
+
 func TestFitNormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := make([]float64, 20000)

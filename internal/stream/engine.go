@@ -48,7 +48,7 @@ type Status struct {
 	// LastWindowEnd is the end time (s) of the newest processed window.
 	LastWindowEnd float64
 	// Windows counts fully processed windows; Skipped counts windows
-	// dropped for gaps, starvation, or rejection.
+	// dropped for gaps or rejection.
 	Windows int
 	Skipped int
 	// IMUAttacked and GPSAttacked are the verdicts so far (GPS per the
@@ -507,16 +507,14 @@ func (e *Engine) advance(flush bool) {
 				if lag <= e.cfg.MaxLagSeconds {
 					break // wait for telemetry to catch up
 				}
-				// Telemetry starved beyond the horizon: skip the window
-				// so the audio store stays bounded. Starvation is doubt —
-				// the fast path hands the stream to the full pipeline
-				// first so the skip happens in full-pipeline state.
+				// Telemetry starved beyond the horizon: decide the window
+				// now with the rows that arrived, so the audio store stays
+				// bounded. In a time-ordered stream those are all the rows
+				// it will ever get, as batch Analyze reads them; a row
+				// arriving later misses it. Starvation is doubt — the fast
+				// path hands the stream to the full pipeline first.
 				e.escalate()
 				windowsStarved.Inc()
-				e.bumpSkipped()
-				e.nextWin++
-				e.prune()
-				continue
 			}
 		}
 		if e.fastpath() {
@@ -644,9 +642,9 @@ func (e *Engine) overlapsInvalid(start, end int) bool {
 // triage fast path is active, before the first window the full pipeline
 // has not consumed, since an escalation replay needs the screened
 // backlog intact. Audio goes back in whole blocks, so the store keeps
-// the rest of the block base falls in. This (plus the starvation skip
-// in advance and the fast-path backlog bound) is what bounds engine
-// memory.
+// the rest of the block base falls in. This (plus deciding starved
+// windows in advance and the fast-path backlog bound) is what bounds
+// engine memory.
 func (e *Engine) prune() {
 	pruneWin := e.nextWin
 	if e.fastpath() && e.triFullWin < pruneWin {

@@ -6,9 +6,9 @@ package stream
 type Option func(*Config)
 
 // WithLagHorizon bounds how far (seconds) the audio stream may run ahead
-// of the telemetry watermark before a pending window is skipped as
-// starved (default 10 s). This is what bounds engine memory when a
-// telemetry stream stalls.
+// of the telemetry watermark before a pending window is decided as
+// starved, with the rows that arrived (default 10 s). This is what
+// bounds engine memory when a telemetry stream stalls.
 func WithLagHorizon(seconds float64) Option {
 	return func(c *Config) { c.MaxLagSeconds = seconds }
 }

@@ -19,7 +19,8 @@
 // telemetry, audio dropouts — the engine degrades gracefully: corrupt
 // rows are shed and counted, audio gaps are zero-filled to preserve
 // timing with the affected windows skipped, and memory stays bounded by
-// the lag horizon.
+// the lag horizon, past which a window is decided with the telemetry
+// that arrived.
 package stream
 
 import (
@@ -63,9 +64,9 @@ type GPSSample = triage.GPSPoint
 // defaults noted on each field.
 type Config struct {
 	// MaxLagSeconds bounds how far the audio stream may run ahead of the
-	// telemetry watermark before a pending window is skipped as starved
-	// (default 10 s). This is what bounds engine memory when a telemetry
-	// stream stalls.
+	// telemetry watermark before a pending window is decided as starved,
+	// with the rows that arrived (default 10 s). This is what bounds
+	// engine memory when a telemetry stream stalls.
 	MaxLagSeconds float64
 	// GapFill processes windows overlapping an audio dropout using the
 	// zero-filled gap samples instead of skipping them. Default false:
@@ -85,8 +86,10 @@ func (c Config) withDefaults() Config {
 
 // Per-stage metrics, resolved once at init and gated by obs.Enable.
 // stream.windows.emitted counts fully processed windows;
-// stream.windows.skipped_gap / skipped_starved / rejected count the three
-// skip reasons (audio dropout, telemetry starvation, too-short window).
+// stream.windows.skipped_gap / rejected count the two skip reasons
+// (audio dropout; too-short window or no IMU rows), and
+// stream.windows.starved the windows decided without waiting for the
+// telemetry watermark.
 var (
 	framesTotal        = obs.Default.Counter("stream.frames")
 	framesOutOfOrder   = obs.Default.Counter("stream.frames.out_of_order")
@@ -100,7 +103,7 @@ var (
 	telemetryEvicted   = obs.Default.Counter("stream.telemetry.evicted")
 	windowsEmitted     = obs.Default.Counter("stream.windows.emitted")
 	windowsSkippedGap  = obs.Default.Counter("stream.windows.skipped_gap")
-	windowsStarved     = obs.Default.Counter("stream.windows.skipped_starved")
+	windowsStarved     = obs.Default.Counter("stream.windows.starved")
 	windowsRejected    = obs.Default.Counter("stream.windows.rejected")
 	windowsScreened    = obs.Default.Counter("stream.windows.screened")
 	triageEscalations  = obs.Default.Counter("stream.triage.escalations")

@@ -11,9 +11,10 @@
 // The policy is deliberately one-directional: the fast path can only
 // ever conclude "benign". Any doubt — anomalous neighbours beyond the
 // calibrated tolerance, a window off the calibrated benign manifold,
-// low SNR, missing telemetry — escalates to the full pipeline, which is
-// what makes the zero verdict-flip guarantee structural rather than
-// statistical (see DESIGN.md "Triage tier contract").
+// low SNR, missing telemetry — escalates to the full pipeline. The zero
+// verdict-flip guarantee holds on the corpus the tier is verified over,
+// not statistically on unseen flights (see DESIGN.md "Triage tier
+// contract").
 package triage
 
 import (
@@ -82,20 +83,6 @@ func (c FeatureConfig) SNRIndex() int { return len(c.Bands) + 5 }
 // SNR dB, accel-magnitude std, gyro-magnitude mean, max consecutive GPS
 // velocity jump, position/velocity consistency gap].
 func (c FeatureConfig) Features(audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
-	return features[float64](c, audio, rate, imu, gps)
-}
-
-// Features32 is Features with the window transform and band-energy sums
-// in float32. The validity scan, RMS, ZCR and telemetry cross-checks are
-// float64 at both precisions, so they and the escalation predicate
-// match Features bit for bit; the spectral features track it within
-// the documented per-feature tolerance of the float32 path.
-func (c FeatureConfig) Features32(audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
-	return features[float32](c, audio, rate, imu, gps)
-}
-
-// features is the triage kernel with its spectrum in element type F.
-func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu []IMUPoint, gps []GPSPoint) []float64 {
 	c = c.withDefaults()
 	n := len(audio)
 	if n < 16 || rate <= 0 || len(c.Bands) == 0 || len(imu) == 0 {
@@ -105,12 +92,12 @@ func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu
 
 	// --- One real-input FFT over the whole window.
 	nfft := dsp.NextPow2(n)
-	plan := dsp.PlanFFT[F](nfft)
-	re := dsp.Acquire[F](nfft)
+	plan := dsp.PlanFFT(nfft)
+	re := dsp.Acquire(nfft)
 	defer dsp.Release(re)
-	spec := dsp.AcquireSpectrum[F](plan.SpectrumLen())
+	spec := dsp.AcquireSpectrum(plan.SpectrumLen())
 	defer dsp.ReleaseSpectrum(spec)
-	win := dsp.CachedHann[F](n)
+	win := dsp.CachedHann(n)
 	var rms float64
 	zc := 0
 	prev := audio[0]
@@ -120,7 +107,7 @@ func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu
 			return nil
 		}
 		// re[n:] stays zero: the arena hands buffers out zeroed.
-		re[i] = F(v) * win[i]
+		re[i] = v * win[i]
 		rms += v * v
 		if (v > 0 && prev < 0) || (v < 0 && prev > 0) {
 			zc++
@@ -143,12 +130,10 @@ func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu
 	}
 
 	// Broadband shape: centroid, rolloff, flatness over the power
-	// spectrum (DC excluded), frequencies normalised by Nyquist. Per-bin
-	// powers come straight off the F components and accumulate in
-	// float64.
+	// spectrum (DC excluded), frequencies normalised by Nyquist.
 	power := func(k int) float64 {
 		zr, zi := spec.Re[k], spec.Im[k]
-		return float64(zr*zr + zi*zi)
+		return zr*zr + zi*zi
 	}
 	nyquist := rate / 2
 	bins := len(spec.Re)
@@ -199,8 +184,7 @@ func features[F mathx.Float](c FeatureConfig, audio []float64, rate float64, imu
 
 // appendTelemetryFeatures appends the four telemetry cross-checks — the
 // features that can see attacks the microphones cannot (spoofed rows
-// never touch the audio channel). Computed in float64 at both
-// precisions, so they agree bit for bit.
+// never touch the audio channel).
 func appendTelemetryFeatures(out []float64, imu []IMUPoint, gps []GPSPoint) []float64 {
 	var accMean, gyroMean float64
 	accMags := make([]float64, len(imu))

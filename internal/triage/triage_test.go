@@ -72,116 +72,28 @@ func TestFeatureVectorShapeAndSanity(t *testing.T) {
 	}
 }
 
-// TestFeatures32TracksFloat64 pins the float32 spectral path to the
-// exact path per feature: time-domain features (ZCR, logRMS) and the
-// telemetry cross-checks are computed in float64 on both paths and must
-// match bit for bit; spectral features must agree within the documented
-// float32 tolerance (core.Float32Tolerance = 1e-3, restated here as a
-// literal because triage sits below core in the import graph).
-func TestFeatures32TracksFloat64(t *testing.T) {
-	const tol = 1e-3
-	cfg := testFeatureConfig()
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 8; trial++ {
-		audio := synthWindow(rng, 4000, 2000, 150+100*rng.Float64(), 0.2+0.5*rng.Float64(), 0.05)
-		imu, gps := benignTelemetry(rng, 100)
-		f64 := cfg.Features(audio, 4000, imu, gps)
-		f32 := cfg.Features32(audio, 4000, imu, gps)
-		if f64 == nil || f32 == nil {
-			t.Fatalf("trial %d: extraction failed (f64 nil=%v, f32 nil=%v)", trial, f64 == nil, f32 == nil)
-		}
-		if len(f32) != len(f64) {
-			t.Fatalf("trial %d: dim mismatch %d vs %d", trial, len(f32), len(f64))
-		}
-		for i := range f64 {
-			bound := tol
-			if i == cfg.SNRIndex() {
-				// SNR is a dB log-ratio whose denominator (out-of-band
-				// power) is a difference of nearly-equal sums, so float32
-				// rounding is amplified: it gets the separate 0.05 dB
-				// bound from the DESIGN.md tolerance contract. The
-				// classifier only compares SNR against coarse dB
-				// thresholds, so this slack cannot flip a verdict.
-				bound = 5e-2
-			}
-			if d := math.Abs(f32[i] - f64[i]); d > bound {
-				t.Errorf("trial %d feature %d: |%g - %g| = %g exceeds tolerance %g",
-					trial, i, f32[i], f64[i], d, bound)
-			}
-		}
-		// ZCR and logRMS (indices Dim-7, Dim-6) plus the four telemetry
-		// features stay in float64 on the fast path: exact equality.
-		for _, i := range []int{cfg.Dim() - 7, cfg.Dim() - 6, cfg.Dim() - 4, cfg.Dim() - 3, cfg.Dim() - 2, cfg.Dim() - 1} {
-			if f32[i] != f64[i] {
-				t.Errorf("trial %d: float64-path feature %d differs: %g vs %g", trial, i, f32[i], f64[i])
-			}
-		}
-	}
-}
-
-// TestFeatures32RejectionParity requires the fast path to escalate on
-// exactly the windows the exact path escalates on — a window the exact
-// path rejects but float32 accepts would silently change verdicts.
-func TestFeatures32RejectionParity(t *testing.T) {
-	cfg := testFeatureConfig()
-	rng := rand.New(rand.NewSource(12))
-	audio := synthWindow(rng, 4000, 2000, 220, 0.5, 0.01)
-	imu, gps := benignTelemetry(rng, 50)
-	bad := append([]float64(nil), audio...)
-	bad[17] = math.NaN()
-
-	cases := []struct {
-		name  string
-		audio []float64
-		rate  float64
-		imu   []IMUPoint
-	}{
-		{"nil audio", nil, 4000, imu},
-		{"short window", audio[:8], 4000, imu},
-		{"zero rate", audio, 0, imu},
-		{"no imu", audio, 4000, nil},
-		{"nan audio", bad, 4000, imu},
-		{"all-zero audio", make([]float64, 2000), 4000, imu},
-	}
-	for _, tc := range cases {
-		got64 := cfg.Features(tc.audio, tc.rate, tc.imu, gps)
-		got32 := cfg.Features32(tc.audio, tc.rate, tc.imu, gps)
-		if (got64 == nil) != (got32 == nil) {
-			t.Errorf("%s: rejection parity broken (f64 nil=%v, f32 nil=%v)", tc.name, got64 == nil, got32 == nil)
-		}
-		if got64 != nil {
-			t.Errorf("%s: exact path unexpectedly accepted the window", tc.name)
-		}
-	}
-}
-
-// TestFeaturesFloat32ConcurrentMatchesSerial runs both precisions of the
-// kernel concurrently over the shared plan, window and arena caches
-// (run under -race) and requires every result to match its serial run
-// bit for bit.
-func TestFeaturesFloat32ConcurrentMatchesSerial(t *testing.T) {
+// TestFeaturesConcurrentMatchesSerial runs the kernel concurrently over
+// the shared plan, window and arena caches (run under -race) and
+// requires every result to match the serial run bit for bit.
+func TestFeaturesConcurrentMatchesSerial(t *testing.T) {
 	cfg := testFeatureConfig()
 	rng := rand.New(rand.NewSource(13))
 	audio := synthWindow(rng, 4000, 2000, 220, 0.5, 0.05)
 	imu, gps := benignTelemetry(rng, 100)
-	kernels := []func([]float64, float64, []IMUPoint, []GPSPoint) []float64{cfg.Features, cfg.Features32}
-	want := make([][]float64, len(kernels))
-	for k, f := range kernels {
-		want[k] = f(audio, 4000, imu, gps)
-	}
+	want := cfg.Features(audio, 4000, imu, gps)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			got := kernels[k](audio, 4000, imu, gps)
-			for i := range want[k] {
-				if got[i] != want[k][i] {
-					t.Errorf("kernel %d feature %d: concurrent %g, serial %g", k, i, got[i], want[k][i])
+			got := cfg.Features(audio, 4000, imu, gps)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("feature %d: concurrent %g, serial %g", i, got[i], want[i])
 					return
 				}
 			}
-		}(g % len(kernels))
+		}()
 	}
 	wg.Wait()
 }
@@ -197,6 +109,12 @@ func TestFeaturesRejectUnusableWindows(t *testing.T) {
 	}
 	if cfg.Features(audio, 4000, nil, gps) != nil {
 		t.Error("empty IMU window accepted")
+	}
+	if cfg.Features(audio[:8], 4000, imu, gps) != nil {
+		t.Error("8-sample window accepted")
+	}
+	if cfg.Features(audio, 0, imu, gps) != nil {
+		t.Error("zero sample rate accepted")
 	}
 	bad := append([]float64(nil), audio...)
 	bad[17] = math.NaN()

@@ -65,12 +65,14 @@ echo "== fuzz (10s per target) =="
 # (frames bodies and replication appends), its check mode against its
 # full decode, its float kernel against strconv.ParseFloat, the client
 # chunker's encode/decode/reassembly round trip, the journal scanner's
-# torn-tail/corruption contract and the follower append's
-# seq/duplicate/gap contract. Seed corpora live in testdata/fuzz.
+# torn-tail/corruption contract, the follower append's
+# seq/duplicate/gap contract and the stream engine against batch Analyze
+# on degraded flights. Seed corpora live in testdata/fuzz.
 for target in ./api:FuzzDecodeFrames ./api:FuzzDecodeJournalAppend \
     ./api:FuzzCheckFrames ./api:FuzzCheckJournalAppend ./api:FuzzParseNumber \
     ./api:FuzzChunkFlight \
-    ./internal/journal:FuzzReadChunkLog ./internal/server:FuzzFollowerAppend; do
+    ./internal/journal:FuzzReadChunkLog ./internal/server:FuzzFollowerAppend \
+    ./internal/stream:FuzzBatchStreamEquivalence; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "${target%%:*}"
 done
 
