@@ -153,8 +153,8 @@ type SessionRequest struct {
 	// LagHorizonSeconds bounds how far audio may outrun telemetry
 	// before windows are shed (0 = engine default).
 	LagHorizonSeconds float64 `json:"lag_horizon_seconds,omitempty"`
-	// GapFill processes dropout windows from zero-filled audio instead
-	// of skipping them.
+	// GapFill is accepted, no effect: windows over an audio dropout
+	// are always skipped. Removal waits for a /v2.
 	GapFill bool `json:"gap_fill,omitempty"`
 	// Precision is accepted, no effect: "", "float64" and "float32" all
 	// run float64; any other value is rejected with 422. Removal waits

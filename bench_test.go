@@ -192,14 +192,7 @@ func BenchmarkEndToEndRCA(b *testing.B) {
 
 func quickFlight(b *testing.B) *dataset.Flight {
 	b.Helper()
-	cfg := dataset.DefaultGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 10}, 7)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	f, err := dataset.Generate(cfg)
+	f, err := dataset.Generate(dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 10}, 7))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"soundboost/internal/attack"
 	"soundboost/internal/kalman"
 	"soundboost/internal/sweep"
 )
@@ -26,7 +28,7 @@ func runSweep(args []string) error {
 		triageAxis  = fs.String("triage", "", "comma-separated triage-tier settings: on,off (self-hosted only; default follows the analyzer)")
 		chunkAxis   = fs.String("chunks", "2", "comma-separated chunk sizes: flight seconds per frames request")
 		frameAxis   = fs.String("frames", "0.05", "comma-separated audio frame lengths (s)")
-		attackAxis  = fs.String("attacks", "benign,gps-drift", "comma-separated attack families: benign,gps-static,gps-drift,imu-side-swing,imu-dos")
+		attackAxis  = fs.String("attacks", "benign,gps-drift", "comma-separated attack families: benign,"+strings.Join(attack.Families, ","))
 		intenAxis   = fs.String("intensities", "1", "comma-separated attack magnitude scale factors")
 		reps        = fs.Int("reps", 1, "flights per attack x intensity cell (wind cycles per rep)")
 		seconds     = fs.Float64("seconds", 20, "flight duration (s)")

@@ -17,30 +17,19 @@ import (
 	"soundboost/internal/sim"
 )
 
-func genConfig(m sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(m, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
-
 func main() {
 	fmt.Println("training acoustic model on benign flights...")
 	var benign []*dataset.Flight
 	seed := int64(21)
 	for i := 0; i < 6; i++ {
-		f, err := dataset.Generate(genConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
+		f, err := dataset.Generate(dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
 		if err != nil {
 			log.Fatal(err)
 		}
 		benign = append(benign, f)
 		seed += 5
 	}
-	synth := genConfig(sim.HoverMission{Seconds: 1}, 0).Synth
+	synth := dataset.FastGenConfig(sim.HoverMission{Seconds: 1}, 0).Synth
 	sigCfg := soundboost.DefaultSignatureConfig(synth)
 	mapCfg := soundboost.DefaultMappingConfig(sigCfg)
 	mapCfg.Hidden = 48

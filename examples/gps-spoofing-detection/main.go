@@ -19,18 +19,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-func genConfig(m sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(m, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.World.Controller.MaxVel = 3
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
-
 func main() {
 	fmt.Println("preparing model and detectors (benign corpus)...")
 	var benign []*dataset.Flight
@@ -48,7 +36,7 @@ func main() {
 	seed := int64(31)
 	for rep := 0; rep < 2; rep++ {
 		for _, m := range missions {
-			f, err := dataset.Generate(genConfig(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -56,7 +44,7 @@ func main() {
 			seed += 5
 		}
 	}
-	sigCfg := soundboost.DefaultSignatureConfig(genConfig(missions[0], 0).Synth)
+	sigCfg := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 	mapCfg := soundboost.DefaultMappingConfig(sigCfg)
 	mapCfg.Hidden = 48
 	mapCfg.Train.Epochs = 60
@@ -80,15 +68,12 @@ func main() {
 	// A 2 m/s drift takeover during [8, 28) of a 32 s hover: the spoofer
 	// drags the reported position away; the autopilot chases the lie.
 	fmt.Println("launching drift-takeover GPS spoof (2 m/s pull)...")
-	cfg := genConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 32}, 999)
-	cfg.Scenario = attack.Scenario{
-		Name: "gps-drift",
-		GPS: &attack.GPSSpoofer{
-			Window:      attack.Window{Start: 8, End: 28},
-			Mode:        attack.GPSSpoofDrift,
-			SpoofOffset: mathx.Vec3{X: 40},
-		},
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 32}, 999)
+	cfg.Scenario, err = attack.NewFamily(attack.FamilyGPSDrift, attack.Window{Start: 8, End: 28}, 999, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Scenario.GPS.SpoofOffset = mathx.Vec3{X: 40}
 	spoofed, err := dataset.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)

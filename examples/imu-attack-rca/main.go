@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"soundboost/internal/attack"
 	soundboost "soundboost/internal/core"
@@ -17,18 +16,6 @@ import (
 	"soundboost/internal/mathx"
 	"soundboost/internal/sim"
 )
-
-func genConfig(m sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(m, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.World.Controller.MaxVel = 3
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
 
 func main() {
 	// Train + calibrate on benign hovers and gentle maneuvers.
@@ -44,7 +31,7 @@ func main() {
 	seed := int64(11)
 	for rep := 0; rep < 3; rep++ {
 		for _, m := range missions {
-			f, err := dataset.Generate(genConfig(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -52,7 +39,7 @@ func main() {
 			seed += 5
 		}
 	}
-	sigCfg := soundboost.DefaultSignatureConfig(genConfig(missions[0], 0).Synth)
+	sigCfg := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 	mapCfg := soundboost.DefaultMappingConfig(sigCfg)
 	mapCfg.Hidden = 48
 	mapCfg.Train.Epochs = 60
@@ -68,32 +55,16 @@ func main() {
 
 	// Two synthesized IMU biasing attacks during a 14 s hover, spoofing
 	// event in [5, 11) (paper: 10 s events while hovering).
-	attacks := []struct {
-		name   string
-		biaser *attack.IMUBiaser
-	}{
-		{
-			"gyroscope side-swing (rocking)",
-			&attack.IMUBiaser{
-				Window:    attack.Window{Start: 5, End: 11},
-				Mode:      attack.IMUSideSwing,
-				Axis:      mathx.Vec3{X: 1},
-				Magnitude: 1.2, RampSeconds: 1, OscillateHz: 0.9,
-			},
-		},
-		{
-			"accelerometer DoS (random injection)",
-			&attack.IMUBiaser{
-				Window:    attack.Window{Start: 5, End: 11},
-				Mode:      attack.IMUAccelDoS,
-				Axis:      mathx.Vec3{Z: 1},
-				Magnitude: 3, Rng: rand.New(rand.NewSource(77)),
-			},
-		},
+	attacks := []struct{ name, family string }{
+		{"gyroscope side-swing (rocking)", attack.FamilyIMUSideSwing},
+		{"accelerometer DoS (random injection)", attack.FamilyIMUDoS},
 	}
 	for _, a := range attacks {
-		cfg := genConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, 500+int64(len(a.name)))
-		cfg.Scenario = attack.Scenario{Name: a.name, IMU: a.biaser}
+		seed := 500 + int64(len(a.name))
+		cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
+		if cfg.Scenario, err = attack.NewFamily(a.family, attack.Window{Start: 5, End: 11}, seed, 1); err != nil {
+			log.Fatal(err)
+		}
 		f, err := dataset.Generate(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -14,20 +14,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-// genConfig builds a reduced-rate configuration so the example runs in
-// seconds on any machine.
-func genConfig(m sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(m, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.World.Controller.MaxVel = 3
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
-
 func main() {
 	// 1. Fly a small benign corpus: the sound + telemetry of each flight
 	//    is what a companion computer would record via MAVLink.
@@ -47,7 +33,7 @@ func main() {
 	seed := int64(1)
 	for rep := 0; rep < 2; rep++ {
 		for _, m := range missions {
-			f, err := dataset.Generate(genConfig(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -60,7 +46,7 @@ func main() {
 	// 2. Train the acoustic signature -> acceleration model (paper §III-B)
 	//    with 5x time-shift augmentation.
 	fmt.Println("2. training the acoustic model...")
-	sigCfg := soundboost.DefaultSignatureConfig(genConfig(missions[0], 0).Synth)
+	sigCfg := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 	mapCfg := soundboost.DefaultMappingConfig(sigCfg)
 	mapCfg.Hidden = 48
 	mapCfg.Train.Epochs = 60
@@ -84,7 +70,7 @@ func main() {
 	// 4. Analyse a fresh (benign) flight: the report attributes the root
 	//    cause of any anomaly — here there is none.
 	fmt.Println("4. analysing a fresh flight...")
-	fresh, err := dataset.Generate(genConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, 999))
+	fresh, err := dataset.Generate(dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, 999))
 	if err != nil {
 		log.Fatal(err)
 	}

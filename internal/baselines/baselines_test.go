@@ -10,18 +10,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-func quickGen(mission sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.World.Controller.MaxVel = 3
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
-
 type corpus struct {
 	benign []*dataset.Flight
 	gps    *dataset.Flight
@@ -47,7 +35,7 @@ func getCorpus(t *testing.T) *corpus {
 		}
 		seed := int64(300)
 		for _, m := range missions {
-			f, err := dataset.Generate(quickGen(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				corpErr = err
 				return
@@ -55,9 +43,8 @@ func getCorpus(t *testing.T) *corpus {
 			c.benign = append(c.benign, f)
 			seed += 11
 		}
-		gpsCfg := quickGen(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
+		gpsCfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
 		gpsCfg.Scenario = attack.Scenario{
-			Name: "gps",
 			GPS: &attack.GPSSpoofer{
 				Window:      attack.Window{Start: 5, End: 18},
 				Mode:        attack.GPSSpoofDrift,

@@ -16,23 +16,8 @@ import (
 	"soundboost/internal/sim"
 )
 
-// testGenConfig is the reduced-rate configuration all core tests share.
-func testGenConfig(mission sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	// Cap the velocity envelope at the mission cruise speed (standard PX4
-	// practice) so attack-induced chases stay inside the trained regime.
-	cfg.World.Controller.MaxVel = 3.0
-	return cfg
-}
-
 func testSignatureConfig() SignatureConfig {
-	cfg := testGenConfig(sim.HoverMission{Seconds: 1}, 0)
+	cfg := dataset.FastGenConfig(sim.HoverMission{Seconds: 1}, 0)
 	return DefaultSignatureConfig(cfg.Synth)
 }
 
@@ -73,7 +58,7 @@ func getFixture(t *testing.T) *fixture {
 		seed := int64(100)
 		for rep := 0; rep < 2; rep++ {
 			for _, m := range missions {
-				fl, err := dataset.Generate(testGenConfig(m, seed))
+				fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 				if err != nil {
 					fixErr = err
 					return
@@ -85,7 +70,7 @@ func getFixture(t *testing.T) *fixture {
 		// Calibration must span the mission diversity the analyser will
 		// see (a hover-only calibration mislabels benign maneuvers).
 		for _, m := range missions {
-			fl, err := dataset.Generate(testGenConfig(m, seed))
+			fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				fixErr = err
 				return
@@ -94,7 +79,7 @@ func getFixture(t *testing.T) *fixture {
 			seed += 7
 		}
 		for i := 0; i < 2; i++ {
-			fl, err := dataset.Generate(testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
+			fl, err := dataset.Generate(dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed))
 			if err != nil {
 				fixErr = err
 				return
@@ -276,7 +261,7 @@ func TestFrequencyImportanceOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := testGenConfig(sim.HoverMission{Seconds: 1}, 0)
+	gen := dataset.FastGenConfig(sim.HoverMission{Seconds: 1}, 0)
 	noAero, err := EvaluateMSEBandRemoved(fx.model, fx.benign(), gen.Synth.AeroFreq, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +330,7 @@ func TestLoadModelCorrupt(t *testing.T) {
 
 func imuAttackFlight(t *testing.T, mode attack.IMUBiasMode, seed int64) *dataset.Flight {
 	t.Helper()
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
 	biaser := &attack.IMUBiaser{
 		Window: attack.Window{Start: 5, End: 11},
 		Mode:   mode,
@@ -361,7 +346,7 @@ func imuAttackFlight(t *testing.T, mode attack.IMUBiasMode, seed int64) *dataset
 		biaser.Magnitude = 3
 		biaser.Rng = rand.New(rand.NewSource(seed))
 	}
-	cfg.Scenario = attack.Scenario{Name: string(mode), IMU: biaser}
+	cfg.Scenario = attack.Scenario{IMU: biaser}
 	f, err := dataset.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -453,12 +438,11 @@ func TestResidualHistogramWidensUnderAttack(t *testing.T) {
 
 func gpsAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 	t.Helper()
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
 	// Drift-mode takeover: real spoofers drag the reported position away
 	// gradually (a 10 m static jump would be shed by the EKF's innovation
 	// gate, and full trust in it produces an unphysical runaway).
 	cfg.Scenario = attack.Scenario{
-		Name: "gps",
 		GPS: &attack.GPSSpoofer{
 			Window:      attack.Window{Start: 6, End: 18},
 			Mode:        attack.GPSSpoofDrift,
@@ -654,9 +638,8 @@ func TestActuatorDetector(t *testing.T) {
 	// Actuator DoS flight: block waveform idles all motors 60%% of each
 	// second — the rotors go quiet and the model predicts sub-flight
 	// thrust (paper §V-B).
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -30}, Seconds: 12}, 3100)
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -30}, Seconds: 12}, 3100)
 	cfg.Scenario = attack.Scenario{
-		Name: "actuator",
 		Actuator: &attack.ActuatorDoS{
 			Window:        attack.Window{Start: 4, End: 10},
 			PeriodSeconds: 1.2,
@@ -751,7 +734,7 @@ func TestAnalyzerSavePartial(t *testing.T) {
 func TestMultiIMUAttribution(t *testing.T) {
 	fx := getFixture(t)
 	gen := func(seed int64, attacked bool) *dataset.Flight {
-		cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
+		cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
 		cfg.World.AuxIMUs = 1
 		if attacked {
 			cfg.Scenario = attack.Scenario{IMU: &attack.IMUBiaser{

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"soundboost/internal/dataset"
 	"soundboost/internal/parallel"
 	"soundboost/internal/sim"
 )
@@ -12,7 +13,7 @@ import (
 // perform (SignatureConfig carries no sample rate).
 func TestValidateForRate(t *testing.T) {
 	good := testSignatureConfig()
-	synth := testGenConfig(sim.HoverMission{Seconds: 1}, 0).Synth
+	synth := dataset.FastGenConfig(sim.HoverMission{Seconds: 1}, 0).Synth
 	if err := good.ValidateForRate(synth.SampleRate); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

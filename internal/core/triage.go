@@ -3,6 +3,7 @@ package soundboost
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"soundboost/internal/dataset"
 	"soundboost/internal/dsp"
@@ -163,8 +164,8 @@ func triageLabel(meta dataset.ScenarioMeta, t0, t1 float64) (anomalous, include 
 		return false, true
 	}
 	w := meta.Window
-	switch meta.Kind {
-	case "gps-static", "gps-drift":
+	switch {
+	case strings.HasPrefix(meta.Kind, "gps-"): // every spoof mode, as dataset.Generate names it
 		if t0 >= w.Start && t1 <= w.Start+triageGPSOnsetSeconds {
 			return true, true
 		}

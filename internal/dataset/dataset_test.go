@@ -18,19 +18,8 @@ import (
 	"soundboost/internal/sim"
 )
 
-// quickGenConfig returns a fast low-rate configuration for tests.
-func quickGenConfig(mission sim.Mission, seed int64) GenConfig {
-	cfg := DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125 // divides the physics rate evenly
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.AeroFreq = 1500 // keep the band under the reduced Nyquist
-	return cfg
-}
-
 func TestGenerateBenignFlight(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 4}, 1)
+	cfg := FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 4}, 1)
 	f, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +45,7 @@ func TestGenerateBenignFlight(t *testing.T) {
 }
 
 func TestGenerateNilMission(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Seconds: 1}, 1)
+	cfg := FastGenConfig(sim.HoverMission{Seconds: 1}, 1)
 	cfg.Mission = nil
 	if _, err := Generate(cfg); err == nil {
 		t.Error("nil mission accepted")
@@ -64,9 +53,8 @@ func TestGenerateNilMission(t *testing.T) {
 }
 
 func TestGenerateWithGPSSpoof(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 6}, 2)
+	cfg := FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 6}, 2)
 	cfg.Scenario = attack.Scenario{
-		Name: "gps",
 		GPS: &attack.GPSSpoofer{
 			Window:        attack.Window{Start: 2, End: 6},
 			Mode:          attack.GPSSpoofStatic,
@@ -101,9 +89,8 @@ func TestGenerateWithGPSSpoof(t *testing.T) {
 }
 
 func TestGenerateWithIMUBias(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 6}, 3)
+	cfg := FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 6}, 3)
 	cfg.Scenario = attack.Scenario{
-		Name: "imu",
 		IMU: &attack.IMUBiaser{
 			Window:    attack.Window{Start: 2, End: 5},
 			Mode:      attack.IMUAccelDoS,
@@ -144,7 +131,7 @@ func TestGenerateWithIMUBias(t *testing.T) {
 }
 
 func TestGenerateInvalidIMUAttack(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Seconds: 1}, 1)
+	cfg := FastGenConfig(sim.HoverMission{Seconds: 1}, 1)
 	cfg.Scenario = attack.Scenario{IMU: &attack.IMUBiaser{}}
 	if _, err := Generate(cfg); err == nil {
 		t.Error("invalid IMU attack accepted")
@@ -152,7 +139,7 @@ func TestGenerateInvalidIMUAttack(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -8}, Seconds: 2}, 4)
+	cfg := FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -8}, Seconds: 2}, 4)
 	f, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +174,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoadFile(t *testing.T) {
-	cfg := quickGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -8}, Seconds: 1}, 5)
+	cfg := FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -8}, Seconds: 1}, 5)
 	f, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

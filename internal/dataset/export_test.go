@@ -9,7 +9,7 @@ import (
 )
 
 func TestWriteTelemetryCSV(t *testing.T) {
-	f, err := Generate(quickGenConfig(sim.HoverMission{Seconds: 1}, 43))
+	f, err := Generate(FastGenConfig(sim.HoverMission{Seconds: 1}, 43))
 	if err != nil {
 		t.Fatal(err)
 	}

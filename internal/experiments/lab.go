@@ -11,6 +11,7 @@ import (
 	"soundboost/internal/nn"
 	"soundboost/internal/obs"
 	"soundboost/internal/parallel"
+	"soundboost/internal/sim"
 )
 
 // Lab-build stage timers, gated by obs.Enable: corpus generation (all
@@ -113,7 +114,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	trainParts, err := parallel.MapErr(0, scale.TrainFlights, func(i int) (flightPairs, error) {
 		missions := trainingMissions(scale, i)
 		mission := missions[i%len(missions)]
-		cfg := scale.genConfig(mission, scale.trainSeed(i), windCycle(i))
+		cfg := scale.genConfig(mission, scale.trainSeed(i), sim.WindCycle(i))
 		cfg.Name = fmt.Sprintf("train-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {
@@ -139,7 +140,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	lab.Val, err = parallel.MapErr(0, scale.ValFlights, func(i int) (*dataset.Flight, error) {
 		missions := trainingMissions(scale, i+1)
 		mission := missions[(i*2+1)%len(missions)]
-		cfg := scale.genConfig(mission, scale.valSeed(i), windCycle(i+1))
+		cfg := scale.genConfig(mission, scale.valSeed(i), sim.WindCycle(i+1))
 		cfg.Name = fmt.Sprintf("val-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {
@@ -186,7 +187,7 @@ func NewLab(scale Scale, opts ...LabOption) (*Lab, error) {
 	lab.Calib, err = parallel.MapErr(0, scale.CalibFlights, func(i int) (*dataset.Flight, error) {
 		missions := trainingMissions(scale, i+2)
 		mission := missions[i%len(missions)]
-		cfg := scale.genConfig(mission, scale.calibSeed(i), windCycle(i))
+		cfg := scale.genConfig(mission, scale.calibSeed(i), sim.WindCycle(i))
 		cfg.Name = fmt.Sprintf("calib-%02d-%s", i, mission.Name())
 		f, err := dataset.Generate(cfg)
 		if err != nil {

@@ -128,8 +128,9 @@ func BenchScale() Scale {
 	return s
 }
 
-// QuickScale is the minimal smoke configuration for tests: reduced rates
-// and a shifted (but proportionate) frequency layout.
+// QuickScale is the minimal smoke configuration for tests, at the
+// reduced rates and shifted (but proportionate) frequency layout of
+// dataset.FastGenConfig.
 func QuickScale() Scale {
 	s := BenchScale()
 	s.Name = "quick"
@@ -146,12 +147,14 @@ func QuickScale() Scale {
 	s.IMUAttackSeconds = 6
 	s.Tab3Benign = 2
 	s.Tab3Attack = 2
-	s.AudioRate = 4000
-	s.MechFreq = 900
-	s.AeroFreq = 1500
-	s.PhysicsRate = 250
-	s.ControlRate = 125
-	s.IMURate = 125
+	fast := dataset.FastGenConfig(sim.HoverMission{}, 0)
+	s.AudioRate = fast.Synth.SampleRate
+	s.MechFreq = fast.Synth.MechFreq
+	s.AeroFreq = fast.Synth.AeroFreq
+	s.PhysicsRate = fast.World.PhysicsRate
+	s.ControlRate = fast.World.ControlRate
+	s.IMURate = fast.World.IMU.SampleRate
+	s.MaxVel = fast.World.Controller.MaxVel
 	s.Hidden = 48
 	s.Epochs = 60
 	return s
@@ -185,18 +188,6 @@ func (s Scale) genConfig(mission sim.Mission, seed int64, wind sim.WindConfig) d
 	cfg.Synth.MechFreq = s.MechFreq
 	cfg.Synth.AeroFreq = s.AeroFreq
 	return cfg
-}
-
-// windCycle rotates the outdoor conditions the paper's corpus covers.
-func windCycle(i int) sim.WindConfig {
-	switch i % 3 {
-	case 1:
-		return sim.BreezyWind()
-	case 2:
-		return sim.GustyWind()
-	default:
-		return sim.CalmWind()
-	}
 }
 
 // trainingMissions builds the 6-family mission rotation (paper §IV-A: six
@@ -327,17 +318,15 @@ func (s Scale) GeneratePeriod(spec PeriodSpec) (*dataset.Flight, error) {
 	default:
 		mission = sim.HoverMission{Point: mathx.Vec3{Z: alt}, Seconds: spec.Duration}
 	}
-	cfg := s.genConfig(mission, spec.Seed, windCycle(spec.Index))
+	cfg := s.genConfig(mission, spec.Seed, sim.WindCycle(spec.Index))
 	cfg.Name = fmt.Sprintf("gps-%v-%d", spec.Attack, spec.Index)
 	if spec.Attack {
-		cfg.Scenario = attack.Scenario{
-			Name: "gps-drift",
-			GPS: &attack.GPSSpoofer{
-				Window:      spec.Window,
-				Mode:        attack.GPSSpoofDrift,
-				SpoofOffset: spec.Offset,
-			},
+		sc, err := attack.NewFamily(attack.FamilyGPSDrift, spec.Window, spec.Seed, 1)
+		if err != nil {
+			return nil, err
 		}
+		sc.GPS.SpoofOffset = spec.Offset
+		cfg.Scenario = sc
 	}
 	return dataset.Generate(cfg)
 }
@@ -388,10 +377,16 @@ func (s Scale) IMUFlights() []IMUSpec {
 	return specs
 }
 
+// imuFamily names the attack family each §IV-B bias mode is built as.
+var imuFamily = map[attack.IMUBiasMode]string{
+	attack.IMUSideSwing: attack.FamilyIMUSideSwing,
+	attack.IMUAccelDoS:  attack.FamilyIMUDoS,
+}
+
 // GenerateIMUFlight simulates one §IV-B hover flight.
 func (s Scale) GenerateIMUFlight(spec IMUSpec) (*dataset.Flight, error) {
 	mission := sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: s.IMUFlightSeconds}
-	cfg := s.genConfig(mission, spec.Seed, windCycle(spec.Index))
+	cfg := s.genConfig(mission, spec.Seed, sim.WindCycle(spec.Index))
 	cfg.Name = fmt.Sprintf("imu-%v-%d", spec.Attack, spec.Index)
 	if spec.LowBattery {
 		batt := sim.DefaultBatteryConfig()
@@ -400,22 +395,11 @@ func (s Scale) GenerateIMUFlight(spec IMUSpec) (*dataset.Flight, error) {
 		cfg.Name += "-lowbatt"
 	}
 	if spec.Attack {
-		biaser := &attack.IMUBiaser{
-			Window: spec.Window,
-			Mode:   spec.Mode,
-			Axis:   mathx.Vec3{Z: 1},
+		sc, err := attack.NewFamily(imuFamily[spec.Mode], spec.Window, spec.Seed, 1)
+		if err != nil {
+			return nil, err
 		}
-		switch spec.Mode {
-		case attack.IMUSideSwing:
-			biaser.Axis = mathx.Vec3{X: 1}
-			biaser.Magnitude = 1.2
-			biaser.RampSeconds = 1
-			biaser.OscillateHz = 0.9
-		case attack.IMUAccelDoS:
-			biaser.Magnitude = 3
-			biaser.Rng = rand.New(rand.NewSource(spec.Seed + 1))
-		}
-		cfg.Scenario = attack.Scenario{Name: string(spec.Mode), IMU: biaser}
+		cfg.Scenario = sc
 	}
 	return dataset.Generate(cfg)
 }

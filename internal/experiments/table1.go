@@ -8,6 +8,7 @@ import (
 	"soundboost/internal/dataset"
 	"soundboost/internal/mathx"
 	"soundboost/internal/nn"
+	"soundboost/internal/sim"
 )
 
 // Table1Row is one augmentation configuration's result (paper Tab. I).
@@ -66,7 +67,7 @@ func RunTable1(scale Scale, logf func(string, ...any)) (Table1Result, error) {
 	gen := func(kind string, i int, seedBase int64) (*dataset.Flight, error) {
 		missions := trainingMissions(scale, i)
 		mission := missions[i%len(missions)]
-		cfg := scale.genConfig(mission, seedBase+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(mission, seedBase+int64(i)*7, sim.WindCycle(i))
 		cfg.Name = fmt.Sprintf("t1-%s-%02d", kind, i)
 		return dataset.Generate(cfg)
 	}
@@ -164,7 +165,7 @@ func RunWindowSweep(scale Scale, windows []float64, logf func(string, ...any)) (
 	var train, val []*dataset.Flight
 	for i := 0; i < nTrain; i++ {
 		missions := trainingMissions(scale, i)
-		cfg := scale.genConfig(missions[i%len(missions)], scale.Seed+2100+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(missions[i%len(missions)], scale.Seed+2100+int64(i)*7, sim.WindCycle(i))
 		f, err := dataset.Generate(cfg)
 		if err != nil {
 			return nil, err
@@ -173,7 +174,7 @@ func RunWindowSweep(scale Scale, windows []float64, logf func(string, ...any)) (
 	}
 	for i := 0; i < 2; i++ {
 		missions := trainingMissions(scale, i+1)
-		cfg := scale.genConfig(missions[(i+3)%len(missions)], scale.Seed+2400+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(missions[(i+3)%len(missions)], scale.Seed+2400+int64(i)*7, sim.WindCycle(i))
 		f, err := dataset.Generate(cfg)
 		if err != nil {
 			return nil, err
@@ -250,7 +251,7 @@ func RunModelFamilies(scale Scale, logf func(string, ...any)) ([]ModelFamilyRow,
 	var train, val []*dataset.Flight
 	for i := 0; i < nTrain; i++ {
 		missions := trainingMissions(scale, i)
-		cfg := scale.genConfig(missions[i%len(missions)], scale.Seed+2700+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(missions[i%len(missions)], scale.Seed+2700+int64(i)*7, sim.WindCycle(i))
 		f, err := dataset.Generate(cfg)
 		if err != nil {
 			return nil, err
@@ -259,7 +260,7 @@ func RunModelFamilies(scale Scale, logf func(string, ...any)) ([]ModelFamilyRow,
 	}
 	for i := 0; i < 2; i++ {
 		missions := trainingMissions(scale, i+2)
-		cfg := scale.genConfig(missions[(i+1)%len(missions)], scale.Seed+2900+int64(i)*7, windCycle(i))
+		cfg := scale.genConfig(missions[(i+1)%len(missions)], scale.Seed+2900+int64(i)*7, sim.WindCycle(i))
 		f, err := dataset.Generate(cfg)
 		if err != nil {
 			return nil, err

@@ -23,21 +23,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-// testGenConfig mirrors the reduced-rate configuration the core and
-// stream tests use (4 kHz audio, 125 Hz telemetry) so the fixture stays
-// fast while the sample arithmetic stays representative.
-func testGenConfig(mission sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	cfg.World.Controller.MaxVel = 3.0
-	return cfg
-}
-
 type fixture struct {
 	calib    []*dataset.Flight
 	analyzer *soundboost.Analyzer
@@ -68,7 +53,7 @@ func getFixture(t *testing.T) *fixture {
 		seed := int64(700)
 		for rep := 0; rep < 2; rep++ {
 			for _, m := range missions {
-				fl, err := dataset.Generate(testGenConfig(m, seed))
+				fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 				if err != nil {
 					fixErr = err
 					return
@@ -78,7 +63,7 @@ func getFixture(t *testing.T) *fixture {
 			}
 		}
 		for _, m := range missions {
-			fl, err := dataset.Generate(testGenConfig(m, seed))
+			fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				fixErr = err
 				return
@@ -86,7 +71,7 @@ func getFixture(t *testing.T) *fixture {
 			f.calib = append(f.calib, fl)
 			seed += 7
 		}
-		sig := soundboost.DefaultSignatureConfig(testGenConfig(missions[0], 0).Synth)
+		sig := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 		mcfg := soundboost.DefaultMappingConfig(sig)
 		mcfg.Hidden = 48
 		mcfg.Train.Epochs = 100
@@ -111,8 +96,8 @@ func getFixture(t *testing.T) *fixture {
 
 func gpsAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 	t.Helper()
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
-	cfg.Scenario = attack.Scenario{Name: "gps-drift", GPS: &attack.GPSSpoofer{
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 20}, seed)
+	cfg.Scenario = attack.Scenario{GPS: &attack.GPSSpoofer{
 		Window:      attack.Window{Start: 6, End: 18},
 		Mode:        attack.GPSSpoofDrift,
 		SpoofOffset: mathx.Vec3{X: 24},
@@ -126,8 +111,8 @@ func gpsAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 
 func imuAttackFlight(t *testing.T, seed int64) *dataset.Flight {
 	t.Helper()
-	cfg := testGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
-	cfg.Scenario = attack.Scenario{Name: "imu-dos", IMU: &attack.IMUBiaser{
+	cfg := dataset.FastGenConfig(sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: 14}, seed)
+	cfg.Scenario = attack.Scenario{IMU: &attack.IMUBiaser{
 		Window:    attack.Window{Start: 5, End: 11},
 		Mode:      attack.IMUAccelDoS,
 		Axis:      mathx.Vec3{Z: 1},

@@ -71,8 +71,9 @@ type session struct {
 // newSession builds an open session and its engine from the open
 // request. It is the one mapping of SessionRequest fields onto engine
 // options, shared by creation and journal recovery. Buffer is accepted
-// on the wire but has no effect: the chunk queue never drops. Precision
-// is validated but has no effect either: the pipeline runs float64.
+// on the wire but has no effect: the chunk queue never drops. GapFill
+// has none either: windows over an audio dropout are always skipped.
+// Precision is validated but has no effect: the pipeline runs float64.
 func (s *Server) newSession(id string, req api.SessionRequest) (*session, error) {
 	if err := soundboost.Precision(req.Precision).Validate(); err != nil {
 		// Prefixed like stream.New's errors: both are a 422 at open.
@@ -81,9 +82,6 @@ func (s *Server) newSession(id string, req api.SessionRequest) (*session, error)
 	opts := []stream.Option{stream.WithFlightName(req.Flight)}
 	if req.LagHorizonSeconds > 0 {
 		opts = append(opts, stream.WithLagHorizon(req.LagHorizonSeconds))
-	}
-	if req.GapFill {
-		opts = append(opts, stream.WithGapFill(true))
 	}
 	eng, err := stream.New(s.an, req.SampleRateHz, opts...)
 	if err != nil {

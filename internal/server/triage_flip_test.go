@@ -38,7 +38,7 @@ func triageTestAnalyzer(t *testing.T) (*soundboost.Analyzer, []*dataset.Flight) 
 	seed := int64(8000)
 	for rep := 0; rep < 2; rep++ {
 		for _, m := range missions {
-			f, err := dataset.Generate(testGenConfig(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -31,6 +32,27 @@ func BreezyWind() WindConfig {
 func GustyWind() WindConfig {
 	return WindConfig{Mean: mathx.Vec3{X: 3.0, Y: 2.0}, GustStd: 2.0, GustTau: 2}
 }
+
+// winds names the outdoor conditions, in rotation order.
+var winds = []struct {
+	name string
+	cfg  func() WindConfig
+}{{"calm", CalmWind}, {"breezy", BreezyWind}, {"gusty", GustyWind}}
+
+// WindByName returns a wind condition by name (calm, breezy or gusty),
+// for CLI tools.
+func WindByName(name string) (WindConfig, error) {
+	for _, w := range winds {
+		if w.name == name {
+			return w.cfg(), nil
+		}
+	}
+	return WindConfig{}, fmt.Errorf("sim: unknown wind condition %q", name)
+}
+
+// WindCycle returns the i-th condition of the calm, breezy, gusty
+// rotation generators use to vary benign disturbance across a corpus.
+func WindCycle(i int) WindConfig { return winds[i%len(winds)].cfg() }
 
 // Wind generates a temporally-correlated wind velocity via an
 // Ornstein-Uhlenbeck process around the mean (a light-weight stand-in for

@@ -580,7 +580,7 @@ func (e *Engine) escalate() {
 // through Run.Add. Live processing passes winIdx = e.nextWin; an
 // escalation replay passes the historical index.
 func (e *Engine) processWindow(winIdx int, t0 float64, start, total int) {
-	if !e.cfg.GapFill && e.overlapsInvalid(start, start+total) {
+	if e.overlapsInvalid(start, start+total) {
 		windowsSkippedGap.Inc()
 		e.bumpSkipped()
 		return

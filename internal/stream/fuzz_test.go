@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	soundboost "soundboost/internal/core"
 	"soundboost/internal/dataset"
 )
 
@@ -137,20 +138,7 @@ func FuzzBatchStreamEquivalence(f *testing.F) {
 		}
 		g, batch := mutateFlight(base, script)
 		want, wantErr := an.Analyze(g)
-
-		eng, err := New(an, g.Audio.SampleRate, WithFlightName(g.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range Events(CutFlight(g, 0.05)) {
-			if err := eng.Ingest(m); err != nil {
-				t.Fatal(err)
-			}
-			if (i+1)%batch == 0 {
-				eng.Advance()
-			}
-		}
-		got, gotErr := eng.Finish()
+		got, gotErr := ingestBatched(t, an, g, batch)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("stream error %v, batch error %v", gotErr, wantErr)
 		}
@@ -162,4 +150,45 @@ func FuzzBatchStreamEquivalence(f *testing.F) {
 		}
 		_ = want.String()
 	})
+}
+
+// ingestBatched feeds g's events to a fresh engine, advancing it after
+// every batch events, and returns what the engine's Finish returns.
+func ingestBatched(t *testing.T, an *soundboost.Analyzer, g *dataset.Flight, batch int) (soundboost.Report, error) {
+	t.Helper()
+	eng, err := New(an, g.Audio.SampleRate, WithFlightName(g.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range Events(CutFlight(g, 0.05)) {
+		if err := eng.Ingest(m); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%batch == 0 {
+			eng.Advance()
+		}
+	}
+	return eng.Finish()
+}
+
+// TestHugeAttitudeIsAGPSHole writes an attitude of -1e200 over 4.8-9.6 s
+// of the fixture's hover (the fuzz seed huge-attitude-kf-error). The
+// NED rotation of those windows overflows; they must be holes the GPS
+// stage restarts after, as every other unusable window is, not a KF
+// input error that ends stage 2: Analyze succeeds and the engine
+// reports the same.
+func TestHugeAttitudeIsAGPSHole(t *testing.T) {
+	fx := getFixture(t)
+	g, batch := mutateFlight(fx.calib[0], []byte("\x10\x32\x30\x30\x37"))
+	want, err := fx.analyzer.Analyze(g)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	got, err := ingestBatched(t, fx.analyzer, g, batch)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	if got != want {
+		t.Fatalf("stream report\n  %#v\nbatch report\n  %#v", got, want)
+	}
 }

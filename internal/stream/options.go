@@ -13,12 +13,6 @@ func WithLagHorizon(seconds float64) Option {
 	return func(c *Config) { c.MaxLagSeconds = seconds }
 }
 
-// WithGapFill processes windows overlapping an audio dropout using the
-// zero-filled gap samples instead of skipping them (default false).
-func WithGapFill(process bool) Option {
-	return func(c *Config) { c.GapFill = process }
-}
-
 // WithFlightName labels the produced report.
 func WithFlightName(name string) Option {
 	return func(c *Config) { c.FlightName = name }

@@ -68,11 +68,6 @@ type Config struct {
 	// with the rows that arrived (default 10 s). This is what bounds
 	// engine memory when a telemetry stream stalls.
 	MaxLagSeconds float64
-	// GapFill processes windows overlapping an audio dropout using the
-	// zero-filled gap samples instead of skipping them. Default false:
-	// a window built from silence produces an untrustworthy signature,
-	// so dropout windows are skipped (and counted) unless opted in.
-	GapFill bool
 	// FlightName labels the produced report.
 	FlightName string
 }

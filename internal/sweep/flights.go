@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"math/rand"
 
 	"soundboost/internal/attack"
 	"soundboost/internal/dataset"
@@ -10,29 +9,18 @@ import (
 	"soundboost/internal/sim"
 )
 
-// Flight synthesis presets. PresetFast is the reduced-rate layout every
-// smoke and test corpus uses (4 kHz audio, 250 Hz physics, acoustic
-// plan scaled into the Nyquist range); PresetPaper keeps the full-rate
-// defaults. The preset must match the analyzer's training corpus — the
+// benign is the attack axis value for a clean flight; every other value
+// names an attack.Families entry.
+const benign = "benign"
+
+// Flight synthesis presets. PresetFast is dataset.FastGenConfig, the
+// reduced-rate layout every smoke and test corpus uses; PresetPaper
+// keeps the full-rate defaults. The preset must match the analyzer's training corpus — the
 // server rejects sessions whose sample rate does not fit the model.
 const (
 	PresetFast  = "fast"
 	PresetPaper = "paper"
 )
-
-// Attack families a sweep can synthesize, with their canonical
-// (intensity 1) magnitudes. The values mirror cmd/flightgen so a sweep
-// cell at intensity 1 reproduces the corpus the smokes already pin.
-var attackFamilies = []string{"benign", "gps-static", "gps-drift", "imu-side-swing", "imu-dos"}
-
-func knownFamily(name string) bool {
-	for _, f := range attackFamilies {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
 
 // flightKey identifies one distinct synthesized flight. Grid cells that
 // differ only in detector or transport axes (kf, margin, chunk, frame)
@@ -42,10 +30,6 @@ type flightKey struct {
 	intensity float64
 	rep       int
 }
-
-// winds cycles per rep so repeated flights of the same attack cell see
-// different benign disturbance, not just a different seed.
-var winds = []func() sim.WindConfig{sim.CalmWind, sim.BreezyWind, sim.GustyWind}
 
 // buildFlight synthesizes the flight for one key. idx is the key's
 // position in the stable key enumeration; together with the master
@@ -57,19 +41,14 @@ func (c *Config) buildFlight(key flightKey, idx int) (*dataset.Flight, error) {
 	// consume per flight.
 	seed := c.Seed + int64(idx)*101
 	mission := sim.HoverMission{Point: mathx.Vec3{Z: -10}, Seconds: c.Seconds}
-	cfg := dataset.DefaultGenConfig(mission, seed)
+	gen := dataset.DefaultGenConfig
 	if c.Preset == PresetFast {
-		// The flightgen -fast layout: 4 kHz audio with the acoustic plan
-		// scaled under Nyquist, reduced physics/telemetry rates.
-		cfg.World.PhysicsRate = 250
-		cfg.World.ControlRate = 125
-		cfg.World.IMU.SampleRate = 125
-		cfg.World.Controller.MaxVel = 3
-		cfg.Synth.SampleRate = 4000
-		cfg.Synth.MechFreq = 900
-		cfg.Synth.AeroFreq = 1500
+		gen = dataset.FastGenConfig
 	}
-	cfg.World.Wind = winds[key.rep%len(winds)]()
+	cfg := gen(mission, seed)
+	// Wind cycles per rep so repeated flights of the same attack cell
+	// see different benign disturbance, not just a different seed.
+	cfg.World.Wind = sim.WindCycle(key.rep)
 
 	// Attacks start after the GPS detector's alignment phase (the threat
 	// model: attacks begin after take-off) and end before the flight
@@ -89,35 +68,13 @@ func (c *Config) buildFlight(key flightKey, idx int) (*dataset.Flight, error) {
 }
 
 // buildScenario constructs the attack for a family at an intensity
-// scale. Intensity multiplies the family's canonical magnitude (GPS
-// spoof offset in metres, IMU bias in m/s^2); benign ignores it.
+// scale. Intensity multiplies the family's canonical size (GPS spoof
+// offset in metres, IMU bias magnitude); benign ignores it.
 func buildScenario(family string, intensity float64, window attack.Window, seed int64) (attack.Scenario, error) {
-	switch family {
-	case "benign":
+	if family == benign {
 		return attack.Scenario{}, nil
-	case "gps-static":
-		return attack.Scenario{Name: family, GPS: &attack.GPSSpoofer{
-			Window: window, Mode: attack.GPSSpoofStatic,
-			SpoofOffset: mathx.Vec3{X: 12 * intensity}, ReportZeroVel: true,
-		}}, nil
-	case "gps-drift":
-		return attack.Scenario{Name: family, GPS: &attack.GPSSpoofer{
-			Window: window, Mode: attack.GPSSpoofDrift,
-			SpoofOffset: mathx.Vec3{X: 24 * intensity},
-		}}, nil
-	case "imu-side-swing":
-		return attack.Scenario{Name: family, IMU: &attack.IMUBiaser{
-			Window: window, Mode: attack.IMUSideSwing, Axis: mathx.Vec3{X: 1},
-			Magnitude: 1.2 * intensity, RampSeconds: 1, OscillateHz: 0.9,
-		}}, nil
-	case "imu-dos":
-		return attack.Scenario{Name: family, IMU: &attack.IMUBiaser{
-			Window: window, Mode: attack.IMUAccelDoS, Axis: mathx.Vec3{Z: 1},
-			Magnitude: 3 * intensity, Rng: rand.New(rand.NewSource(seed + 1)),
-		}}, nil
-	default:
-		return attack.Scenario{}, fmt.Errorf("sweep: unknown attack family %q (want one of %v)", family, attackFamilies)
 	}
+	return attack.NewFamily(family, window, seed, intensity)
 }
 
 // trimFloat renders an intensity compactly for flight names (1 -> "1",

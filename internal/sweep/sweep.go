@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"soundboost/internal/attack"
 	soundboost "soundboost/internal/core"
 	"soundboost/internal/dataset"
 	"soundboost/internal/kalman"
@@ -128,7 +130,7 @@ func (c Config) normalized() (Config, error) {
 		c.FrameSeconds = []float64{0.05}
 	}
 	if len(c.Attacks) == 0 {
-		c.Attacks = []string{"benign", "gps-drift"}
+		c.Attacks = []string{benign, attack.FamilyGPSDrift}
 	}
 	if len(c.Intensities) == 0 {
 		c.Intensities = []float64{1}
@@ -144,8 +146,8 @@ func (c Config) normalized() (Config, error) {
 		}
 	}
 	for _, a := range c.Attacks {
-		if !knownFamily(a) {
-			return c, fmt.Errorf("sweep: unknown attack family %q (want one of %v)", a, attackFamilies)
+		if a != benign && !slices.Contains(attack.Families, a) {
+			return c, fmt.Errorf("sweep: unknown attack family %q (want %s or one of %v)", a, benign, attack.Families)
 		}
 	}
 	for _, v := range c.Intensities {

@@ -14,22 +14,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-// testGenConfig mirrors the reduced-rate corpus layout the server and
-// stream tests use (4 kHz audio, 125 Hz telemetry) — the same layout
-// PresetFast synthesizes, so the fixture analyzer accepts sweep
-// flights.
-func testGenConfig(mission sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.World.Controller.MaxVel = 3
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	return cfg
-}
-
 var (
 	fixOnce     sync.Once
 	fixAnalyzer *soundboost.Analyzer
@@ -60,7 +44,7 @@ func getAnalyzer(t *testing.T) *soundboost.Analyzer {
 		seed := int64(700)
 		for rep := 0; rep < 2; rep++ {
 			for _, m := range missions {
-				f, err := dataset.Generate(testGenConfig(m, seed))
+				f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 				if err != nil {
 					fixErr = err
 					return
@@ -70,7 +54,7 @@ func getAnalyzer(t *testing.T) *soundboost.Analyzer {
 			}
 		}
 		for _, m := range missions {
-			f, err := dataset.Generate(testGenConfig(m, seed))
+			f, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				fixErr = err
 				return
@@ -78,7 +62,7 @@ func getAnalyzer(t *testing.T) *soundboost.Analyzer {
 			calib = append(calib, f)
 			seed += 7
 		}
-		sig := soundboost.DefaultSignatureConfig(testGenConfig(missions[0], 0).Synth)
+		sig := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 		mcfg := soundboost.DefaultMappingConfig(sig)
 		mcfg.Hidden = 48
 		mcfg.Train.Epochs = 100

@@ -18,21 +18,6 @@ import (
 	"soundboost/internal/sim"
 )
 
-// GenConfig mirrors the reduced-rate configuration the core and stream
-// tests use so fixtures stay fast while the sample arithmetic stays
-// representative.
-func GenConfig(mission sim.Mission, seed int64) dataset.GenConfig {
-	cfg := dataset.DefaultGenConfig(mission, seed)
-	cfg.World.PhysicsRate = 250
-	cfg.World.ControlRate = 125
-	cfg.World.IMU.SampleRate = 125
-	cfg.Synth.SampleRate = 4000
-	cfg.Synth.MechFreq = 900
-	cfg.Synth.AeroFreq = 1500
-	cfg.World.Controller.MaxVel = 3.0
-	return cfg
-}
-
 // F is the built fixture: calibration flights plus the analyzer trained
 // over the sibling training corpus.
 type F struct {
@@ -73,7 +58,7 @@ func build() (*F, error) {
 	seed := int64(700)
 	for rep := 0; rep < 2; rep++ {
 		for _, m := range missions {
-			fl, err := dataset.Generate(GenConfig(m, seed))
+			fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 			if err != nil {
 				return nil, err
 			}
@@ -82,14 +67,14 @@ func build() (*F, error) {
 		}
 	}
 	for _, m := range missions {
-		fl, err := dataset.Generate(GenConfig(m, seed))
+		fl, err := dataset.Generate(dataset.FastGenConfig(m, seed))
 		if err != nil {
 			return nil, err
 		}
 		f.Calib = append(f.Calib, fl)
 		seed += 7
 	}
-	sig := soundboost.DefaultSignatureConfig(GenConfig(missions[0], 0).Synth)
+	sig := soundboost.DefaultSignatureConfig(dataset.FastGenConfig(missions[0], 0).Synth)
 	mcfg := soundboost.DefaultMappingConfig(sig)
 	mcfg.Hidden = 48
 	mcfg.Train.Epochs = 100

@@ -22,7 +22,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. ./scripts/smoke_lib.sh
 
+smoke=chaos-smoke
 tmp=$(mktemp -d)
 server_pid=""
 cleanup() {
@@ -34,25 +36,15 @@ trap cleanup EXIT
 addr=127.0.0.1:18714
 
 echo "== generate corpus (reduced rate) =="
-seed=1
-for mission in hover dash column; do
-    for rep in 1 2; do
-        go run ./cmd/flightgen -fast -out "$tmp/train" -mission "$mission" \
-            -seconds 14 -seed $seed -name "$mission-benign-$seed"
-        seed=$((seed + 7))
-    done
-done
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+smoke_corpus
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -name incident
 
 echo "== build + train + calibrate =="
 # CHAOS_BUILDFLAGS lets CI run the whole soak under the race detector
 # (CHAOS_BUILDFLAGS=-race); unquoted on purpose so flags word-split.
-go build ${CHAOS_BUILDFLAGS:-} -o "$tmp/soundboost" ./cmd/soundboost
-"$tmp/soundboost" train -flights "$tmp/train" -model "$tmp/model.json" \
-    -hidden 48 -epochs 100 -augment 0
-"$tmp/soundboost" calibrate -model "$tmp/model.json" \
-    -calib "$tmp/train" -out "$tmp/analyzer.json"
+# shellcheck disable=SC2086
+smoke_train ${CHAOS_BUILDFLAGS:-}
 
 echo "== chaos soak: same seed twice must be byte-identical =="
 "$tmp/soundboost" chaos -analyzer "$tmp/analyzer.json" \
@@ -81,21 +73,7 @@ start_server() {
     "$tmp/soundboost" serve -analyzer "$tmp/analyzer.json" -addr "$addr" \
         -journal "$tmp/journal" >> "$tmp/serve.log" 2>&1 &
     server_pid=$!
-    i=0
-    while [ $i -lt 100 ]; do
-        if curl -fsS "http://$addr/v1/healthz" >/dev/null 2>&1; then
-            return 0
-        fi
-        kill -0 "$server_pid" 2>/dev/null || {
-            echo "chaos-smoke: server exited before becoming ready" >&2
-            cat "$tmp/serve.log" >&2
-            exit 1
-        }
-        sleep 0.2
-        i=$((i + 1))
-    done
-    echo "chaos-smoke: server never became ready" >&2
-    exit 1
+    wait_healthz "$addr" server "$server_pid" "$tmp/serve.log"
 }
 
 echo "== crash-safe journal: upload, SIGKILL mid-flight, restart, resume =="

@@ -24,7 +24,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. ./scripts/smoke_lib.sh
 
+smoke=fleet-smoke
 tmp=$(mktemp -d)
 pids=""
 cleanup() {
@@ -36,41 +38,18 @@ trap cleanup EXIT
 gw_addr=127.0.0.1:18712
 
 echo "== generate corpus (reduced rate) =="
-seed=1
-for mission in hover dash column; do
-    for rep in 1 2; do
-        go run ./cmd/flightgen -fast -out "$tmp/train" -mission "$mission" \
-            -seconds 14 -seed $seed -name "$mission-benign-$seed"
-        seed=$((seed + 7))
-    done
-done
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+smoke_corpus
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -name incident
 
 echo "== build + train + calibrate =="
 # Unquoted on purpose so FLEET_BUILDFLAGS word-splits (e.g. -race).
-go build ${FLEET_BUILDFLAGS:-} -o "$tmp/soundboost" ./cmd/soundboost
-"$tmp/soundboost" train -flights "$tmp/train" -model "$tmp/model.json" \
-    -hidden 48 -epochs 100 -augment 0
-"$tmp/soundboost" calibrate -model "$tmp/model.json" \
-    -calib "$tmp/train" -out "$tmp/analyzer.json"
+# shellcheck disable=SC2086
+smoke_train ${FLEET_BUILDFLAGS:-}
 
 echo "== single-node golden verdict =="
 "$tmp/soundboost" rca -analyzer "$tmp/analyzer.json" \
     -flight "$tmp/incident.sbf" > "$tmp/golden.out"
-
-wait_healthz() {
-    i=0
-    while [ $i -lt 100 ]; do
-        if curl -fsS "http://$1/v1/healthz" >/dev/null 2>&1; then
-            return 0
-        fi
-        sleep 0.2
-        i=$((i + 1))
-    done
-    echo "fleet-smoke: $2 never became ready on $1" >&2
-    exit 1
-}
 
 echo "== start 3 journaled replicas + gateway =="
 replica_flags=""

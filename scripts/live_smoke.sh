@@ -12,35 +12,27 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. ./scripts/smoke_lib.sh
 
+smoke=live-smoke
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 echo "== generate corpus (reduced rate) =="
-seed=1
-for mission in hover dash column; do
-    for rep in 1 2; do
-        go run ./cmd/flightgen -fast -out "$tmp/train" -mission "$mission" \
-            -seconds 14 -seed $seed -name "$mission-benign-$seed"
-        seed=$((seed + 7))
-    done
-done
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+smoke_corpus
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -name benign-incident
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -attack gps-drift -attack-start 6 -attack-end 18 -offset-x 24 \
     -name spoofed-incident
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 90 -seed 123 \
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 90 -seed 123 \
     -name long-hover
 
-echo "== train + calibrate =="
-go run ./cmd/soundboost train -flights "$tmp/train" -model "$tmp/model.json" \
-    -hidden 48 -epochs 100 -augment 0
-go run ./cmd/soundboost calibrate -model "$tmp/model.json" \
-    -calib "$tmp/train" -out "$tmp/analyzer.json"
+echo "== build + train + calibrate =="
+smoke_train
 
 echo "== live replay: benign flight =="
-go run ./cmd/soundboost live -analyzer "$tmp/analyzer.json" \
+"$tmp/soundboost" live -analyzer "$tmp/analyzer.json" \
     -flight "$tmp/benign-incident.sbf" -speed 50 | tee "$tmp/benign.out"
 grep -q "root cause: none" "$tmp/benign.out" || {
     echo "live-smoke: benign replay did not report 'root cause: none'" >&2
@@ -48,7 +40,7 @@ grep -q "root cause: none" "$tmp/benign.out" || {
 }
 
 echo "== live replay: GPS drift attack, 5% telemetry drop =="
-go run ./cmd/soundboost live -analyzer "$tmp/analyzer.json" \
+"$tmp/soundboost" live -analyzer "$tmp/analyzer.json" \
     -flight "$tmp/spoofed-incident.sbf" -speed 0 -drop 0.05 -seed 3 \
     | tee "$tmp/attack.out"
 grep -q "root cause: gps" "$tmp/attack.out" || {
@@ -57,9 +49,9 @@ grep -q "root cause: gps" "$tmp/attack.out" || {
 }
 
 echo "== unpaced live replay of a 90 s hover vs offline rca =="
-go run ./cmd/soundboost rca -analyzer "$tmp/analyzer.json" \
+"$tmp/soundboost" rca -analyzer "$tmp/analyzer.json" \
     -flight "$tmp/long-hover.sbf" > "$tmp/long.rca.out"
-go run ./cmd/soundboost live -analyzer "$tmp/analyzer.json" \
+"$tmp/soundboost" live -analyzer "$tmp/analyzer.json" \
     -flight "$tmp/long-hover.sbf" -speed 0 | tee "$tmp/long.live.out"
 # The first two lines are live's progress lines; the report follows.
 tail -n +3 "$tmp/long.live.out" > "$tmp/long.live.report"

@@ -12,7 +12,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. ./scripts/smoke_lib.sh
 
+smoke=serve-smoke
 tmp=$(mktemp -d)
 server_pid=""
 cleanup() {
@@ -24,26 +26,15 @@ trap cleanup EXIT
 addr=127.0.0.1:18713
 
 echo "== generate corpus (reduced rate) =="
-seed=1
-for mission in hover dash column; do
-    for rep in 1 2; do
-        go run ./cmd/flightgen -fast -out "$tmp/train" -mission "$mission" \
-            -seconds 14 -seed $seed -name "$mission-benign-$seed"
-        seed=$((seed + 7))
-    done
-done
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+smoke_corpus
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -name benign-incident
-go run ./cmd/flightgen -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
+"$tmp/flightgen" -fast -out "$tmp" -mission hover -seconds 20 -seed 99 \
     -attack gps-drift -attack-start 6 -attack-end 18 -offset-x 24 \
     -name spoofed-incident
 
 echo "== build + train + calibrate =="
-go build -o "$tmp/soundboost" ./cmd/soundboost
-"$tmp/soundboost" train -flights "$tmp/train" -model "$tmp/model.json" \
-    -hidden 48 -epochs 100 -augment 0
-"$tmp/soundboost" calibrate -model "$tmp/model.json" \
-    -calib "$tmp/train" -out "$tmp/analyzer.json"
+smoke_train
 
 echo "== offline verdicts (soundboost rca) =="
 for f in benign-incident spoofed-incident; do
@@ -54,21 +45,7 @@ done
 echo "== start soundboost serve =="
 "$tmp/soundboost" serve -analyzer "$tmp/analyzer.json" -addr "$addr" &
 server_pid=$!
-ready=0
-i=0
-while [ $i -lt 100 ]; do
-    if curl -fsS "http://$addr/v1/healthz" >/dev/null 2>&1; then
-        ready=1
-        break
-    fi
-    kill -0 "$server_pid" 2>/dev/null || {
-        echo "serve-smoke: server exited before becoming ready" >&2
-        exit 1
-    }
-    sleep 0.2
-    i=$((i + 1))
-done
-[ "$ready" = 1 ] || { echo "serve-smoke: server never became ready" >&2; exit 1; }
+wait_healthz "$addr" server "$server_pid"
 echo "healthz: $(curl -fsS "http://$addr/v1/healthz")"
 
 echo "== HTTP batch + streaming-session verdicts (soundboost push) =="
