@@ -407,6 +407,21 @@ func TestWindProcess(t *testing.T) {
 	}
 }
 
+func TestWindByNameAndCycle(t *testing.T) {
+	for i, name := range []string{"calm", "breezy", "gusty"} {
+		w, err := WindByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if WindCycle(i) != w || WindCycle(i+3) != w {
+			t.Errorf("WindCycle(%d) is not %s", i, name)
+		}
+	}
+	if _, err := WindByName("stormy"); err == nil {
+		t.Error("unknown wind condition accepted")
+	}
+}
+
 func TestEstimatorTracksTruthInBenignFlight(t *testing.T) {
 	cfg := DefaultWorldConfig()
 	cfg.Seed = 9
